@@ -54,6 +54,7 @@ from .metrics import (
     SqueezingReport,
     SweepAxis,
     mechanical_block,
+    mechanical_trajectory,
     optimize_over_time,
     quasistationary_vsq,
     rotate_covariance,
@@ -117,6 +118,7 @@ __all__ = [
     "initial_covariance",
     "lyapunov_residual",
     "mechanical_block",
+    "mechanical_trajectory",
     "optimize_over_time",
     "periodic_steady_state",
     "quasistationary_vsq",

@@ -39,7 +39,15 @@ from .errors import (
     UnstableModelError,
 )
 from .figures import FIGURES, FigureJob, run_figure
-from .metrics import SweepAxis, mechanical_block, squeezing_metrics, sweep
+from .figures import RUN_KEYS as FIGURE_RUN_KEYS
+from .metrics import (
+    TRAJECTORY_COLUMNS,
+    SweepAxis,
+    mechanical_block,
+    mechanical_trajectory,
+    squeezing_metrics,
+    sweep,
+)
 from .models import (
     FREQUENCY_VARIANTS,
     SystemParams,
@@ -80,7 +88,6 @@ RUN_KEYS = (
     "seed",
     "n_traj",
     "n_checkpoints",
-    "workers",
     "figure",
     "out",
     "format",
@@ -249,43 +256,22 @@ def _flatten(report: dict, prefix: str = "") -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_table(result) -> tuple[tuple[str, ...], list[tuple]]:
-    labels = result.covariances[0].basis.labels
-    stack = result.stacked()
-    ix, ip = labels.index("x"), labels.index("p")
-    a, b, c = stack[:, ix, ix], stack[:, ix, ip], stack[:, ip, ip]
-    mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    v_sq, v_asq = mean - rad, mean + rad
-    columns = ["t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta"]
-    cavity = len(labels) == 4
-    if cavity:
-        columns += ["VXX", "VXY", "VYY"]
-        jx, jy = labels.index("X"), labels.index("Y")
-    rows = []
-    for k, t in enumerate(result.times):
-        row = [
-            float(t),
-            float(a[k]),
-            float(b[k]),
-            float(c[k]),
-            float(v_sq[k]),
-            float(v_asq[k]),
-            float(v_sq[k] / v_asq[k]),
-        ]
-        if cavity:
-            row += [float(stack[k, jx, jx]), float(stack[k, jx, jy]), float(stack[k, jy, jy])]
-        rows.append(tuple(row))
-    return tuple(columns), rows
-
-
 def cmd_evolve(cfg: RunConfig, out: OutputSpec) -> int:
     params = cfg.params()
     model = cfg.builder()(params)
     t_end = float(cfg.require("t_end"))
     dt = cfg.get("dt")
     result = evolve(model, initial_covariance(params, model.basis), t_end, dt)
-    columns, rows = _trajectory_table(result)
-    write_table(out, columns, rows, cfg, {"command": "evolve", "stats": asdict(result.stats)})
+    columns, table = TRAJECTORY_COLUMNS, mechanical_trajectory(result)
+    labels = model.basis.labels
+    if len(labels) == 4:
+        stack = result.stacked()
+        jx, jy = labels.index("X"), labels.index("Y")
+        columns += ("VXX", "VXY", "VYY")
+        table = np.column_stack((table, stack[:, jx, jx], stack[:, jx, jy], stack[:, jy, jy]))
+    write_table(
+        out, columns, table.tolist(), cfg, {"command": "evolve", "stats": asdict(result.stats)}
+    )
     return 0
 
 
@@ -377,7 +363,6 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
         evaluation,
         t_end=None if t_end is None else float(t_end),
         dt=cfg.get("dt"),
-        workers=int(cfg.get("workers", 1)),
     )
     columns = (name, "status", "v_sq", "v_asq", "eta", "angle", "nonclassical", "t_opt")
     rows = []
@@ -405,9 +390,7 @@ def cmd_figure(cfg: RunConfig, out: OutputSpec | None, figure_id: str | None) ->
     fig = figure_id or cfg.get("figure")
     if fig is None:
         raise ConfigError(f"no figure id given; known ids: {sorted(FIGURES)}")
-    overrides = {
-        k: cfg.raw[k] for k in cfg.raw if k in PARAM_KEYS or k in ("t_end", "dt", "points")
-    }
+    overrides = {k: cfg.raw[k] for k in cfg.raw if k in PARAM_KEYS or k in FIGURE_RUN_KEYS}
     data = run_figure(FigureJob(fig, overrides))
     if out is None:
         out = OutputSpec(Path(f"{fig}.csv"), "csv")

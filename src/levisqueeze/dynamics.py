@@ -105,9 +105,19 @@ class PeriodicSteadyState:
         return np.stack([c.entries for c in self.covariances])
 
 
-def stability(model: LinearGaussianModel, at_time: float = 0.0) -> StabilityReport:
-    """Classify the drift at one instant: stable iff all Re(eig) < 0."""
-    eig = np.linalg.eigvals(model.drift_at(at_time))
+def stability(model: LinearGaussianModel) -> StabilityReport:
+    """Classify a constant drift: stable iff all Re(eig) < 0.
+
+    The instantaneous drift says nothing about a time-periodic model, so
+    those are refused; periodic_steady_state judges them by their Floquet
+    multipliers.
+    """
+    if not model.is_time_independent:
+        raise ParameterError(
+            "stability needs a time-independent model; "
+            "use periodic_steady_state for a periodic drive"
+        )
+    eig = np.linalg.eigvals(model.drift_at(0.0))
     max_re = float(np.max(eig.real))
     return StabilityReport(eigenvalues=eig, max_real_part=max_re, stable=max_re < 0.0)
 
@@ -389,7 +399,6 @@ def find_threshold(
     model_family,
     bracket: tuple[float, float],
     tol: float = 1e-6,
-    at_time: float = 0.0,
     max_iter: int = 200,
 ) -> float:
     """Bisect the stability boundary of a one-parameter model family.
@@ -397,14 +406,15 @@ def find_threshold(
     model_family maps a scalar to a LinearGaussianModel; the bracket must
     contain exactly one change of the stability verdict.  Marginal spectra
     (max Re(eig) = 0) count as unstable, so the returned point is the lower
-    edge of instability up to tol.
+    edge of instability up to tol.  Time-periodic families are refused, as
+    by stability.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must be increasing, got {bracket}")
 
     def stable_at(x: float) -> bool:
-        return stability(model_family(x), at_time).stable
+        return stability(model_family(x)).stable
 
     s_lo, s_hi = stable_at(lo), stable_at(hi)
     if s_lo == s_hi:

@@ -23,12 +23,17 @@ from .dynamics import (
     stability,
     steady_state,
 )
-from .errors import ConfigError, ParameterError, UnstableModelError
+from .errors import ConfigError, NumericalError, ParameterError, UnstableModelError
 from .gaussian import LinearGaussianModel
 from .metrics import (
+    TRAJECTORY_COLUMNS,
+    SweepAxis,
+    SweepPoint,
+    SweepTable,
     mechanical_block,
-    optimize_over_time,
+    mechanical_trajectory,
     squeezing_metrics,
+    sweep,
     vsq_trajectory,
 )
 from .models import (
@@ -176,30 +181,22 @@ def _run(overrides: Mapping[str, float], key: str, default: float | None) -> flo
 
 
 def _traj_rows(result, prefix: tuple = ()) -> list[tuple]:
-    stack = result.stacked()
-    labels = result.covariances[0].basis.labels
-    ix, ip = labels.index("x"), labels.index("p")
-    a, b, c = stack[:, ix, ix], stack[:, ix, ip], stack[:, ip, ip]
-    mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    v_sq, v_asq = mean - rad, mean + rad
-    rows = []
-    for k, t in enumerate(result.times):
-        rows.append(
-            prefix
-            + (
-                float(t),
-                float(a[k]),
-                float(b[k]),
-                float(c[k]),
-                float(v_sq[k]),
-                float(v_asq[k]),
-                float(v_sq[k] / v_asq[k]),
-            )
-        )
-    return rows
+    return [prefix + tuple(row) for row in mechanical_trajectory(result).tolist()]
 
 
-_TRAJ_COLS = ("t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta")
+def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
+    """The points of a sweep; the first point that is not ok raises again."""
+    for point in table.points:
+        if point.status == "unstable":
+            raise UnstableModelError(point.detail)
+        if point.status == "failed":
+            raise NumericalError(point.detail)
+    return table.points
+
+
+def _edge_count(points) -> int:
+    """How many transient optima sit on the first or last stored sample."""
+    return sum(point.report.at_edge for point in points)
 
 
 def _fig2a(ov: Mapping[str, float]) -> FigureData:
@@ -210,7 +207,7 @@ def _fig2a(ov: Mapping[str, float]) -> FigureData:
     result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
     return FigureData(
         "fig2a",
-        _TRAJ_COLS,
+        TRAJECTORY_COLUMNS,
         tuple(_traj_rows(result)),
         {"params": p, "t_end": t_end, "model": "full"},
     )
@@ -229,7 +226,7 @@ def _fig2b(ov: Mapping[str, float]) -> FigureData:
         rows.extend(_traj_rows(result, (name,)))
     return FigureData(
         "fig2b",
-        ("series",) + _TRAJ_COLS,
+        ("series",) + TRAJECTORY_COLUMNS,
         tuple(rows),
         {"params": base, "t_end": t_end, "lam_threshold": lam_th},
     )
@@ -239,27 +236,38 @@ def _nbar0_grid(points: int) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-2, 1e6, points - 1)])
 
 
+def _occupation_scan(
+    ov: Mapping[str, float], build, base: SystemParams, key: str, series, t_end: float
+) -> tuple[tuple[tuple, ...], int]:
+    """Best transient squeezing versus nbar0, one sweep per (name, value of key).
+
+    Returns the rows (series, nbar0, v_sq_opt, t_opt) and how many of their
+    optima sit on the edge of the time window.
+    """
+    grid = _nbar0_grid(int(_run(ov, "points", 21)))
+    axis = SweepAxis("nbar0", tuple(float(x) for x in grid))
+    dt = _run(ov, "dt", None)
+    points = [
+        (name, pt)
+        for name, value in series
+        for pt in _ok_points(sweep(axis, build, base.with_value(key, value), "transient", t_end, dt))
+    ]
+    rows = tuple((name, pt.value, pt.report.v_sq, pt.report.time) for name, pt in points)
+    return rows, _edge_count(pt for _, pt in points)
+
+
 def _fig2c(ov: Mapping[str, float]) -> FigureData:
     """Best transient squeezing versus initial occupation, detuned scheme."""
     base = _apply_overrides(detuned_params(), ov)
     t_end = _run(ov, "t_end", 100.0)
-    points = int(_run(ov, "points", 21))
     lam_th = threshold_coupling(base)
-    rows: list[tuple] = []
-    for name, lam in (("base-coupling", base.lam), ("at-threshold", lam_th)):
-        for nbar0 in _nbar0_grid(points):
-            p = base.with_value("lam", lam).with_value("nbar0", nbar0)
-            model = build_full_cs(p)
-            result = evolve(
-                model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None)
-            )
-            rep = optimize_over_time(result)
-            rows.append((name, float(nbar0), rep.v_sq, rep.time))
+    series = (("base-coupling", base.lam), ("at-threshold", lam_th))
+    rows, at_edge = _occupation_scan(ov, build_full_cs, base, "lam", series, t_end)
     return FigureData(
         "fig2c",
         ("series", "nbar0", "v_sq_opt", "t_opt"),
-        tuple(rows),
-        {"params": base, "t_end": t_end, "lam_threshold": lam_th},
+        rows,
+        {"params": base, "t_end": t_end, "lam_threshold": lam_th, "t_opt_at_edge": at_edge},
     )
 
 
@@ -294,7 +302,7 @@ def _fig3b(ov: Mapping[str, float]) -> FigureData:
         result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
         rows.extend(_traj_rows(result, (name,)))
     return FigureData(
-        "fig3b", ("series",) + _TRAJ_COLS, tuple(rows), {"params": base, "t_end": t_end}
+        "fig3b", ("series",) + TRAJECTORY_COLUMNS, tuple(rows), {"params": base, "t_end": t_end}
     )
 
 
@@ -302,22 +310,13 @@ def _fig3c(ov: Mapping[str, float]) -> FigureData:
     """Best rotating-frame squeezing versus initial occupation."""
     base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
     t_end = _run(ov, "t_end", 600.0)
-    points = int(_run(ov, "points", 21))
-    rows: list[tuple] = []
-    for name, phi in (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0)):
-        for nbar0 in _nbar0_grid(points):
-            p = base.with_value("phi", phi).with_value("nbar0", float(nbar0))
-            model = build_eliminated_modulated(p)
-            result = evolve(
-                model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None)
-            )
-            rep = optimize_over_time(result)
-            rows.append((name, float(nbar0), rep.v_sq, rep.time))
+    series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
+    rows, at_edge = _occupation_scan(ov, build_eliminated_modulated, base, "phi", series, t_end)
     return FigureData(
         "fig3c",
         ("series", "nbar0", "v_sq_opt", "t_opt"),
-        tuple(rows),
-        {"params": base, "t_end": t_end},
+        rows,
+        {"params": base, "t_end": t_end, "t_opt_at_edge": at_edge},
     )
 
 
@@ -325,16 +324,15 @@ def _fig3d(ov: Mapping[str, float]) -> FigureData:
     """Best rotating-frame squeezing versus modulation phase."""
     base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
     t_end = _run(ov, "t_end", 600.0)
-    points = int(_run(ov, "points", 13))
-    rows = []
-    for phi in np.linspace(0.0, math.pi, points):
-        p = base.with_value("phi", float(phi))
-        model = build_eliminated_modulated(p)
-        result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
-        rep = optimize_over_time(result)
-        rows.append((float(phi), rep.v_sq, rep.time))
+    axis = SweepAxis.linear("phi", 0.0, math.pi, int(_run(ov, "points", 13)))
+    points = _ok_points(
+        sweep(axis, build_eliminated_modulated, base, "transient", t_end, _run(ov, "dt", None))
+    )
     return FigureData(
-        "fig3d", ("phi", "v_sq_opt", "t_opt"), tuple(rows), {"params": base, "t_end": t_end}
+        "fig3d",
+        ("phi", "v_sq_opt", "t_opt"),
+        tuple((pt.value, pt.report.v_sq, pt.report.time) for pt in points),
+        {"params": base, "t_end": t_end, "t_opt_at_edge": _edge_count(points)},
     )
 
 
@@ -349,22 +347,19 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
         alpha_crit = modulation_instability(p)
         meta[f"alpha_crit_{name}"] = alpha_crit
         top = 1.95 if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
-        for alpha in np.linspace(0.0, top, points):
-            pa = p.with_value("alpha", float(alpha))
-            rep = squeezing_metrics(
-                mechanical_block(steady_state(build_bogoliubov_dissipative(pa)).covariance)
+        axis = SweepAxis.linear("alpha", 0.0, top, points)
+        rows += [
+            (
+                name,
+                pt.value,
+                pt.report.v_sq,
+                pt.report.v_asq,
+                pt.report.eta,
+                bogoliubov_ground_variance(pt.value),
+                _cycle_min_vsq(pt.params),
             )
-            rows.append(
-                (
-                    name,
-                    float(alpha),
-                    rep.v_sq,
-                    rep.v_asq,
-                    rep.eta,
-                    bogoliubov_ground_variance(float(alpha)),
-                    _cycle_min_vsq(pa),
-                )
-            )
+            for pt in _ok_points(sweep(axis, build_bogoliubov_dissipative, p, "steady"))
+        ]
     return FigureData(
         "fig4a",
         ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full"),
@@ -407,15 +402,15 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
 def _figs5(ov: Mapping[str, float]) -> FigureData:
     """Phase independence of the steady cooling-scheme squeezing."""
     base = _apply_overrides(resonant_params(), ov)
-    points = int(_run(ov, "points", 25))
-    rows: list[tuple] = []
-    for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01)):
-        for phi in np.linspace(0.0, 2.0 * math.pi, points):
-            p = base.with_value("alpha", alpha).with_value("phi", float(phi))
-            rep = squeezing_metrics(
-                mechanical_block(steady_state(build_bogoliubov_dissipative(p)).covariance)
-            )
-            rows.append((name, float(phi), rep.v_sq, rep.v_asq, rep.eta, _cycle_min_vsq(p)))
+    axis = SweepAxis.linear("phi", 0.0, 2.0 * math.pi, int(_run(ov, "points", 25)))
+    rows = [
+        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta,
+         _cycle_min_vsq(pt.params))
+        for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01))
+        for pt in _ok_points(
+            sweep(axis, build_bogoliubov_dissipative, base.with_value("alpha", alpha), "steady")
+        )
+    ]
     return FigureData(
         "figS5",
         ("series", "phi", "v_sq", "v_asq", "eta", "v_sq_full"),

@@ -78,20 +78,9 @@ def _omega(dim: int) -> NDArray[np.float64]:
     return np.kron(np.eye(dim // 2), block)
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticForm:
-    """Block-diagonal symplectic form attached to a basis."""
-
-    basis: QuadratureBasis
-    omega: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _frozen(self.omega))
-
-
-def symplectic_form(basis: QuadratureBasis) -> SymplecticForm:
-    """Return the symplectic form Omega for the given basis."""
-    return SymplecticForm(basis, _omega(basis.dim))
+def symplectic_form(basis: QuadratureBasis) -> NDArray[np.float64]:
+    """The symplectic form Omega of the given basis, read-only."""
+    return _frozen(_omega(basis.dim))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,8 +11,7 @@ be compared without undoing the rotation; only the angle is frame-dependent.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +40,9 @@ class SqueezingReport:
     angle: float
     nonclassical: bool
     time: float | None = None
+    #: True when a time optimum is the first or last stored sample, so the
+    #: window rather than the dynamics may have set it.
+    at_edge: bool = False
 
 
 def mechanical_block(v: CovarianceMatrix) -> CovarianceMatrix:
@@ -101,14 +103,26 @@ def _mech_indices(result: EvolutionResult) -> tuple[int, int]:
     return labels.index("x"), labels.index("p")
 
 
-def vsq_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
-    """Smallest mechanical eigen-variance at every stored time."""
+#: Columns of :func:`mechanical_trajectory`.
+TRAJECTORY_COLUMNS = ("t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta")
+
+
+def mechanical_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
+    """Mechanical covariance and eigen-variances at every stored time.
+
+    One row per stored time, with the columns TRAJECTORY_COLUMNS.
+    """
     ix, ip = _mech_indices(result)
     stack = result.stacked()
-    a = stack[:, ix, ix]
-    c = stack[:, ip, ip]
-    b = stack[:, ix, ip]
-    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    a, b, c = stack[:, ix, ix], stack[:, ix, ip], stack[:, ip, ip]
+    mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    v_sq, v_asq = mean - rad, mean + rad
+    return np.column_stack((result.times, a, b, c, v_sq, v_asq, v_sq / v_asq))
+
+
+def vsq_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
+    """Smallest mechanical eigen-variance at every stored time."""
+    return mechanical_trajectory(result)[:, TRAJECTORY_COLUMNS.index("v_sq")]
 
 
 def _parabolic_vertex(
@@ -135,25 +149,27 @@ def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
 
     The discrete minimum is refined by a parabola through its neighbors when
     it falls in the interior of the grid; v_asq, eta and angle are reported
-    at the unrefined grid point.
+    at the unrefined grid point.  A minimum on the first or last stored
+    sample is reported with at_edge set.
     """
     traj = vsq_trajectory(result)
     i = int(np.argmin(traj))
     base = squeezing_metrics(
         mechanical_block(result.covariances[i]), time=float(result.times[i])
     )
-    if 0 < i < len(traj) - 1:
-        refined = _parabolic_vertex(result.times[i - 1 : i + 2], traj[i - 1 : i + 2])
-        if refined is not None and 0.0 < refined[1] <= base.v_sq:
-            t_star, v_star = refined
-            return SqueezingReport(
-                v_sq=v_star,
-                v_asq=base.v_asq,
-                eta=v_star / base.v_asq,
-                angle=base.angle,
-                nonclassical=v_star < 1.0,
-                time=t_star,
-            )
+    if i in (0, len(traj) - 1):
+        return replace(base, at_edge=True)
+    refined = _parabolic_vertex(result.times[i - 1 : i + 2], traj[i - 1 : i + 2])
+    if refined is not None and 0.0 < refined[1] <= base.v_sq:
+        t_star, v_star = refined
+        return SqueezingReport(
+            v_sq=v_star,
+            v_asq=base.v_asq,
+            eta=v_star / base.v_asq,
+            angle=base.angle,
+            nonclassical=v_star < 1.0,
+            time=t_star,
+        )
     return base
 
 
@@ -249,15 +265,13 @@ def sweep(
     evaluation: str,
     t_end: float | None = None,
     dt: float | None = None,
-    workers: int = 1,
 ) -> SweepTable:
     """Evaluate squeezing metrics along one parameter axis.
 
     evaluation "steady" reads the algebraic steady state (points beyond an
     instability are marked, not fatal); "transient" integrates from the
     thermal initial state of each point and optimizes over time, which
-    requires t_end.  Points are independent and evaluated through an ordered
-    map, so results line up with axis.values regardless of scheduling.
+    requires t_end.  The points follow axis.values.
     """
     if evaluation not in ("steady", "transient"):
         raise ParameterError(f"evaluation must be steady or transient, got {evaluation!r}")
@@ -270,9 +284,5 @@ def sweep(
             return _steady_point(build, point_params, value)
         return _transient_point(build, point_params, value, float(t_end), dt)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(job, axis.values))
-    else:
-        points = tuple(job(v) for v in axis.values)
+    points = tuple(job(v) for v in axis.values)
     return SweepTable(axis=axis, evaluation=evaluation, points=points)

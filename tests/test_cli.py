@@ -106,6 +106,15 @@ def test_stability_report(tmp_path, capsys):
     assert len(payload["eigenvalues"]) == 2
 
 
+def test_stability_refuses_a_periodic_model(capsys):
+    # Its t = 0 drift looks stable, but the Floquet multiplier is 6.79.
+    argv = ["stability", "--set", "model=full-modulated", "--set", "delta=1",
+            "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "q_m=1e9",
+            "--set", "nbar=2e7", "--set", "alpha=1.2"]
+    assert main(argv) == 2
+    assert "time-independent" in capsys.readouterr().err
+
+
 def test_steady_on_unstable_model_fails_numerically(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.json", {**DETUNED, "lam": 1.7})
     assert main(["steady", "--config", cfg]) == 3
@@ -191,6 +200,13 @@ def test_figure_requires_an_id(tmp_path, monkeypatch):
     assert main(["figure"]) == 2
 
 
+def test_figure_reports_a_failed_grid_point(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["figure", "fig3d", "--set", "points=2", "--set", "t_end=100", "--set", "dt=50"]
+    assert main(argv) == 3
+    assert "step-halving error" in capsys.readouterr().err
+
+
 def test_json_output_format(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "run.json", {**DETUNED, "t_end": 5.0})
@@ -219,6 +235,13 @@ def test_sweep_leaves_unstable_cells_empty(tmp_path, monkeypatch):
     assert header[:2] == ["lam", "status"]
     assert rows[0][1] == "ok" and rows[0][2] != ""
     assert rows[1][1] == "unstable" and rows[1][2] == ""
+
+
+def test_sweep_rejects_the_workers_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "run.json", {**DETUNED, "axis": "lam", "axis_values": [0.3]})
+    assert main(["sweep", "--config", cfg, "--set", "workers=2"]) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -205,6 +205,18 @@ def test_stability_reports_eigenvalues(detuned):
     assert len(report.eigenvalues) == 4
 
 
+def test_stability_refuses_periodic_models(resonant):
+    # The t = 0 drift of a modulated model is no verdict on its Floquet
+    # stability: at alpha = 1.2 it looks stable, yet the cycle map diverges.
+    model = build_full_modulated(dataclasses.replace(resonant, alpha=1.2))
+    with pytest.raises(ParameterError):
+        stability(model)
+    with pytest.raises(ParameterError):
+        find_threshold(
+            lambda a: build_full_modulated(dataclasses.replace(resonant, alpha=a)), (0.1, 1.2)
+        )
+
+
 def test_stability_at_threshold_is_marginal(detuned):
     p = dataclasses.replace(detuned, lam=threshold_coupling(detuned))
     report = stability(build_eliminated_detuned(p))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levisqueeze.dynamics import evolve, periodic_steady_state, steady_state
 from levisqueeze.errors import ConfigError
 from levisqueeze.figures import (
     FIGURES,
@@ -13,9 +14,21 @@ from levisqueeze.figures import (
     resonant_params,
     run_figure,
 )
+from levisqueeze.metrics import (
+    mechanical_block,
+    optimize_over_time,
+    squeezing_metrics,
+    vsq_trajectory,
+)
 from levisqueeze.models import (
     bogoliubov_ground_variance,
+    build_bogoliubov_dissipative,
+    build_eliminated_modulated,
+    build_full_cs,
+    build_full_modulated,
     effective_modulated,
+    initial_covariance,
+    threshold_coupling,
 )
 
 
@@ -137,3 +150,58 @@ def test_figs5_steady_squeezing_ignores_phase():
         v = [r[2] for r in data.rows if r[0] == name]
         assert len(v) == 5
         assert (max(v) - min(v)) / min(v) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Grid recipes against direct loops over the solvers
+# ---------------------------------------------------------------------------
+
+
+def _best_transient(build, p, t_end):
+    model = build(p)
+    return optimize_over_time(evolve(model, initial_covariance(p, model.basis), t_end))
+
+
+def test_fig2c_rows_equal_a_direct_loop():
+    data = run_figure(FigureJob("fig2c", {"points": 3, "t_end": 20.0}))
+    base = detuned_params()
+    expected = []
+    for name, lam in (("base-coupling", base.lam), ("at-threshold", threshold_coupling(base))):
+        for nbar0 in (0.0, 1e-2, 1e6):
+            p = base.with_value("lam", lam).with_value("nbar0", nbar0)
+            rep = _best_transient(build_full_cs, p, 20.0)
+            expected.append((name, nbar0, rep.v_sq, rep.time))
+    assert data.rows == tuple(expected)
+
+
+def test_fig3d_rows_equal_a_direct_loop():
+    data = run_figure(FigureJob("fig3d", {"points": 3}))
+    base = detuned_params().with_value("alpha", 0.01)
+    expected = []
+    for phi in (0.0, math.pi / 2.0, math.pi):
+        rep = _best_transient(build_eliminated_modulated, base.with_value("phi", phi), 600.0)
+        expected.append((phi, rep.v_sq, rep.time))
+    assert data.rows == tuple(expected)
+
+
+def test_fig3d_counts_optima_on_the_window_edge():
+    # A warm start keeps relaxing until t_end, so every optimum is the last sample.
+    data = run_figure(FigureJob("fig3d", {"points": 3, "nbar0": 5.0}))
+    assert [r[2] for r in data.rows] == [600.0] * 3
+    assert data.meta["t_opt_at_edge"] == 3
+
+
+def test_figs5_rows_equal_a_direct_loop():
+    data = run_figure(FigureJob("figS5", {"points": 3}))
+    base = resonant_params()
+    expected = []
+    for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01)):
+        for phi in (0.0, math.pi, 2.0 * math.pi):
+            p = base.with_value("alpha", alpha).with_value("phi", phi)
+            rep = squeezing_metrics(
+                mechanical_block(steady_state(build_bogoliubov_dissipative(p)).covariance)
+            )
+            cycle = periodic_steady_state(build_full_modulated(p), math.pi / p.omega_x)
+            v_full = float(vsq_trajectory(cycle).min())
+            expected.append((name, phi, rep.v_sq, rep.v_asq, rep.eta, v_full))
+    assert data.rows == tuple(expected)

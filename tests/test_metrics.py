@@ -17,8 +17,10 @@ from levisqueeze.gaussian import (
     QuadratureBasis,
 )
 from levisqueeze.metrics import (
+    TRAJECTORY_COLUMNS,
     SweepAxis,
     mechanical_block,
+    mechanical_trajectory,
     optimize_over_time,
     quasistationary_vsq,
     rotate_covariance,
@@ -114,6 +116,21 @@ def test_vsq_trajectory_matches_pointwise_metrics(detuned):
         assert traj[i] == pytest.approx(direct.v_sq, rel=1e-12)
 
 
+def test_mechanical_trajectory_columns(detuned):
+    model = build_full_cs(detuned)
+    result = evolve(model, initial_covariance(detuned, model.basis), 10.0)
+    table = mechanical_trajectory(result)
+    assert table.shape == (len(result.times), len(TRAJECTORY_COLUMNS))
+    for i in (0, len(table) // 2, len(table) - 1):
+        block = mechanical_block(result.covariances[i])
+        direct = squeezing_metrics(block)
+        t, vxx, vxp, vpp, v_sq, v_asq, eta = table[i]
+        assert t == result.times[i]
+        assert (vxx, vxp, vpp) == (block.entries[0, 0], block.entries[0, 1], block.entries[1, 1])
+        assert (v_sq, v_asq, eta) == pytest.approx((direct.v_sq, direct.v_asq, direct.eta))
+    assert np.array_equal(vsq_trajectory(result), table[:, 4])
+
+
 def test_vsq_samples_vary_smoothly(detuned):
     model = build_full_cs(detuned)
     result = evolve(model, initial_covariance(detuned, model.basis), 40.0)
@@ -133,6 +150,7 @@ def test_optimize_over_time_finds_the_dip(detuned):
     # Refined minimum should agree with a much denser sampling of the dip.
     dense = evolve(model, initial_covariance(detuned, model.basis), 20.0, dt=0.0005)
     assert best.v_sq == pytest.approx(np.min(vsq_trajectory(dense)), rel=1e-4)
+    assert not best.at_edge
 
 
 def test_optimize_over_time_constant_run():
@@ -144,6 +162,7 @@ def test_optimize_over_time_constant_run():
     best = optimize_over_time(result)
     assert best.v_sq == pytest.approx(1.0)
     assert best.time == 0.0
+    assert best.at_edge
 
 
 def test_quasistationary_average(detuned):
@@ -188,6 +207,7 @@ def test_steady_sweep_marks_unstable_points(detuned):
     table = sweep(axis, build_eliminated_detuned, p, "steady")
     statuses = [pt.status for pt in table.points]
     assert statuses == ["ok", "ok", "unstable"]
+    assert [pt.value for pt in table.points] == list(axis.values)
     direct = steady_state(
         build_eliminated_detuned(p.with_value("lam", axis.values[0]))
     ).covariance
@@ -215,14 +235,3 @@ def test_transient_sweep_requires_horizon(detuned):
 def test_sweep_rejects_unknown_evaluation(detuned):
     with pytest.raises(ParameterError):
         sweep(SweepAxis("lam", (0.3,)), build_full_cs, detuned, "optimal")
-
-
-def test_parallel_sweep_matches_serial(detuned):
-    p = detuned.with_value("q_m", 1e4).with_value("nbar", 10.0)
-    axis = SweepAxis.linear("lam", 0.1, 1.0, 4)
-    serial = sweep(axis, build_eliminated_detuned, p, "steady")
-    parallel = sweep(axis, build_eliminated_detuned, p, "steady", workers=2)
-    for a, b in zip(serial.points, parallel.points):
-        assert a.status == b.status
-        if a.report is not None:
-            assert a.report.v_sq == b.report.v_sq
