@@ -8,6 +8,8 @@ integrated with the classical fourth-order Runge-Kutta scheme at fixed step.
 Every step is advanced as two half steps; comparing against the single full
 step at the stored samples gives a step-halving error estimate that aborts
 the run when the step is too coarse for the requested dynamics.
+On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A,
+which steady_state solves with and a constant model steps by in closed form.
 """
 
 from __future__ import annotations
@@ -150,6 +152,36 @@ def _step_error(full: NDArray[np.float64], halved: NDArray[np.float64]) -> float
     return float(np.max(np.abs(full - halved))) / scale
 
 
+def _track_step_error(max_err: float, err: float, t: float, h: float) -> float:
+    """Running maximum of the step-halving error; raises past STEP_ERROR_LIMIT."""
+    max_err = max(max_err, err)
+    if max_err > STEP_ERROR_LIMIT:
+        raise IntegrationError(
+            f"step-halving error {max_err:.3e} above {STEP_ERROR_LIMIT:.0e} "
+            f"at t = {t:g}; reduce dt below {h:g}"
+        )
+    return max_err
+
+
+def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Generator of V -> A V + V A^T acting on the row-major vec(V)."""
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) + np.kron(eye, a)
+
+
+def _rk4_map(
+    gen: NDArray[np.float64], nvec: NDArray[np.float64], h: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """One RK4 step of dx/dt = gen x + nvec as the affine map x -> M x + c.
+
+    M = I + hL Q(hL) and c = h Q(hL) nvec with Q(z) = 1 + z/2 + z^2/6 + z^3/24.
+    """
+    z = h * gen
+    eye = np.eye(gen.shape[0])
+    q = eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0))
+    return eye + z @ q, h * (q @ nvec)
+
+
 def evolve(
     model: LinearGaussianModel,
     v0: CovarianceMatrix | NDArray[np.float64],
@@ -191,33 +223,15 @@ def evolve(
     v = np.array(start)
 
     if model.is_time_independent:
-        a = np.asarray(model.drift_at(0.0), dtype=float)
-        n = np.asarray(model.diffusion_at(0.0), dtype=float)
-
-        def f(_t: float, m: NDArray[np.float64]) -> NDArray[np.float64]:
-            return a @ m + m @ a.T + n
-
-        # One nominal step is a fixed affine map on vec(V); precompute it once
-        # from the generic stepper, together with the single-step defect used
-        # for the error estimate.
+        # One nominal step is a fixed affine map on vec(V): two half steps
+        # compose into (M_half^2, M_half c_half + c_half), and the single full
+        # step gives the defect used for the error estimate.
         d = model.basis.dim
-        zero = np.zeros((d, d))
-
-        def one_step(m: NDArray[np.float64]) -> NDArray[np.float64]:
-            return _rk4(f, 0.0, _rk4(f, 0.0, m, 0.5 * h), 0.5 * h)
-
-        def full_step(m: NDArray[np.float64]) -> NDArray[np.float64]:
-            return _rk4(f, 0.0, m, h)
-
-        c_half = one_step(zero).ravel()
-        c_full = full_step(zero).ravel()
-        m_half = np.empty((d * d, d * d))
-        m_full = np.empty((d * d, d * d))
-        for j in range(d * d):
-            basis_mat = np.zeros((d, d))
-            basis_mat.ravel()[j] = 1.0
-            m_half[:, j] = one_step(basis_mat).ravel() - c_half
-            m_full[:, j] = full_step(basis_mat).ravel() - c_full
+        gen = _generator(np.asarray(model.drift_at(0.0), dtype=float))
+        nvec = np.asarray(model.diffusion_at(0.0), dtype=float).ravel()
+        m_half, c_half = _rk4_map(gen, nvec, 0.5 * h)
+        m_half, c_half = m_half @ m_half, m_half @ c_half + c_half
+        m_full, c_full = _rk4_map(gen, nvec, h)
         defect_m = m_full - m_half
         defect_c = c_full - c_half
 
@@ -228,12 +242,7 @@ def evolve(
             if step % stride == 0 or step == n_steps:
                 err = float(np.max(np.abs(defect_m @ vec + defect_c)))
                 err /= max(1.0, float(np.max(np.abs(new))))
-                max_err = max(max_err, err)
-                if max_err > STEP_ERROR_LIMIT:
-                    raise IntegrationError(
-                        f"step-halving error {max_err:.3e} above {STEP_ERROR_LIMIT:.0e} "
-                        f"at t = {step * h:g}; reduce dt below {h:g}"
-                    )
+                max_err = _track_step_error(max_err, err, step * h, h)
                 _store(times, mats, step * h, new.reshape(d, d))
             vec = new
     else:
@@ -250,12 +259,7 @@ def evolve(
             new = _rk4(f, t + 0.5 * h, half, 0.5 * h)
             if step % stride == 0 or step == n_steps:
                 err = _step_error(_rk4(f, t, v, h), new)
-                max_err = max(max_err, err)
-                if max_err > STEP_ERROR_LIMIT:
-                    raise IntegrationError(
-                        f"step-halving error {max_err:.3e} above {STEP_ERROR_LIMIT:.0e} "
-                        f"at t = {step * h:g}; reduce dt below {h:g}"
-                    )
+                max_err = _track_step_error(max_err, err, step * h, h)
                 _store(times, mats, step * h, new)
             v = new
 
@@ -286,9 +290,8 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     a = np.asarray(model.drift_at(0.0), dtype=float)
     n = np.asarray(model.diffusion_at(0.0), dtype=float)
     d = a.shape[0]
-    eye = np.eye(d)
     try:
-        vec = np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), -n.ravel())
+        vec = np.linalg.solve(_generator(a), -n.ravel())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular Lyapunov system: {exc}") from exc
     if not np.all(np.isfinite(vec)):
@@ -315,10 +318,11 @@ def periodic_steady_state(
 
     The Lyapunov flow over one period is an affine map on vec(V); its fixed
     point is the covariance the transient settles onto, without integrating
-    through the slow relaxation.  The map is assembled column by column with
-    the same fourth-order stepper used by evolve, so the result matches a
-    long evolve run up to the integration tolerance.  For time-independent
-    models this reduces to steady_state for any choice of period.
+    through the slow relaxation.  One pass of the fourth-order stepper used
+    by evolve carries the map's columns, so the result matches a long evolve
+    run up to the integration tolerance; the cycle samples are read from the
+    same pass.  For time-independent models this reduces to steady_state for
+    any choice of period.
     """
     if period <= 0.0:
         raise ParameterError(f"period must be positive, got {period}")
@@ -336,9 +340,7 @@ def periodic_steady_state(
     # Slice 0 carries the inhomogeneous flow (starts at zero, feels N); the
     # remaining d*d slices propagate the canonical basis matrices without N,
     # giving the homogeneous map.
-    stack = np.zeros((d * d + 1, d, d))
-    for j in range(d * d):
-        stack[j + 1].reshape(-1)[j] = 1.0
+    stack = np.concatenate((np.zeros((1, d, d)), np.eye(d * d).reshape(d * d, d, d)))
 
     def f(t: float, s: NDArray[np.float64]) -> NDArray[np.float64]:
         a = np.asarray(a_at(t), dtype=float)
@@ -346,8 +348,16 @@ def periodic_steady_state(
         out[0] += n_at(t)
         return out
 
-    for step in range(n_steps):
-        stack = _rk4(f, step * h, stack, h)
+    # V(t) = slice_0(t) + sum_j vec(V0)_j slice_{j+1}(t), so keeping the stack
+    # at the stored steps resolves the cycle once V0 is known.
+    stride = max(1, math.ceil(n_steps / (n_samples - 1)))
+    sample_t = [0.0]
+    snapshots = [stack]
+    for step in range(1, n_steps + 1):
+        stack = _rk4(f, (step - 1) * h, stack, h)
+        if step % stride == 0 or step == n_steps:
+            sample_t.append(step * h)
+            snapshots.append(stack)
     if not np.all(np.isfinite(stack)):
         raise NumericalError("period map diverged; reduce dt")
     offset = stack[0].ravel()
@@ -367,19 +377,12 @@ def periodic_steady_state(
     if not np.all(np.isfinite(v0)):
         raise NumericalError("non-finite periodic steady state")
 
-    def f_single(t: float, m: NDArray[np.float64]) -> NDArray[np.float64]:
-        a = np.asarray(a_at(t), dtype=float)
-        return a @ m + m @ a.T + n_at(t)
-
-    stride = max(1, math.ceil(n_steps / (n_samples - 1)))
+    weights = np.concatenate(([1.0], v0.ravel()))
+    cycle = np.tensordot(weights, np.stack(snapshots), axes=(0, 1))
     times: list[float] = []
     mats: list[NDArray[np.float64]] = []
-    v = v0.copy()
-    _store(times, mats, 0.0, v)
-    for step in range(1, n_steps + 1):
-        v = _rk4(f_single, (step - 1) * h, v, h)
-        if step % stride == 0 or step == n_steps:
-            _store(times, mats, step * h, v)
+    for t, m in zip(sample_t, cycle):
+        _store(times, mats, t, m)
     residual = float(np.max(np.abs(mats[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
 
     t_arr = np.array(times)

@@ -16,13 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import (
-    evolve,
-    find_threshold,
-    periodic_steady_state,
-    stability,
-    steady_state,
-)
+from .dynamics import evolve, find_threshold, periodic_steady_state, stability
 from .errors import ConfigError, NumericalError, ParameterError, UnstableModelError
 from .gaussian import LinearGaussianModel
 from .metrics import (
@@ -30,9 +24,8 @@ from .metrics import (
     SweepAxis,
     SweepPoint,
     SweepTable,
-    mechanical_block,
+    _parabolic_vertex,
     mechanical_trajectory,
-    squeezing_metrics,
     sweep,
     vsq_trajectory,
 )
@@ -133,33 +126,34 @@ def optimize_modulation(
     range when none exists) is scanned on a uniform grid; the discrete
     minimum is polished with one parabolic step evaluated exactly.
     """
+    alpha_crit, axis = _depth_axis(params, grid_points, alpha_max, tol)
+
+    def scan(axis: SweepAxis) -> list:
+        table = sweep(axis, build_bogoliubov_dissipative, params, "steady")
+        return [pt.report for pt in _ok_points(table)]
+
+    reports = scan(axis)
+    v_sq = [rep.v_sq for rep in reports]
+    i = int(np.argmin(v_sq))
+    best_alpha, best = axis.values[i], reports[i]
+    if 0 < i < len(v_sq) - 1:
+        vertex = _parabolic_vertex(axis.values[i - 1 : i + 2], v_sq[i - 1 : i + 2])
+        if vertex is not None:
+            polished = scan(SweepAxis("alpha", (vertex[0],)))[0]
+            if polished.v_sq < best.v_sq:
+                best_alpha, best = vertex[0], polished
+    return ModulationOptimum(
+        alpha_crit=alpha_crit, alpha_opt=best_alpha, v_sq=best.v_sq, v_asq=best.v_asq
+    )
+
+
+def _depth_axis(
+    params: SystemParams, points: int, alpha_max: float = 1.95, tol: float = 1e-5
+) -> tuple[float | None, SweepAxis]:
+    """Instability onset of the cooling model and the depth grid just below it."""
     alpha_crit = modulation_instability(params, alpha_max, tol)
     top = alpha_max if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
-    grid = np.linspace(0.0, top, grid_points)
-
-    def value(alpha: float) -> tuple[float, float]:
-        result = steady_state(build_bogoliubov_dissipative(params.with_value("alpha", alpha)))
-        rep = squeezing_metrics(mechanical_block(result.covariance))
-        return rep.v_sq, rep.v_asq
-
-    vals = [value(a) for a in grid]
-    v_sq = np.array([v[0] for v in vals])
-    i = int(np.argmin(v_sq))
-    best_alpha, (best_v, best_va) = float(grid[i]), vals[i]
-    if 0 < i < len(grid) - 1:
-        d0 = (v_sq[i] - v_sq[i - 1]) / (grid[i] - grid[i - 1])
-        curv = ((v_sq[i + 1] - v_sq[i]) / (grid[i + 1] - grid[i]) - d0) / (
-            grid[i + 1] - grid[i - 1]
-        )
-        if curv > 0.0:
-            a_star = 0.5 * (grid[i - 1] + grid[i]) - d0 / (2.0 * curv)
-            a_star = min(max(a_star, grid[i - 1]), grid[i + 1])
-            v_star, va_star = value(float(a_star))
-            if v_star < best_v:
-                best_alpha, best_v, best_va = float(a_star), v_star, va_star
-    return ModulationOptimum(
-        alpha_crit=alpha_crit, alpha_opt=best_alpha, v_sq=best_v, v_asq=best_va
-    )
+    return alpha_crit, SweepAxis.linear("alpha", 0.0, top, points)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +172,14 @@ def _apply_overrides(params: SystemParams, overrides: Mapping[str, float]) -> Sy
 def _run(overrides: Mapping[str, float], key: str, default: float | None) -> float | None:
     val = overrides.get(key, default)
     return None if val is None else float(val)
+
+
+def _points(overrides: Mapping[str, float], default: int) -> int:
+    """The grid size of a recipe; fewer than one point is refused."""
+    points = int(_run(overrides, "points", default))
+    if points < 1:
+        raise ParameterError(f"points must be at least 1, got {points}")
+    return points
 
 
 def _traj_rows(result, prefix: tuple = ()) -> list[tuple]:
@@ -232,10 +234,6 @@ def _fig2b(ov: Mapping[str, float]) -> FigureData:
     )
 
 
-def _nbar0_grid(points: int) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-2, 1e6, points - 1)])
-
-
 def _occupation_scan(
     ov: Mapping[str, float], build, base: SystemParams, key: str, series, t_end: float
 ) -> tuple[tuple[tuple, ...], int]:
@@ -244,7 +242,7 @@ def _occupation_scan(
     Returns the rows (series, nbar0, v_sq_opt, t_opt) and how many of their
     optima sit on the edge of the time window.
     """
-    grid = _nbar0_grid(int(_run(ov, "points", 21)))
+    grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, _points(ov, 21) - 1)])
     axis = SweepAxis("nbar0", tuple(float(x) for x in grid))
     dt = _run(ov, "dt", None)
     points = [
@@ -274,9 +272,8 @@ def _fig2c(ov: Mapping[str, float]) -> FigureData:
 def _fig3a(ov: Mapping[str, float]) -> FigureData:
     """Effective rotating-frame rates versus modulation depth."""
     base = _apply_overrides(detuned_params(), ov)
-    points = int(_run(ov, "points", 101))
     rows = []
-    for alpha in np.linspace(0.0, 0.1, points):
+    for alpha in np.linspace(0.0, 0.1, _points(ov, 101)):
         p = base.with_value("alpha", float(alpha))
         shifted = effective_modulated(p, "shifted-frame")
         bare = effective_modulated(p, "bare-frame")
@@ -324,7 +321,7 @@ def _fig3d(ov: Mapping[str, float]) -> FigureData:
     """Best rotating-frame squeezing versus modulation phase."""
     base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
     t_end = _run(ov, "t_end", 600.0)
-    axis = SweepAxis.linear("phi", 0.0, math.pi, int(_run(ov, "points", 13)))
+    axis = SweepAxis.linear("phi", 0.0, math.pi, _points(ov, 13))
     points = _ok_points(
         sweep(axis, build_eliminated_modulated, base, "transient", t_end, _run(ov, "dt", None))
     )
@@ -339,15 +336,12 @@ def _fig3d(ov: Mapping[str, float]) -> FigureData:
 def _fig4a(ov: Mapping[str, float]) -> FigureData:
     """Steady squeezing of the cooling scheme versus modulation depth."""
     base = _apply_overrides(resonant_params(), ov)
-    points = int(_run(ov, "points", 40))
+    points = _points(ov, 40)
     rows: list[tuple] = []
     meta: dict = {"params": base}
     for name, q_m in (("qm-1e9", 1e9), ("qm-1e8", 1e8)):
         p = base.with_value("q_m", q_m)
-        alpha_crit = modulation_instability(p)
-        meta[f"alpha_crit_{name}"] = alpha_crit
-        top = 1.95 if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
-        axis = SweepAxis.linear("alpha", 0.0, top, points)
+        meta[f"alpha_crit_{name}"], axis = _depth_axis(p, points)
         rows += [
             (
                 name,
@@ -371,9 +365,8 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
 def _fig4b(ov: Mapping[str, float]) -> FigureData:
     """Depth-optimized steady squeezing versus mechanical quality factor."""
     base = _apply_overrides(resonant_params(), ov)
-    points = int(_run(ov, "points", 26))
     rows = []
-    for q_m in np.geomspace(1e7, 1e12, points):
+    for q_m in np.geomspace(1e7, 1e12, _points(ov, 26)):
         p = base.with_value("q_m", float(q_m))
         opt = optimize_modulation(p)
         rows.append(
@@ -387,7 +380,7 @@ def _fig4b(ov: Mapping[str, float]) -> FigureData:
 def _fig4c(ov: Mapping[str, float]) -> FigureData:
     """Depth-optimized steady squeezing versus cavity linewidth."""
     base = _apply_overrides(resonant_params(), ov)
-    points = int(_run(ov, "points", 20))
+    points = _points(ov, 20)
     rows: list[tuple] = []
     for name, lam in (("lam-0.3", 0.3), ("lam-0.5", 0.5)):
         for kappa in np.linspace(0.05, 1.0, points):
@@ -402,7 +395,7 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
 def _figs5(ov: Mapping[str, float]) -> FigureData:
     """Phase independence of the steady cooling-scheme squeezing."""
     base = _apply_overrides(resonant_params(), ov)
-    axis = SweepAxis.linear("phi", 0.0, 2.0 * math.pi, int(_run(ov, "points", 25)))
+    axis = SweepAxis.linear("phi", 0.0, 2.0 * math.pi, _points(ov, 25))
     rows = [
         (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta,
          _cycle_min_vsq(pt.params))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from levisqueeze.cli import main
+from levisqueeze.dynamics import STEP_ERROR_LIMIT
 
 DETUNED = {
     "model": "eliminated-detuned",
@@ -35,7 +36,8 @@ def test_evolve_mechanical_header_and_sidecar(tmp_path, monkeypatch):
     assert header == ["t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta"]
     assert float(rows[0][0]) == 0.0
     assert float(rows[-1][0]) == pytest.approx(20.0)
-    assert (tmp_path / "traj.sidecar.json").exists()
+    sidecar = json.loads((tmp_path / "traj.sidecar.json").read_text())
+    assert 0.0 <= sidecar["_provenance"]["stats"]["max_step_error"] < STEP_ERROR_LIMIT
 
 
 def test_evolve_full_model_adds_cavity_columns(tmp_path, monkeypatch):
@@ -198,6 +200,15 @@ def test_figure_rejects_unknown_id(tmp_path, monkeypatch, capsys):
 def test_figure_requires_an_id(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["figure"]) == 2
+
+
+@pytest.mark.parametrize(
+    "figure", ["fig2c", "fig3a", "fig3c", "fig3d", "fig4a", "fig4b", "fig4c", "figS5"]
+)
+def test_figure_rejects_an_empty_grid(tmp_path, monkeypatch, capsys, figure):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", figure, "--set", "points=0"]) == 2
+    assert "points" in capsys.readouterr().err
 
 
 def test_figure_reports_a_failed_grid_point(tmp_path, monkeypatch, capsys):

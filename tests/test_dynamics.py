@@ -21,6 +21,7 @@ from levisqueeze.errors import (
     UnstableModelError,
 )
 from levisqueeze.gaussian import (
+    CAVITY_MECH,
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
@@ -77,6 +78,25 @@ def test_evolve_matches_matrix_exponential():
     e = scipy.linalg.expm(a * t_end)
     expected = e @ (v0.entries - vss) @ e.T + vss
     assert np.max(np.abs(result.covariances[-1].entries - expected)) < 1e-8
+
+
+def test_constant_path_matches_the_generic_stepper(rng):
+    # The closed-form step map of a constant model against the RK4 stepper
+    # that time-dependent models take, on the same random stable (A, N).
+    m = rng.normal(size=(4, 4))
+    a = m - (np.max(np.linalg.eigvals(m).real) + 0.5) * np.eye(4)
+    b = rng.normal(size=(4, 4))
+    rate = float(np.max(np.abs(np.linalg.eigvals(a))))
+    constant = LinearGaussianModel.constant(
+        CAVITY_MECH, a, b @ b.T, ModelDescriptor("random-stable"), rate
+    )
+    generic = dataclasses.replace(constant, is_time_independent=False)
+    v0 = CovarianceMatrix(CAVITY_MECH, np.eye(4))
+    fast = evolve(constant, v0, 20.0 / rate)
+    slow = evolve(generic, v0, 20.0 / rate)
+    assert np.array_equal(fast.times, slow.times)
+    for x, y in zip(fast.covariances, slow.covariances):
+        assert np.max(np.abs(x.entries - y.entries)) <= 1e-12 * np.max(np.abs(y.entries))
 
 
 def test_evolve_is_fourth_order():
@@ -278,6 +298,10 @@ def test_periodic_steady_state_is_actually_periodic(resonant):
     cycle = periodic_steady_state(model, period)
     rerun = evolve(model, cycle.covariances[0], period, dt=0.0005)
     assert np.max(np.abs(rerun.covariances[-1].entries - cycle.covariances[0].entries)) < 1e-6
+    # Interior samples come from the same pass as the period map.
+    k = int(np.argmin(np.abs(cycle.times - 0.25 * period)))
+    quarter = evolve(model, cycle.covariances[0], cycle.times[k], dt=0.0005)
+    assert np.max(np.abs(quarter.covariances[-1].entries - cycle.covariances[k].entries)) < 1e-6
 
 
 def test_periodic_steady_state_detects_parametric_instability(resonant):

@@ -116,6 +116,51 @@ def test_optimize_modulation_pushes_to_the_onset():
     assert opt.v_sq * opt.v_asq >= 1.0
 
 
+def _reference_optimum(params):
+    """The depth scan as a plain steady_state loop with the original polish step."""
+    alpha_crit = modulation_instability(params)
+    top = 1.95 if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
+    grid = np.linspace(0.0, top, 60)
+
+    def value(alpha):
+        result = steady_state(build_bogoliubov_dissipative(params.with_value("alpha", alpha)))
+        rep = squeezing_metrics(mechanical_block(result.covariance))
+        return rep.v_sq, rep.v_asq
+
+    vals = [value(a) for a in grid]
+    v_sq = np.array([v[0] for v in vals])
+    i = int(np.argmin(v_sq))
+    best_alpha, (best_v, best_va) = float(grid[i]), vals[i]
+    if 0 < i < len(grid) - 1:
+        d0 = (v_sq[i] - v_sq[i - 1]) / (grid[i] - grid[i - 1])
+        curv = ((v_sq[i + 1] - v_sq[i]) / (grid[i + 1] - grid[i]) - d0) / (
+            grid[i + 1] - grid[i - 1]
+        )
+        if curv > 0.0:
+            a_star = 0.5 * (grid[i - 1] + grid[i]) - d0 / (2.0 * curv)
+            a_star = min(max(a_star, grid[i - 1]), grid[i + 1])
+            v_star, va_star = value(float(a_star))
+            if v_star < best_v:
+                best_alpha, best_v, best_va = float(a_star), v_star, va_star
+    return alpha_crit, best_alpha, best_v, best_va
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"q_m": 1e7},  # first fig4b row
+        {"lam": 0.5, "kappa": 0.05},  # first lam-0.5 row of fig4c
+        {"lam": 2.0, "kappa": 2.0},  # interior optimum: the polish step acts
+    ],
+)
+def test_optimize_modulation_equals_a_direct_loop(point):
+    p = resonant_params()
+    for key, value in point.items():
+        p = p.with_value(key, value)
+    opt = optimize_modulation(p)
+    assert (opt.alpha_crit, opt.alpha_opt, opt.v_sq, opt.v_asq) == _reference_optimum(p)
+
+
 def test_fig4a_tracks_the_ideal_variance():
     data = run_figure(FigureJob("fig4a", {"points": 4}))
     assert data.columns == ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")
