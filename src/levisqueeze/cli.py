@@ -69,29 +69,14 @@ PARAM_KEYS = (
     "alpha",
     "phi",
 )
-RUN_KEYS = (
-    "model",
-    "frequency_variant",
-    "evaluation",
-    "t_end",
-    "dt",
-    "points",
-    "axis",
-    "axis_start",
-    "axis_stop",
-    "axis_points",
-    "axis_scale",
-    "axis_values",
-    "bracket_lo",
-    "bracket_hi",
-    "tol",
-    "seed",
-    "n_traj",
-    "n_checkpoints",
-    "figure",
-    "out",
-    "format",
+#: Run controls by value type: integers, other finite numbers, strings, and
+#: the axis_values list of numbers.
+INTEGER_KEYS = ("points", "axis_points", "seed", "n_traj", "n_checkpoints")
+NUMBER_KEYS = ("t_end", "dt", "axis_start", "axis_stop", "bracket_lo", "bracket_hi", "tol")
+TEXT_KEYS = (
+    "model", "frequency_variant", "evaluation", "axis", "axis_scale", "figure", "out", "format"
 )
+RUN_KEYS = INTEGER_KEYS + NUMBER_KEYS + TEXT_KEYS + ("axis_values",)
 ALLOWED_KEYS = set(PARAM_KEYS) | set(RUN_KEYS)
 
 
@@ -159,10 +144,29 @@ def apply_sets(cfg: dict, assignments: list[str]) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """A finite real number; bools and ints beyond the float range are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def validate_keys(cfg: dict) -> dict:
+    """Reject unknown keys and values of the wrong type."""
     unknown = sorted(set(cfg) - ALLOWED_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; allowed: {sorted(ALLOWED_KEYS)}")
+    for key, value in cfg.items():
+        if key not in PARAM_KEYS + INTEGER_KEYS + NUMBER_KEYS or (key == "dt" and value is None):
+            continue
+        if not _is_number(value) or (key in INTEGER_KEYS and value != int(value)):
+            kind = "an integer" if key in INTEGER_KEYS else "a finite number"
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    if "axis_values" in cfg:
+        values = cfg["axis_values"]
+        if not isinstance(values, list) or not values or not all(map(_is_number, values)):
+            raise ConfigError(f"axis_values must be a nonempty list of numbers, got {values!r}")
     return cfg
 
 
@@ -263,12 +267,10 @@ def cmd_evolve(cfg: RunConfig, out: OutputSpec) -> int:
     dt = cfg.get("dt")
     result = evolve(model, initial_covariance(params, model.basis), t_end, dt)
     columns, table = TRAJECTORY_COLUMNS, mechanical_trajectory(result)
-    labels = model.basis.labels
-    if len(labels) == 4:
-        stack = result.stacked()
-        jx, jy = labels.index("X"), labels.index("Y")
+    if model.basis.dim == 4:
+        v, jx, jy = result.covariances, model.basis.index("X"), model.basis.index("Y")
         columns += ("VXX", "VXY", "VYY")
-        table = np.column_stack((table, stack[:, jx, jx], stack[:, jx, jy], stack[:, jy, jy]))
+        table = np.column_stack((table, v[:, jx, jx], v[:, jx, jy], v[:, jy, jy]))
     write_table(
         out, columns, table.tolist(), cfg, {"command": "evolve", "stats": asdict(result.stats)}
     )
@@ -339,10 +341,7 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
     params = cfg.params()
     name = cfg.require("axis")
     if "axis_values" in cfg.raw:
-        values = cfg.raw["axis_values"]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError("axis_values must be a nonempty list")
-        axis = SweepAxis(name, tuple(float(v) for v in values))
+        axis = SweepAxis(name, tuple(float(v) for v in cfg.raw["axis_values"]))
     else:
         scale = cfg.get("axis_scale", "linear")
         maker = {"linear": SweepAxis.linear, "log": SweepAxis.log}.get(scale)

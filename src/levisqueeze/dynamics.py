@@ -23,6 +23,7 @@ from numpy.typing import NDArray
 from .errors import (
     BasisError,
     BracketError,
+    CovarianceError,
     IntegrationError,
     NumericalError,
     ParameterError,
@@ -32,6 +33,8 @@ from .gaussian import (
     CovarianceMatrix,
     LinearGaussianModel,
     ModelDescriptor,
+    QuadratureBasis,
+    _frozen,
     lyapunov_residual,
 )
 
@@ -42,6 +45,8 @@ STEP_ERROR_LIMIT = 1e-6
 MAX_STORED = 5000
 #: Default step resolves the fastest generator rate to one percent.
 DT_RESOLUTION = 0.01
+#: Stored samples of one periodic cycle, both endpoints included.
+CYCLE_SAMPLES = 257
 
 
 @dataclass(frozen=True)
@@ -57,16 +62,13 @@ class IntegratorStats:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Stored covariance trajectory of a Lyapunov integration."""
+    """Stored Lyapunov trajectory: covariances[k], in basis order, is V(times[k])."""
 
     times: NDArray[np.float64]
-    covariances: tuple[CovarianceMatrix, ...]
+    covariances: NDArray[np.float64]
+    basis: QuadratureBasis
     stats: IntegratorStats
     descriptor: ModelDescriptor
-
-    def stacked(self) -> NDArray[np.float64]:
-        """All stored covariances as one (n_stored, dim, dim) array."""
-        return np.stack([c.entries for c in self.covariances])
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,22 +91,19 @@ class SteadyStateResult:
 class PeriodicSteadyState:
     """Periodic orbit of the Lyapunov flow for a time-periodic model.
 
-    covariance is the cycle state at phase zero; times/covariances resolve
-    one full period (endpoints included, V(period) = V(0) up to the stated
-    residual).  spectral_radius is the largest Floquet multiplier modulus of
-    the homogeneous flow; the orbit exists iff it is below one.
+    times/covariances resolve one full period as in EvolutionResult (endpoints
+    included, V(period) = V(0) up to the stated residual).  spectral_radius is
+    the largest Floquet multiplier modulus of the homogeneous flow; the orbit
+    exists iff it is below one.
     """
 
     period: float
-    covariance: CovarianceMatrix
     times: NDArray[np.float64]
-    covariances: tuple[CovarianceMatrix, ...]
+    covariances: NDArray[np.float64]
+    basis: QuadratureBasis
     spectral_radius: float
     residual_norm: float
     descriptor: ModelDescriptor
-
-    def stacked(self) -> NDArray[np.float64]:
-        return np.stack([c.entries for c in self.covariances])
 
 
 def stability(model: LinearGaussianModel) -> StabilityReport:
@@ -141,10 +140,21 @@ def _rk4(f, t: float, v: NDArray[np.float64], h: float) -> NDArray[np.float64]:
 def _store(
     out_t: list[float], out_v: list[NDArray[np.float64]], t: float, v: NDArray[np.float64]
 ) -> None:
+    v = 0.5 * v + 0.5 * v.T  # halved first: only a diverged state is non-finite
     if not np.all(np.isfinite(v)):
         raise NumericalError(f"covariance diverged at t = {t:g}")
     out_t.append(t)
-    out_v.append(0.5 * (v + v.T))
+    out_v.append(v)
+
+
+def _sample_array(mats: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """The stored samples as one read-only array; a non-positive diagonal raises."""
+    covs = np.stack(mats)
+    bad = np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0, axis=1)
+    if bad.any():
+        raise CovarianceError(f"non-positive diagonal entries {np.diag(covs[bad.argmax()])}")
+    covs.flags.writeable = False
+    return covs
 
 
 def _step_error(full: NDArray[np.float64], halved: NDArray[np.float64]) -> float:
@@ -266,10 +276,13 @@ def evolve(
     stats = IntegratorStats(
         n_steps=n_steps, dt=h, stride=stride, n_stored=len(times), max_step_error=max_err
     )
-    t_arr = np.array(times)
-    t_arr.flags.writeable = False
-    covs = tuple(CovarianceMatrix(model.basis, m) for m in mats)
-    return EvolutionResult(times=t_arr, covariances=covs, stats=stats, descriptor=model.descriptor)
+    return EvolutionResult(
+        times=_frozen(times),
+        covariances=_sample_array(mats),
+        basis=model.basis,
+        stats=stats,
+        descriptor=model.descriptor,
+    )
 
 
 def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
@@ -308,12 +321,7 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     )
 
 
-def periodic_steady_state(
-    model: LinearGaussianModel,
-    period: float,
-    dt: float | None = None,
-    n_samples: int = 257,
-) -> PeriodicSteadyState:
+def periodic_steady_state(model: LinearGaussianModel, period: float) -> PeriodicSteadyState:
     """Quasistationary cycle of a model with period-periodic coefficients.
 
     The Lyapunov flow over one period is an affine map on vec(V); its fixed
@@ -321,18 +329,13 @@ def periodic_steady_state(
     through the slow relaxation.  One pass of the fourth-order stepper used
     by evolve carries the map's columns, so the result matches a long evolve
     run up to the integration tolerance; the cycle samples are read from the
-    same pass.  For time-independent models this reduces to steady_state for
-    any choice of period.
+    same pass, CYCLE_SAMPLES of them at the default step of evolve.  For
+    time-independent models this reduces to steady_state for any choice of
+    period.
     """
     if period <= 0.0:
         raise ParameterError(f"period must be positive, got {period}")
-    if n_samples < 2:
-        raise ParameterError(f"need at least 2 cycle samples, got {n_samples}")
-    if dt is None:
-        dt = _default_dt(model)
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    n_steps = max(1, math.ceil(period / dt - 1e-12))
+    n_steps = max(1, math.ceil(period / _default_dt(model) - 1e-12))
     h = period / n_steps
     d = model.basis.dim
     a_at, n_at = model.drift_at, model.diffusion_at
@@ -350,7 +353,7 @@ def periodic_steady_state(
 
     # V(t) = slice_0(t) + sum_j vec(V0)_j slice_{j+1}(t), so keeping the stack
     # at the stored steps resolves the cycle once V0 is known.
-    stride = max(1, math.ceil(n_steps / (n_samples - 1)))
+    stride = max(1, math.ceil(n_steps / (CYCLE_SAMPLES - 1)))
     sample_t = [0.0]
     snapshots = [stack]
     for step in range(1, n_steps + 1):
@@ -385,13 +388,11 @@ def periodic_steady_state(
         _store(times, mats, t, m)
     residual = float(np.max(np.abs(mats[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
 
-    t_arr = np.array(times)
-    t_arr.flags.writeable = False
     return PeriodicSteadyState(
         period=period,
-        covariance=CovarianceMatrix(model.basis, v0),
-        times=t_arr,
-        covariances=tuple(CovarianceMatrix(model.basis, m) for m in mats),
+        times=_frozen(times),
+        covariances=_sample_array(mats),
+        basis=model.basis,
         spectral_radius=radius,
         residual_norm=residual,
         descriptor=model.descriptor,

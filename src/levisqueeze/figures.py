@@ -78,6 +78,9 @@ class ModulationOptimum:
     alpha_opt: float
     v_sq: float
     v_asq: float
+    #: True when the discrete minimum is the first or last depth of the grid,
+    #: so the grid rather than the dynamics may have set it.
+    at_edge: bool
 
 
 def _cycle_min_vsq(params: SystemParams) -> float | None:
@@ -124,7 +127,8 @@ def optimize_modulation(
 
     The stable branch below the instability (or the whole [0, alpha_max]
     range when none exists) is scanned on a uniform grid; the discrete
-    minimum is polished with one parabolic step evaluated exactly.
+    minimum is polished with one parabolic step evaluated exactly.  A minimum
+    on the first or last depth is reported with at_edge set.
     """
     alpha_crit, axis = _depth_axis(params, grid_points, alpha_max, tol)
 
@@ -143,7 +147,11 @@ def optimize_modulation(
             if polished.v_sq < best.v_sq:
                 best_alpha, best = vertex[0], polished
     return ModulationOptimum(
-        alpha_crit=alpha_crit, alpha_opt=best_alpha, v_sq=best.v_sq, v_asq=best.v_asq
+        alpha_crit=alpha_crit,
+        alpha_opt=best_alpha,
+        v_sq=best.v_sq,
+        v_asq=best.v_asq,
+        at_edge=i in (0, len(v_sq) - 1),
     )
 
 
@@ -366,15 +374,14 @@ def _fig4b(ov: Mapping[str, float]) -> FigureData:
     """Depth-optimized steady squeezing versus mechanical quality factor."""
     base = _apply_overrides(resonant_params(), ov)
     rows = []
+    at_edge = 0
     for q_m in np.geomspace(1e7, 1e12, _points(ov, 26)):
         p = base.with_value("q_m", float(q_m))
         opt = optimize_modulation(p)
-        rows.append(
-            (float(q_m), p.gamma * p.nbar / p.omega_x, opt.alpha_opt, opt.v_sq)
-        )
-    return FigureData(
-        "fig4b", ("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), {"params": base}
-    )
+        at_edge += opt.at_edge
+        rows.append((float(q_m), p.gamma * p.nbar / p.omega_x, opt.alpha_opt, opt.v_sq))
+    meta = {"params": base, "alpha_opt_at_edge": at_edge}
+    return FigureData("fig4b", ("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
 def _fig4c(ov: Mapping[str, float]) -> FigureData:
@@ -382,14 +389,15 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
     base = _apply_overrides(resonant_params(), ov)
     points = _points(ov, 20)
     rows: list[tuple] = []
+    at_edge = 0
     for name, lam in (("lam-0.3", 0.3), ("lam-0.5", 0.5)):
         for kappa in np.linspace(0.05, 1.0, points):
             p = base.with_value("lam", lam).with_value("kappa", float(kappa))
             opt = optimize_modulation(p)
+            at_edge += opt.at_edge
             rows.append((name, float(kappa), opt.alpha_opt, opt.v_sq))
-    return FigureData(
-        "fig4c", ("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), {"params": base}
-    )
+    meta = {"params": base, "alpha_opt_at_edge": at_edge}
+    return FigureData("fig4c", ("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
 def _figs5(ov: Mapping[str, float]) -> FigureData:

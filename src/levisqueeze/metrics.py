@@ -96,11 +96,8 @@ def rotate_covariance(
     return r @ m @ r.T
 
 
-def _mech_indices(result: EvolutionResult) -> tuple[int, int]:
-    labels = result.covariances[0].basis.labels
-    if labels == MECH_LABELS:
-        return 0, 1
-    return labels.index("x"), labels.index("p")
+def _mech_indices(result: EvolutionResult) -> list[int]:
+    return [result.basis.index(label) for label in MECH_LABELS]
 
 
 #: Columns of :func:`mechanical_trajectory`.
@@ -113,7 +110,7 @@ def mechanical_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
     One row per stored time, with the columns TRAJECTORY_COLUMNS.
     """
     ix, ip = _mech_indices(result)
-    stack = result.stacked()
+    stack = result.covariances
     a, b, c = stack[:, ix, ix], stack[:, ix, ip], stack[:, ip, ip]
     mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
     v_sq, v_asq = mean - rad, mean + rad
@@ -154,21 +151,15 @@ def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
     """
     traj = vsq_trajectory(result)
     i = int(np.argmin(traj))
-    base = squeezing_metrics(
-        mechanical_block(result.covariances[i]), time=float(result.times[i])
-    )
+    idx = _mech_indices(result)
+    base = squeezing_metrics(result.covariances[i][np.ix_(idx, idx)], time=float(result.times[i]))
     if i in (0, len(traj) - 1):
         return replace(base, at_edge=True)
     refined = _parabolic_vertex(result.times[i - 1 : i + 2], traj[i - 1 : i + 2])
     if refined is not None and 0.0 < refined[1] <= base.v_sq:
         t_star, v_star = refined
-        return SqueezingReport(
-            v_sq=v_star,
-            v_asq=base.v_asq,
-            eta=v_star / base.v_asq,
-            angle=base.angle,
-            nonclassical=v_star < 1.0,
-            time=t_star,
+        return replace(
+            base, v_sq=v_star, eta=v_star / base.v_asq, nonclassical=v_star < 1.0, time=t_star
         )
     return base
 

@@ -182,13 +182,9 @@ def compare(ensemble: EnsembleResult, reference: EvolutionResult) -> ComparisonR
             f"ensemble window [{ensemble.times[0]:g}, {ensemble.times[-1]:g}] outside "
             f"reference window [{t_ref[0]:g}, {t_ref[-1]:g}]"
         )
-    stack = reference.stacked()
-    d = stack.shape[1]
-    ref = np.empty_like(ensemble.covariances)
-    for i in range(d):
-        for j in range(d):
-            ref[:, i, j] = np.interp(ensemble.times, t_ref, stack[:, i, j])
-    diff = ensemble.covariances - ref
+    columns = reference.covariances.reshape(len(t_ref), -1).T
+    ref = np.stack([np.interp(ensemble.times, t_ref, col) for col in columns], axis=-1)
+    diff = ensemble.covariances - ref.reshape(ensemble.covariances.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(
             ensemble.stderr > 0.0,

@@ -252,6 +252,7 @@ def _mc_case(model, params, t_end, dt):
     return compare(ensemble, evolve(model, v0, t_end))
 
 
+@pytest.mark.slow
 def test_c10_monte_carlo_cross_check():
     base = detuned_params()
     low_noise = dataclasses.replace(base, nbar=10.0)
@@ -316,6 +317,7 @@ def _rwa_deviation(p: SystemParams, lab_times, lab_v, variant: str) -> float:
     return float(np.max(np.abs(lab_v - red_v) / np.maximum(lab_v, red_v)))
 
 
+@pytest.mark.slow
 def test_c11_model_reduction_invariants():
     adiabatic = max(_adiabatic_deviation(50.0), _adiabatic_deviation(100.0))
     p = dataclasses.replace(detuned_params(), alpha=0.01)

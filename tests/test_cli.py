@@ -211,6 +211,13 @@ def test_figure_rejects_an_empty_grid(tmp_path, monkeypatch, capsys, figure):
     assert "points" in capsys.readouterr().err
 
 
+def test_figure_counts_depth_optima_on_the_grid_edge(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "fig4b", "--set", "points=2", "--out", "fig4b.csv"]) == 0
+    sidecar = json.loads((tmp_path / "fig4b.sidecar.json").read_text())
+    assert sidecar["_provenance"]["meta"]["alpha_opt_at_edge"] == 2
+
+
 def test_figure_reports_a_failed_grid_point(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["figure", "fig3d", "--set", "points=2", "--set", "t_end=100", "--set", "dt=50"]
@@ -253,6 +260,31 @@ def test_sweep_rejects_the_workers_key(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, "run.json", {**DETUNED, "axis": "lam", "axis_values": [0.3]})
     assert main(["sweep", "--config", cfg, "--set", "workers=2"]) == 2
     assert "workers" in capsys.readouterr().err
+
+
+MODEL = [arg for key, value in DETUNED.items() for arg in ("--set", f"{key}={value}")]
+LAM_AXIS = MODEL + ["--set", "axis=lam"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", *MODEL, "--set", "t_end=abc"],
+        ["evolve", *MODEL, "--set", "t_end=Infinity"],
+        ["sweep", *LAM_AXIS, "--set", 'axis_values=["a"]'],
+        ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
+         "--set", "axis_points=abc"],
+        ["steady", *MODEL, "--set", "kappa=abc"],
+        ["mc-validate", *MODEL, "--set", "n_traj=abc"],
+        ["steady", *MODEL, "--set", "kappa=NaN"],
+        ["figure", "fig3d", "--set", "points=2.5"],
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # Each value used to crash with a Python exception, exit 3 or run silently.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_version_flag():

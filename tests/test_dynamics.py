@@ -16,7 +16,9 @@ from levisqueeze.dynamics import (
 from levisqueeze.errors import (
     BasisError,
     BracketError,
+    CovarianceError,
     IntegrationError,
+    NumericalError,
     ParameterError,
     UnstableModelError,
 )
@@ -63,7 +65,7 @@ def test_evolve_matches_ou_closed_form():
     # V(t) = 1 + (V0 - 1) exp(-2 kappa t) entrywise for the damped cavity.
     model = damped_cavity()
     result = evolve(model, vac(3.0 * np.eye(2)), 1.0)
-    v_end = result.covariances[-1].entries
+    v_end = result.covariances[-1]
     assert np.allclose(v_end, (1.0 + 2.0 * math.exp(-2.0)) * np.eye(2), atol=1e-9)
 
 
@@ -77,7 +79,7 @@ def test_evolve_matches_matrix_exponential():
     result = evolve(model, v0, t_end)
     e = scipy.linalg.expm(a * t_end)
     expected = e @ (v0.entries - vss) @ e.T + vss
-    assert np.max(np.abs(result.covariances[-1].entries - expected)) < 1e-8
+    assert np.max(np.abs(result.covariances[-1] - expected)) < 1e-8
 
 
 def test_constant_path_matches_the_generic_stepper(rng):
@@ -96,7 +98,7 @@ def test_constant_path_matches_the_generic_stepper(rng):
     slow = evolve(generic, v0, 20.0 / rate)
     assert np.array_equal(fast.times, slow.times)
     for x, y in zip(fast.covariances, slow.covariances):
-        assert np.max(np.abs(x.entries - y.entries)) <= 1e-12 * np.max(np.abs(y.entries))
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_evolve_is_fourth_order():
@@ -110,7 +112,7 @@ def test_evolve_is_fourth_order():
 
     def err(dt: float) -> float:
         r = evolve(model, v0, 2.0, dt=dt)
-        return np.max(np.abs(r.covariances[-1].entries - exact))
+        return np.max(np.abs(r.covariances[-1] - exact))
 
     assert err(0.01) / err(0.005) >= 8.0
 
@@ -120,7 +122,7 @@ def test_evolve_thermal_equilibrium_is_stationary():
     model = build_full_cs(p)
     result = evolve(model, initial_covariance(p, model.basis), 10.0)
     for v in result.covariances:
-        assert np.allclose(v.entries, result.covariances[0].entries, atol=1e-9)
+        assert np.allclose(v, result.covariances[0], atol=1e-9)
 
 
 def test_evolve_rejects_bad_horizon():
@@ -163,9 +165,41 @@ def test_evolve_step_refinement_converged(detuned):
     # Halving the step should not move the answer at this working point.
     model = build_eliminated_detuned(detuned)
     v0 = initial_covariance(detuned, model.basis)
-    coarse = evolve(model, v0, 30.0).covariances[-1].entries
-    fine = evolve(model, v0, 30.0, dt=0.0025).covariances[-1].entries
+    coarse = evolve(model, v0, 30.0).covariances[-1]
+    fine = evolve(model, v0, 30.0, dt=0.0025).covariances[-1]
     assert np.max(np.abs(coarse - fine)) / np.max(np.abs(fine)) < 1e-6
+
+
+def growing_model() -> LinearGaussianModel:
+    # V(t) ~ exp(100 t) overflows a float near t = 7.1.
+    return LinearGaussianModel.constant(
+        MECH, 50.0 * np.eye(2), np.eye(2), ModelDescriptor("growing"), 50.0
+    )
+
+
+def test_evolve_reports_divergence_time():
+    with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0992"):
+        evolve(growing_model(), np.eye(2), 8.0)
+    generic = dataclasses.replace(growing_model(), is_time_independent=False)
+    with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0352"):
+        evolve(generic, np.eye(2), 7.5)
+
+
+def test_evolve_rejects_non_positive_diagonal():
+    # Negative diffusion drives V(t) = 3 exp(-2t) - 2 below zero.
+    model = LinearGaussianModel.constant(
+        MECH, -np.eye(2), -4.0 * np.eye(2), ModelDescriptor("negative-noise"), 1.0
+    )
+    with pytest.raises(CovarianceError, match="non-positive diagonal entries"):
+        evolve(model, np.eye(2), 3.0)
+
+
+def test_evolve_covariances_are_one_read_only_array(detuned):
+    model = build_full_cs(detuned)
+    result = evolve(model, initial_covariance(detuned, model.basis), 5.0)
+    assert result.covariances.shape == (result.stats.n_stored, 4, 4)
+    assert not result.covariances.flags.writeable
+    assert result.basis is model.basis
 
 
 def test_evolve_relaxation_is_enveloped():
@@ -177,7 +211,7 @@ def test_evolve_relaxation_is_enveloped():
     result = evolve(model, v0, 3.0)
     dev0 = np.max(np.abs(v0.entries - np.eye(2)))
     for t, v in zip(result.times, result.covariances):
-        dev = np.max(np.abs(v.entries - np.eye(2)))
+        dev = np.max(np.abs(v - np.eye(2)))
         assert dev <= 1.05 * dev0 * math.exp(2.0 * report.max_real_part * t) + 1e-12
 
 
@@ -288,7 +322,7 @@ def test_periodic_steady_state_reduces_to_fixed_point():
     cycle = periodic_steady_state(model, 2.0)
     assert cycle.spectral_radius < 1.0
     for v in cycle.covariances:
-        assert np.max(np.abs(v.entries - fixed)) < 1e-9
+        assert np.max(np.abs(v - fixed)) < 1e-9
 
 
 def test_periodic_steady_state_is_actually_periodic(resonant):
@@ -297,11 +331,11 @@ def test_periodic_steady_state_is_actually_periodic(resonant):
     period = math.pi / p.omega_x
     cycle = periodic_steady_state(model, period)
     rerun = evolve(model, cycle.covariances[0], period, dt=0.0005)
-    assert np.max(np.abs(rerun.covariances[-1].entries - cycle.covariances[0].entries)) < 1e-6
+    assert np.max(np.abs(rerun.covariances[-1] - cycle.covariances[0])) < 1e-6
     # Interior samples come from the same pass as the period map.
     k = int(np.argmin(np.abs(cycle.times - 0.25 * period)))
     quarter = evolve(model, cycle.covariances[0], cycle.times[k], dt=0.0005)
-    assert np.max(np.abs(quarter.covariances[-1].entries - cycle.covariances[k].entries)) < 1e-6
+    assert np.max(np.abs(quarter.covariances[-1] - cycle.covariances[k])) < 1e-6
 
 
 def test_periodic_steady_state_detects_parametric_instability(resonant):
@@ -314,5 +348,3 @@ def test_periodic_steady_state_rejects_bad_arguments():
     model = damped_cavity()
     with pytest.raises(ParameterError):
         periodic_steady_state(model, 0.0)
-    with pytest.raises(ParameterError):
-        periodic_steady_state(model, 1.0, n_samples=1)

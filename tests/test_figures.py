@@ -161,6 +161,15 @@ def test_optimize_modulation_equals_a_direct_loop(point):
     assert (opt.alpha_crit, opt.alpha_opt, opt.v_sq, opt.v_asq) == _reference_optimum(p)
 
 
+def test_optimize_modulation_flags_an_edge_optimum():
+    # At the paper's working point v_sq keeps falling up to the onset, so the
+    # optimum is the top of the depth grid; at lam = kappa = 2 it is interior.
+    assert optimize_modulation(resonant_params()).at_edge
+    interior = optimize_modulation(resonant_params().with_value("lam", 2.0).with_value("kappa", 2.0))
+    assert not interior.at_edge
+    assert interior.alpha_opt < interior.alpha_crit * (1.0 - 1e-3)
+
+
 def test_fig4a_tracks_the_ideal_variance():
     data = run_figure(FigureJob("fig4a", {"points": 4}))
     assert data.columns == ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")

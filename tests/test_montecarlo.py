@@ -139,12 +139,8 @@ def test_compare_to_self_is_exact():
     model = constant_model(-np.eye(2), 2 * np.eye(2))
     spec = EnsembleSpec(n_traj=300, t_end=1.0, dt=2e-3, seed=9, n_checkpoints=6)
     ensemble = simulate_ensemble(model, vac(), spec)
-    times = ensemble.times
-    covs = tuple(
-        CovarianceMatrix(model.basis, ensemble.covariances[i]) for i in range(len(times))
-    )
     reference = dataclasses.replace(
-        evolve(model, vac(), 1.0), times=times, covariances=covs
+        evolve(model, vac(), 1.0), times=ensemble.times, covariances=ensemble.covariances
     )
     report = compare(ensemble, reference)
     assert report.max_z == 0.0
