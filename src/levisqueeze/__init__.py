@@ -56,7 +56,6 @@ from .metrics import (
     mechanical_block,
     mechanical_trajectory,
     optimize_over_time,
-    quasistationary_vsq,
     rotate_covariance,
     squeezing_metrics,
     sweep,
@@ -121,7 +120,6 @@ __all__ = [
     "mechanical_trajectory",
     "optimize_over_time",
     "periodic_steady_state",
-    "quasistationary_vsq",
     "rotate_covariance",
     "simulate_ensemble",
     "squeezing_metrics",

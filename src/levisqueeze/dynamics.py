@@ -9,13 +9,17 @@ Every step is advanced as two half steps; comparing against the single full
 step at the stored samples gives a step-halving error estimate that aborts
 the run when the step is too coarse for the requested dynamics.
 On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A,
-which steady_state solves with and a constant model steps by in closed form.
+which steady_state solves with.  On the homogeneous coordinates (vec V, 1) it
+is linear, so every RK4 step is one matrix built from the generators at the
+step's stage times; time-dependent models are sampled and their step maps
+built in small batches, constant ones once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,6 +51,8 @@ MAX_STORED = 5000
 DT_RESOLUTION = 0.01
 #: Stored samples of one periodic cycle, both endpoints included.
 CYCLE_SAMPLES = 257
+#: Steps of a time-dependent model whose maps are built in one batch.
+CHUNK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -129,14 +135,6 @@ def _default_dt(model: LinearGaussianModel) -> float:
     return DT_RESOLUTION / model.fastest_rate
 
 
-def _rk4(f, t: float, v: NDArray[np.float64], h: float) -> NDArray[np.float64]:
-    k1 = f(t, v)
-    k2 = f(t + 0.5 * h, v + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, v + 0.5 * h * k2)
-    k4 = f(t + h, v + h * k3)
-    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _store(
     out_t: list[float], out_v: list[NDArray[np.float64]], t: float, v: NDArray[np.float64]
 ) -> None:
@@ -157,11 +155,6 @@ def _sample_array(mats: list[NDArray[np.float64]]) -> NDArray[np.float64]:
     return covs
 
 
-def _step_error(full: NDArray[np.float64], halved: NDArray[np.float64]) -> float:
-    scale = max(1.0, float(np.max(np.abs(halved))))
-    return float(np.max(np.abs(full - halved))) / scale
-
-
 def _track_step_error(max_err: float, err: float, t: float, h: float) -> float:
     """Running maximum of the step-halving error; raises past STEP_ERROR_LIMIT."""
     max_err = max(max_err, err)
@@ -174,22 +167,86 @@ def _track_step_error(max_err: float, err: float, t: float, h: float) -> float:
 
 
 def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Generator of V -> A V + V A^T acting on the row-major vec(V)."""
-    eye = np.eye(a.shape[0])
-    return np.kron(a, eye) + np.kron(eye, a)
+    """Generator kron(A, I) + kron(I, A) of V -> A V + V A^T on the row-major vec(V).
 
-
-def _rk4_map(
-    gen: NDArray[np.float64], nvec: NDArray[np.float64], h: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """One RK4 step of dx/dt = gen x + nvec as the affine map x -> M x + c.
-
-    M = I + hL Q(hL) and c = h Q(hL) nvec with Q(z) = 1 + z/2 + z^2/6 + z^3/24.
+    Batched over the leading axes of a.
     """
-    z = h * gen
-    eye = np.eye(gen.shape[0])
-    q = eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0))
-    return eye + z @ q, h * (q @ nvec)
+    d = a.shape[-1]
+    gen = np.zeros(a.shape[:-2] + (d, d, d, d))
+    for k in range(d):
+        gen[..., :, k, :, k] += a
+        gen[..., k, :, k, :] += a
+    return gen.reshape(a.shape[:-2] + (d * d, d * d))
+
+
+def _affine_generators(model: LinearGaussianModel, times: list[float]) -> NDArray[np.float64]:
+    """Generators [[L, vec N], [0, 0]] of the flow on (vec V, 1) at the given times."""
+    dd = model.basis.dim ** 2
+    drifts = np.stack([model.drift_at(t) for t in times])
+    noises = np.stack([model.diffusion_at(t) for t in times])
+    gens = np.zeros((len(times), dd + 1, dd + 1))
+    gens[:, :dd, :dd] = _generator(drifts)
+    gens[:, :dd, dd] = noises.reshape(len(times), dd)
+    return gens
+
+
+def _rk4_maps(gens: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+    """Classical RK4 steps of dx/dt = G(t) x as matrices, x -> M x.
+
+    gens has shape (n, 3, D, D): G of each of n steps at its stage times
+    t, t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k!
+    up to k = 4.
+    """
+    eye = np.eye(gens.shape[-1])
+    g0, gm, g1 = gens[:, 0], gens[:, 1], gens[:, 2]
+    k2 = gm @ (eye + (0.5 * h) * g0)
+    k3 = gm @ (eye + (0.5 * h) * k2)
+    k4 = g1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stages(n: int, gap: int) -> NDArray[np.intp]:
+    """Sample indices of the stage times t, t + h/2, t + h of n consecutive steps.
+
+    The samples are gap per half step, so a step spans 2 * gap of them.
+    """
+    return 2 * gap * np.arange(n)[:, None] + gap * np.arange(3)
+
+
+def _single_maps(gens: NDArray[np.float64], h: float) -> tuple[NDArray[np.float64]]:
+    """Step maps from generators sampled every h / 2."""
+    return (_rk4_maps(gens[_stages((len(gens) - 1) // 2, 1)], h),)
+
+
+def _halved_maps(
+    gens: NDArray[np.float64], h: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Maps of two composed half steps, and the full step's defect against them.
+
+    gens are sampled every h / 4; the defect applied to the state before the
+    step is the step-halving error estimate.
+    """
+    (half,) = _single_maps(gens, 0.5 * h)
+    step = half[1::2] @ half[::2]
+    return step, _rk4_maps(gens[_stages(len(step), 2)], h) - step
+
+
+def _chunked_maps(model: LinearGaussianModel, h: float, n_steps: int, per_step: int, build):
+    """Yield (first step, map stacks) of n_steps steps of size h, chunk by chunk.
+
+    The model is sampled per_step times per step and build turns the samples
+    of a chunk into per-step map stacks.  A constant model is sampled once
+    and its maps are repeated over all steps.
+    """
+    if model.is_time_independent:
+        gens = _affine_generators(model, [0.0])
+        gens = np.broadcast_to(gens, (per_step + 1,) + gens.shape[1:])
+        yield (0, *(repeat(maps[0], n_steps) for maps in build(gens, h)))
+        return
+    for first in range(0, n_steps, CHUNK_STEPS):
+        count = min(CHUNK_STEPS, n_steps - first)
+        times = (per_step * first + np.arange(per_step * count + 1)) * (h / per_step)
+        yield (first, *build(_affine_generators(model, times.tolist()), h))
 
 
 def evolve(
@@ -227,51 +284,23 @@ def evolve(
     # Leave room for both endpoints so the stored count never exceeds the cap.
     stride = max(1, math.ceil(n_steps / (MAX_STORED - 2)))
 
+    d = model.basis.dim
     times: list[float] = []
     mats: list[NDArray[np.float64]] = []
     max_err = 0.0
-    v = np.array(start)
-
-    if model.is_time_independent:
-        # One nominal step is a fixed affine map on vec(V): two half steps
-        # compose into (M_half^2, M_half c_half + c_half), and the single full
-        # step gives the defect used for the error estimate.
-        d = model.basis.dim
-        gen = _generator(np.asarray(model.drift_at(0.0), dtype=float))
-        nvec = np.asarray(model.diffusion_at(0.0), dtype=float).ravel()
-        m_half, c_half = _rk4_map(gen, nvec, 0.5 * h)
-        m_half, c_half = m_half @ m_half, m_half @ c_half + c_half
-        m_full, c_full = _rk4_map(gen, nvec, h)
-        defect_m = m_full - m_half
-        defect_c = c_full - c_half
-
-        vec = v.ravel().copy()
-        _store(times, mats, 0.0, vec.reshape(d, d))
-        for step in range(1, n_steps + 1):
-            new = m_half @ vec + c_half
+    # One nominal step is two RK4 half steps composed into one map on
+    # (vec V, 1); the single full step's defect against it gives the error.
+    vec = np.append(start.ravel(), 1.0)
+    _store(times, mats, 0.0, start)
+    for first, steps, defects in _chunked_maps(model, h, n_steps, 4, _halved_maps):
+        for step, m, defect in zip(range(first + 1, n_steps + 1), steps, defects):
+            new = m @ vec
             if step % stride == 0 or step == n_steps:
-                err = float(np.max(np.abs(defect_m @ vec + defect_c)))
+                err = float(np.max(np.abs(defect @ vec)))
                 err /= max(1.0, float(np.max(np.abs(new))))
                 max_err = _track_step_error(max_err, err, step * h, h)
-                _store(times, mats, step * h, new.reshape(d, d))
+                _store(times, mats, step * h, new[:-1].reshape(d, d))
             vec = new
-    else:
-        a_at, n_at = model.drift_at, model.diffusion_at
-
-        def f(t: float, m: NDArray[np.float64]) -> NDArray[np.float64]:
-            a = a_at(t)
-            return a @ m + m @ a.T + n_at(t)
-
-        _store(times, mats, 0.0, v)
-        for step in range(1, n_steps + 1):
-            t = (step - 1) * h
-            half = _rk4(f, t, v, 0.5 * h)
-            new = _rk4(f, t + 0.5 * h, half, 0.5 * h)
-            if step % stride == 0 or step == n_steps:
-                err = _step_error(_rk4(f, t, v, h), new)
-                max_err = _track_step_error(max_err, err, step * h, h)
-                _store(times, mats, step * h, new)
-            v = new
 
     stats = IntegratorStats(
         n_steps=n_steps, dt=h, stride=stride, n_stored=len(times), max_step_error=max_err
@@ -326,10 +355,10 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
 
     The Lyapunov flow over one period is an affine map on vec(V); its fixed
     point is the covariance the transient settles onto, without integrating
-    through the slow relaxation.  One pass of the fourth-order stepper used
-    by evolve carries the map's columns, so the result matches a long evolve
-    run up to the integration tolerance; the cycle samples are read from the
-    same pass, CYCLE_SAMPLES of them at the default step of evolve.  For
+    through the slow relaxation.  The map is the product of the RK4 step maps
+    of evolve's default step (the Floquet map of the covariance flow), so the
+    result matches a long evolve run up to the integration tolerance; the
+    cycle samples, CYCLE_SAMPLES of them, come from its partial products.  For
     time-independent models this reduces to steady_state for any choice of
     period.
     """
@@ -338,33 +367,24 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     n_steps = max(1, math.ceil(period / _default_dt(model) - 1e-12))
     h = period / n_steps
     d = model.basis.dim
-    a_at, n_at = model.drift_at, model.diffusion_at
 
-    # Slice 0 carries the inhomogeneous flow (starts at zero, feels N); the
-    # remaining d*d slices propagate the canonical basis matrices without N,
-    # giving the homogeneous map.
-    stack = np.concatenate((np.zeros((1, d, d)), np.eye(d * d).reshape(d * d, d, d)))
-
-    def f(t: float, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        a = np.asarray(a_at(t), dtype=float)
-        out = a @ s + s @ a.T
-        out[0] += n_at(t)
-        return out
-
-    # V(t) = slice_0(t) + sum_j vec(V0)_j slice_{j+1}(t), so keeping the stack
-    # at the stored steps resolves the cycle once V0 is known.
+    # The period map on (vec V, 1) is [[homogeneous map, offset], [0, 1]];
+    # keeping its partial products at the stored steps resolves the cycle
+    # once V0 is known.
     stride = max(1, math.ceil(n_steps / (CYCLE_SAMPLES - 1)))
+    period_map = np.eye(d * d + 1)
     sample_t = [0.0]
-    snapshots = [stack]
-    for step in range(1, n_steps + 1):
-        stack = _rk4(f, (step - 1) * h, stack, h)
-        if step % stride == 0 or step == n_steps:
-            sample_t.append(step * h)
-            snapshots.append(stack)
-    if not np.all(np.isfinite(stack)):
+    snapshots = [period_map]
+    for first, maps in _chunked_maps(model, h, n_steps, 2, _single_maps):
+        for step, m in zip(range(first + 1, n_steps + 1), maps):
+            period_map = m @ period_map
+            if step % stride == 0 or step == n_steps:
+                sample_t.append(step * h)
+                snapshots.append(period_map)
+    if not np.all(np.isfinite(period_map)):
         raise NumericalError("period map diverged; reduce dt")
-    offset = stack[0].ravel()
-    hom = stack[1:].reshape(d * d, d * d).T
+    hom = period_map[:-1, :-1]
+    offset = period_map[:-1, -1]
 
     radius = float(np.max(np.abs(np.linalg.eigvals(hom))))
     if radius >= 1.0:
@@ -380,12 +400,11 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     if not np.all(np.isfinite(v0)):
         raise NumericalError("non-finite periodic steady state")
 
-    weights = np.concatenate(([1.0], v0.ravel()))
-    cycle = np.tensordot(weights, np.stack(snapshots), axes=(0, 1))
+    cycle = np.stack(snapshots)[:, :-1] @ np.append(v0.ravel(), 1.0)
     times: list[float] = []
     mats: list[NDArray[np.float64]] = []
     for t, m in zip(sample_t, cycle):
-        _store(times, mats, t, m)
+        _store(times, mats, t, m.reshape(d, d))
     residual = float(np.max(np.abs(mats[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
 
     return PeriodicSteadyState(

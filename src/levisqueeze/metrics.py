@@ -164,24 +164,6 @@ def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
     return base
 
 
-def quasistationary_vsq(result: EvolutionResult, period: float | None = None) -> float:
-    """v_sq averaged over the last full mechanical period of a run.
-
-    Intended for marginally stable or slowly breathing late-time dynamics
-    where a single-time readout would alias the oscillation.
-    """
-    if period is None:
-        params = result.descriptor.params
-        if not isinstance(params, SystemParams):
-            raise ParameterError("no period given and none derivable from the model")
-        period = 2.0 * math.pi / params.omega_x
-    t_end = float(result.times[-1])
-    mask = result.times >= t_end - period
-    if not np.any(mask):
-        raise ParameterError(f"period {period:g} longer than the stored run")
-    return float(np.mean(vsq_trajectory(result)[mask]))
-
-
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EvolutionResult
+from .dynamics import MAX_STORED, EvolutionResult
 from .errors import NumericalError, ParameterError
 from .gaussian import CovarianceMatrix, LinearGaussianModel, ModelDescriptor
 
@@ -46,8 +46,12 @@ class EnsembleSpec:
             raise ParameterError(f"need at least 100 trajectories, got {self.n_traj}")
         if self.t_end <= 0.0 or self.dt <= 0.0:
             raise ParameterError("t_end and dt must be positive")
-        if self.n_checkpoints < 2:
-            raise ParameterError("need at least two checkpoints")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        if not 2 <= self.n_checkpoints <= MAX_STORED:
+            raise ParameterError(
+                f"need between 2 and {MAX_STORED} checkpoints, got {self.n_checkpoints}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +123,9 @@ def simulate_ensemble(
     d = model.basis.dim
     n_steps = max(1, int(round(spec.t_end / spec.dt)))
     h = spec.t_end / n_steps
-    checkpoints = np.unique(np.linspace(0, n_steps, spec.n_checkpoints).astype(int))
+    # More points than steps would only repeat step indices.
+    n_marks = min(spec.n_checkpoints, n_steps + 1)
+    checkpoints = np.unique(np.linspace(0, n_steps, n_marks).astype(int))
 
     streams = [
         np.random.Generator(np.random.Philox(child))

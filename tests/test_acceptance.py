@@ -317,7 +317,6 @@ def _rwa_deviation(p: SystemParams, lab_times, lab_v, variant: str) -> float:
     return float(np.max(np.abs(lab_v - red_v) / np.maximum(lab_v, red_v)))
 
 
-@pytest.mark.slow
 def test_c11_model_reduction_invariants():
     adiabatic = max(_adiabatic_deviation(50.0), _adiabatic_deviation(100.0))
     p = dataclasses.replace(detuned_params(), alpha=0.01)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -285,6 +286,29 @@ def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+MC_SMALL = ["--set", "n_traj=100", "--set", "t_end=0.1"]
+
+
+def test_mc_validate_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mc-validate", *MODEL, *MC_SMALL, "--set", "seed=-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_mc_validate_rejects_huge_checkpoint_counts(tmp_path, monkeypatch, capsys):
+    # A grid of 2e9 checkpoints would take 15 GiB; the spec must refuse it first.
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(["mc-validate", *MODEL, *MC_SMALL, "--set", "n_checkpoints=2000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "checkpoints" in capsys.readouterr().err
+    assert peak < 50e6
 
 
 def test_version_flag():

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from levisqueeze.dynamics import (
+    CHUNK_STEPS,
+    DT_RESOLUTION,
     MAX_STORED,
     evolve,
     find_threshold,
@@ -101,6 +104,53 @@ def test_constant_path_matches_the_generic_stepper(rng):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
+def test_time_dependent_evolve_matches_an_adaptive_solver(detuned):
+    p = dataclasses.replace(detuned, gamma=1e-4, nbar=10.0, nbar0=1.5, alpha=0.3, phi=0.8)
+    model = build_full_modulated(p)
+    v0 = initial_covariance(p, model.basis).entries
+
+    def flow(t, x):
+        a, v = model.drift_at(t), x.reshape(4, 4)
+        return (a @ v + v @ a.T + model.diffusion_at(t)).ravel()
+
+    t_end = 2.0
+    ref = scipy.integrate.solve_ivp(
+        flow, (0.0, t_end), v0.ravel(), method="DOP853", rtol=1e-13, atol=1e-13
+    )
+    got = evolve(model, v0, t_end).covariances[-1].ravel()
+    exact = ref.y[:, -1]
+    assert np.max(np.abs(got - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+def counted(model: LinearGaussianModel) -> tuple[LinearGaussianModel, list[float]]:
+    calls: list[float] = []
+
+    def drift_at(t):
+        calls.append(t)
+        return model.drift_at(t)
+
+    return dataclasses.replace(model, drift_at=drift_at), calls
+
+
+def test_stepping_samples_the_drift_once_per_stage_time(resonant):
+    # evolve samples every quarter step (two half steps plus the full step),
+    # periodic_steady_state every half step; each chunk of CHUNK_STEPS steps
+    # samples its own endpoints.
+    model, calls = counted(build_full_modulated(dataclasses.replace(resonant, alpha=0.4)))
+    result = evolve(model, np.eye(4), 1.0)
+    n = result.stats.n_steps
+    assert len(calls) == 4 * n + math.ceil(n / CHUNK_STEPS)
+    calls.clear()
+    period = math.pi / resonant.omega_x
+    periodic_steady_state(model, period)
+    n = math.ceil(period * model.fastest_rate / DT_RESOLUTION)
+    assert len(calls) == 2 * n + math.ceil(n / CHUNK_STEPS)
+    constant, calls = counted(build_full_cs(resonant))
+    evolve(constant, np.eye(4), 1.0)
+    periodic_steady_state(constant, period)
+    assert len(calls) == 2
+
+
 def test_evolve_is_fourth_order():
     p = SystemParams(omega_x=1.0, kappa=0.2, delta=5.0, lam=0.3, q_m=1e4, nbar=10.0)
     model = build_full_cs(p)
@@ -180,8 +230,10 @@ def growing_model() -> LinearGaussianModel:
 def test_evolve_reports_divergence_time():
     with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0992"):
         evolve(growing_model(), np.eye(2), 8.0)
+    # Both paths step by the same maps, so the time-dependent copy diverges
+    # with the state, at the first stored step after ln(DBL_MAX) / 100.
     generic = dataclasses.replace(growing_model(), is_time_independent=False)
-    with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0352"):
+    with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0992"):
         evolve(generic, np.eye(2), 7.5)
 
 

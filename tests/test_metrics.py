@@ -22,7 +22,6 @@ from levisqueeze.metrics import (
     mechanical_block,
     mechanical_trajectory,
     optimize_over_time,
-    quasistationary_vsq,
     rotate_covariance,
     squeezing_metrics,
     sweep,
@@ -163,25 +162,6 @@ def test_optimize_over_time_constant_run():
     assert best.v_sq == pytest.approx(1.0)
     assert best.time == 0.0
     assert best.at_edge
-
-
-def test_quasistationary_average(detuned):
-    model = build_full_cs(detuned)
-    result = evolve(model, initial_covariance(detuned, model.basis), 50.0)
-    period = 2 * math.pi / detuned.omega_x
-    traj = vsq_trajectory(result)
-    mask = result.times >= result.times[-1] - period
-    assert quasistationary_vsq(result) == pytest.approx(float(np.mean(traj[mask])))
-    assert quasistationary_vsq(result, period=period) == quasistationary_vsq(result)
-
-
-def test_quasistationary_needs_a_period():
-    model = LinearGaussianModel.constant(
-        MECH, -np.eye(2), 2 * np.eye(2), ModelDescriptor("anon"), 1.0
-    )
-    result = evolve(model, mech(np.eye(2)), 5.0)
-    with pytest.raises(ParameterError):
-        quasistationary_vsq(result)
 
 
 # ---------------------------------------------------------------------------

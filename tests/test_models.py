@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from levisqueeze.dynamics import steady_state
 from levisqueeze.errors import ParameterError
+from levisqueeze.gaussian import drift_from_quadratic
 from levisqueeze.models import (
     MODEL_BUILDERS,
     SystemParams,
+    _full_h_mat,
     bogoliubov_coefficients,
     bogoliubov_coupling,
     bogoliubov_ground_variance,
@@ -120,6 +122,17 @@ def test_full_modulated_samples_the_drive(detuned):
     a0 = model.drift_at(0.0)
     assert a0[3, 2] == pytest.approx(-p.omega_x * m0**2)
     assert a0[1, 2] == pytest.approx(math.sqrt(2.0) * p.lam * m0)
+
+
+def test_full_modulated_structured_drift_is_the_rebuild(resonant):
+    # A0 + M A1 + M^2 A2 must equal the drift rebuilt from H(M) bit for bit.
+    p = dataclasses.replace(resonant, alpha=0.4, phi=1.1)
+    model = build_full_modulated(p)
+    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
+    for t in np.linspace(0.0, 7.3, 50):
+        m = 1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi)
+        expected = drift_from_quadratic(_full_h_mat(p, m), decay)
+        assert np.array_equal(model.drift_at(float(t)), expected)
 
 
 def test_full_modulated_period_averaged_spring(detuned):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levisqueeze.dynamics import evolve
+from levisqueeze.dynamics import MAX_STORED, evolve
 from levisqueeze.errors import NumericalError, ParameterError
 from levisqueeze.gaussian import (
     MECH,
@@ -46,6 +46,17 @@ def test_spec_validation():
         EnsembleSpec(n_traj=100, t_end=1.0, dt=0.0, seed=0)
     with pytest.raises(ParameterError):
         EnsembleSpec(n_traj=100, t_end=1.0, dt=1e-3, seed=0, n_checkpoints=1)
+    with pytest.raises(ParameterError, match="seed"):
+        EnsembleSpec(n_traj=100, t_end=1.0, dt=1e-3, seed=-1)
+    with pytest.raises(ParameterError, match="checkpoints"):
+        EnsembleSpec(n_traj=100, t_end=1.0, dt=1e-3, seed=0, n_checkpoints=MAX_STORED + 1)
+
+
+def test_surplus_checkpoints_mark_every_step():
+    model = constant_model(-np.eye(2), 2.0 * np.eye(2))
+    spec = EnsembleSpec(n_traj=100, t_end=0.01, dt=1e-3, seed=0, n_checkpoints=MAX_STORED)
+    result = simulate_ensemble(model, vac(), spec)
+    assert np.allclose(result.times, np.arange(11) * 1e-3, rtol=0.0, atol=1e-15)
 
 
 def test_step_size_cap():
