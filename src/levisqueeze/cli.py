@@ -215,11 +215,17 @@ def write_sidecar(out: OutputSpec, cfg: RunConfig, provenance: dict) -> None:
 def write_table(
     out: OutputSpec, columns: tuple[str, ...], rows, cfg: RunConfig, provenance: dict
 ) -> None:
+    """Write rows, a float array or a list of rows of cells, and the sidecar."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+        cells = (map(repr, row) for row in rows)  # a Python float's cell is its repr
+    else:
+        cells = (map(_cell, row) for row in rows)
     if out.fmt == "csv":
         with open(out.path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(x) for x in row) + "\n")
+            for row in cells:
+                fh.write(",".join(row) + "\n")
     else:
         _dump_json(out.path, {"columns": list(columns), "rows": [list(r) for r in rows]})
     write_sidecar(out, cfg, provenance)
@@ -271,9 +277,7 @@ def cmd_evolve(cfg: RunConfig, out: OutputSpec) -> int:
         v, jx, jy = result.covariances, model.basis.index("X"), model.basis.index("Y")
         columns += ("VXX", "VXY", "VYY")
         table = np.column_stack((table, v[:, jx, jx], v[:, jx, jy], v[:, jy, jy]))
-    write_table(
-        out, columns, table.tolist(), cfg, {"command": "evolve", "stats": asdict(result.stats)}
-    )
+    write_table(out, columns, table, cfg, {"command": "evolve", "stats": asdict(result.stats)})
     return 0
 
 

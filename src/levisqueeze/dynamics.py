@@ -12,7 +12,9 @@ On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A
 which steady_state solves with.  On the homogeneous coordinates (vec V, 1) it
 is linear, so every RK4 step is one matrix built from the generators at the
 step's stage times; time-dependent models are sampled and their step maps
-built in small batches, constant ones once.
+built in small batches, constant ones once.  evolve takes a time-dependent
+model through every step, and a constant one from each stored sample to the
+next with a power of its step map.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ def _store(
     out_v.append(v)
 
 
-def _sample_array(mats: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+def _sample_array(mats: list[NDArray[np.float64]] | NDArray[np.float64]) -> NDArray[np.float64]:
     """The stored samples as one read-only array; a non-positive diagonal raises."""
-    covs = np.stack(mats)
+    covs = np.asarray(mats)
     bad = np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0, axis=1)
     if bad.any():
         raise CovarianceError(f"non-positive diagonal entries {np.diag(covs[bad.argmax()])}")
@@ -155,15 +157,35 @@ def _sample_array(mats: list[NDArray[np.float64]]) -> NDArray[np.float64]:
     return covs
 
 
-def _track_step_error(max_err: float, err: float, t: float, h: float) -> float:
-    """Running maximum of the step-halving error; raises past STEP_ERROR_LIMIT."""
-    max_err = max(max_err, err)
-    if max_err > STEP_ERROR_LIMIT:
+def _checked_samples(
+    times: NDArray[np.float64], states: NDArray[np.float64], defects: NDArray[np.float64], h: float
+) -> tuple[NDArray[np.float64], float]:
+    """Covariances of evolve's stored (vec V, 1) states and the step-halving maximum.
+
+    defects[k] is the step-halving defect of the step ending at times[k]
+    (row 0 is unused).  The checks run on all samples at once, and the
+    first failure in time raises: a step-halving error (relative to the
+    covariance scale, running maximum, NaN skipped) above STEP_ERROR_LIMIT
+    before a non-finite sample at the same time, then a non-positive
+    diagonal.
+    """
+    n, d = len(times), math.isqrt(states.shape[1] - 1)
+    covs = states[:, :-1].reshape(n, d, d)
+    covs = 0.5 * covs + 0.5 * covs.transpose(0, 2, 1)  # halved first, as in _store
+    errs = np.max(np.abs(defects[1:]), axis=1)
+    errs /= np.fmax(1.0, np.max(np.abs(states[1:]), axis=1))
+    running = np.fmax.accumulate(np.append(0.0, errs))
+    too_coarse = np.flatnonzero(running > STEP_ERROR_LIMIT)
+    diverged = np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
+    if too_coarse.size and (not diverged.size or too_coarse[0] <= diverged[0]):
+        k = too_coarse[0]
         raise IntegrationError(
-            f"step-halving error {max_err:.3e} above {STEP_ERROR_LIMIT:.0e} "
-            f"at t = {t:g}; reduce dt below {h:g}"
+            f"step-halving error {running[k]:.3e} above {STEP_ERROR_LIMIT:.0e} "
+            f"at t = {times[k]:g}; reduce dt below {h:g}"
         )
-    return max_err
+    if diverged.size:
+        raise NumericalError(f"covariance diverged at t = {times[diverged[0]]:g}")
+    return _sample_array(covs), float(running[-1])
 
 
 def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -231,6 +253,13 @@ def _halved_maps(
     return step, _rk4_maps(gens[_stages(len(step), 2)], h) - step
 
 
+def _constant_maps(model: LinearGaussianModel, h: float, per_step: int, build):
+    """The one step's maps of a constant model, sampled once."""
+    gens = _affine_generators(model, [0.0])
+    gens = np.broadcast_to(gens, (per_step + 1,) + gens.shape[1:])
+    return tuple(maps[0] for maps in build(gens, h))
+
+
 def _chunked_maps(model: LinearGaussianModel, h: float, n_steps: int, per_step: int, build):
     """Yield (first step, map stacks) of n_steps steps of size h, chunk by chunk.
 
@@ -239,14 +268,61 @@ def _chunked_maps(model: LinearGaussianModel, h: float, n_steps: int, per_step: 
     and its maps are repeated over all steps.
     """
     if model.is_time_independent:
-        gens = _affine_generators(model, [0.0])
-        gens = np.broadcast_to(gens, (per_step + 1,) + gens.shape[1:])
-        yield (0, *(repeat(maps[0], n_steps) for maps in build(gens, h)))
+        yield (0, *(repeat(m, n_steps) for m in _constant_maps(model, h, per_step, build)))
         return
     for first in range(0, n_steps, CHUNK_STEPS):
         count = min(CHUNK_STEPS, n_steps - first)
         times = (per_step * first + np.arange(per_step * count + 1)) * (h / per_step)
         yield (first, *build(_affine_generators(model, times.tolist()), h))
+
+
+def _constant_steps(
+    model: LinearGaussianModel, h: float, stored: list[int], states: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Fill states[1:] at the stored steps of a constant model; return the defects.
+
+    A power of the step map brings the state to one step before each stored
+    step, so the defect acts on the same state as on the time-dependent
+    path.  The power is taken in extended precision where the platform has
+    it, so it adds one rounding instead of one per step.
+    """
+    step_map, defect = _constant_maps(model, h, 4, _halved_maps)
+    powers: dict[int, NDArray[np.float64]] = {}
+    before = np.empty_like(states)
+    vec = states[0]
+    for j in range(1, len(stored)):
+        k = stored[j] - stored[j - 1] - 1
+        if k:
+            if k not in powers:
+                powers[k] = np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
+            vec = powers[k] @ vec
+        before[j] = vec
+        vec = step_map @ vec
+        states[j] = vec
+    return before @ defect.T
+
+
+def _varying_steps(
+    model: LinearGaussianModel, h: float, stored: list[int], states: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Fill states[1:] at the stored steps, stepping every step; return the defects."""
+    n_steps = stored[-1]
+    defects = np.empty_like(states)
+    vec = states[0]
+    j = 1
+    for first, steps, step_defects in _chunked_maps(model, h, n_steps, 4, _halved_maps):
+        for step, m, defect in zip(range(first + 1, n_steps + 1), steps, step_defects):
+            new = m @ vec
+            if step == stored[j]:
+                defects[j] = defect @ vec
+                states[j] = new
+                j += 1
+            vec = new
+        if not np.all(np.isfinite(vec)):
+            # A diverged state stays non-finite; the checks report its first sample.
+            states[j:] = defects[j:] = np.nan
+            break
+    return defects
 
 
 def evolve(
@@ -284,30 +360,27 @@ def evolve(
     # Leave room for both endpoints so the stored count never exceeds the cap.
     stride = max(1, math.ceil(n_steps / (MAX_STORED - 2)))
 
-    d = model.basis.dim
-    times: list[float] = []
-    mats: list[NDArray[np.float64]] = []
-    max_err = 0.0
+    # Stored steps: every stride-th one and the last.
+    stored = list(range(0, n_steps + stride, stride))
+    stored[-1] = n_steps
     # One nominal step is two RK4 half steps composed into one map on
-    # (vec V, 1); the single full step's defect against it gives the error.
-    vec = np.append(start.ravel(), 1.0)
-    _store(times, mats, 0.0, start)
-    for first, steps, defects in _chunked_maps(model, h, n_steps, 4, _halved_maps):
-        for step, m, defect in zip(range(first + 1, n_steps + 1), steps, defects):
-            new = m @ vec
-            if step % stride == 0 or step == n_steps:
-                err = float(np.max(np.abs(defect @ vec)))
-                err /= max(1.0, float(np.max(np.abs(new))))
-                max_err = _track_step_error(max_err, err, step * h, h)
-                _store(times, mats, step * h, new[:-1].reshape(d, d))
-            vec = new
-
+    # (vec V, 1); the single full step's defect against it, applied to the
+    # state before a stored step, gives the error.
+    states = np.empty((len(stored), start.size + 1))
+    states[0] = np.append(start.ravel(), 1.0)
+    times = _frozen(np.multiply(stored, h))
+    # A diverged state is carried as inf and NaN, without warnings; the
+    # checks report it at its first stored time.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fill = _constant_steps if model.is_time_independent else _varying_steps
+        defects = fill(model, h, stored, states)
+        covariances, max_err = _checked_samples(times, states, defects, h)
     stats = IntegratorStats(
         n_steps=n_steps, dt=h, stride=stride, n_stored=len(times), max_step_error=max_err
     )
     return EvolutionResult(
-        times=_frozen(times),
-        covariances=_sample_array(mats),
+        times=times,
+        covariances=covariances,
         basis=model.basis,
         stats=stats,
         descriptor=model.descriptor,

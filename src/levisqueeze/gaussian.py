@@ -55,10 +55,6 @@ class QuadratureBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.labels) // 2
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)

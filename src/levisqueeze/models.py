@@ -98,10 +98,6 @@ class SystemParams:
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
-    @property
-    def quality_factor(self) -> float:
-        return math.inf if self.gamma == 0.0 else self.omega_x / self.gamma
-
     def with_value(self, name: str, value: float) -> "SystemParams":
         """Copy with one field replaced; accepts q_m as an alias for gamma."""
         if name == "q_m":
@@ -381,13 +377,6 @@ def bogoliubov_coefficients(alpha: float) -> tuple[float, float]:
         raise ParameterError(f"modulation depth must be in [0, 2), got {alpha}")
     root = math.sqrt(4.0 - alpha**2)
     return 2.0 / root, alpha / root
-
-
-def bogoliubov_coupling(params: SystemParams) -> float:
-    """Cavity coupling lam sqrt((4 - alpha^2) / 8) of the Bogoliubov mode."""
-    if not 0.0 <= params.alpha < 2.0:
-        raise ParameterError(f"modulation depth must be in [0, 2), got {params.alpha}")
-    return params.lam * math.sqrt((4.0 - params.alpha**2) / 8.0)
 
 
 def bogoliubov_ground_variance(alpha: float) -> float:

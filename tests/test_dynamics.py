@@ -10,6 +10,8 @@ from levisqueeze.dynamics import (
     CHUNK_STEPS,
     DT_RESOLUTION,
     MAX_STORED,
+    _constant_maps,
+    _halved_maps,
     evolve,
     find_threshold,
     periodic_steady_state,
@@ -34,6 +36,8 @@ from levisqueeze.gaussian import (
     QuadratureBasis,
     validate_covariance,
 )
+from levisqueeze.figures import detuned_params
+from levisqueeze.metrics import vsq_trajectory
 from levisqueeze.models import (
     SystemParams,
     build_eliminated_detuned,
@@ -85,9 +89,44 @@ def test_evolve_matches_matrix_exponential():
     assert np.max(np.abs(result.covariances[-1] - expected)) < 1e-8
 
 
+def test_ill_conditioned_transient_matches_an_extended_precision_reference():
+    # fig2c's at-threshold series at its hottest start: v_sq = 36.3 is the
+    # small eigenvalue of a covariance whose largest entry is 1.3e8 times
+    # larger, so rounding is amplified by that factor.  The reference is a
+    # 60-digit Van Loan matrix exponential: expm([[-A, N], [0, A^T]] t) has
+    # e^(A^T t) as its lower right block F22 and F22^T F12 = int e^(As) N e^(A^T s).
+    mpmath = pytest.importorskip("mpmath")
+    base = detuned_params()
+    p = base.with_value("lam", threshold_coupling(base)).with_value("nbar0", 1e6)
+    model = build_full_cs(p)
+    v0 = initial_covariance(p, model.basis)
+    t_end = 100.0
+    got = vsq_trajectory(evolve(model, v0, t_end))[-1]
+
+    with mpmath.workdps(60):
+        a, n = model.drift_at(0.0), model.diffusion_at(0.0)
+        van_loan = mpmath.zeros(8, 8)
+        for i in range(4):
+            for j in range(4):
+                van_loan[i, j] = -a[i, j]
+                van_loan[i, j + 4] = n[i, j]
+                van_loan[i + 4, j + 4] = a[j, i]
+        blocks = mpmath.expm(van_loan * t_end)
+        e = blocks[4:8, 4:8].T
+        v = e * mpmath.matrix(v0.entries.tolist()) * e.T + e * blocks[0:4, 4:8]
+        x, y = model.basis.index("x"), model.basis.index("p")
+        half_gap = mpmath.sqrt(((v[x, x] - v[y, y]) / 2) ** 2 + v[x, y] ** 2)
+        exact = (v[x, x] + v[y, y]) / 2 - half_gap
+    assert float(exact) == pytest.approx(36.3007008, rel=1e-8)
+    # The RK4 truncation error alone is 1.5e-6 here.
+    assert abs(got - float(exact)) <= 2e-6 * float(exact)
+
+
 def test_constant_path_matches_the_generic_stepper(rng):
     # The closed-form step map of a constant model against the RK4 stepper
     # that time-dependent models take, on the same random stable (A, N).
+    # The long horizon stores every ninth step, which the constant path
+    # reaches through a power of its step map.
     m = rng.normal(size=(4, 4))
     a = m - (np.max(np.linalg.eigvals(m).real) + 0.5) * np.eye(4)
     b = rng.normal(size=(4, 4))
@@ -97,11 +136,40 @@ def test_constant_path_matches_the_generic_stepper(rng):
     )
     generic = dataclasses.replace(constant, is_time_independent=False)
     v0 = CovarianceMatrix(CAVITY_MECH, np.eye(4))
-    fast = evolve(constant, v0, 20.0 / rate)
-    slow = evolve(generic, v0, 20.0 / rate)
-    assert np.array_equal(fast.times, slow.times)
-    for x, y in zip(fast.covariances, slow.covariances):
-        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    for horizon, stride in ((20.0, 1), (400.0, 9)):
+        fast = evolve(constant, v0, horizon / rate)
+        slow = evolve(generic, v0, horizon / rate)
+        assert fast.stats.stride == stride
+        assert np.array_equal(fast.times, slow.times)
+        assert fast.stats.max_step_error == pytest.approx(
+            slow.stats.max_step_error, rel=1e-9, abs=0.0
+        )
+        for x, y in zip(fast.covariances, slow.covariances):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_powered_samples_match_an_extended_precision_iteration():
+    # fig2b's at-threshold transient amplifies rounding by about 1e4 in v_sq.
+    # Iterating the float64 step map once per step is off by 2e-11 there;
+    # the power taken in extended precision stays within 5e-12 of the same
+    # iteration carried out in long double.
+    base = detuned_params()
+    p = base.with_value("lam", threshold_coupling(base))
+    model = build_full_cs(p)
+    v0 = initial_covariance(p, model.basis).entries
+    result = evolve(model, v0, 100.0)
+    step_map, _ = _constant_maps(model, result.stats.dt, 4, _halved_maps)
+    step_map = step_map.astype(np.longdouble)
+    vec = np.append(v0.ravel(), 1.0).astype(np.longdouble)
+    exact = [vec]
+    for step in range(1, result.stats.n_steps + 1):
+        vec = step_map @ vec
+        if step % result.stats.stride == 0 or step == result.stats.n_steps:
+            exact.append(vec)
+    exact = np.array(exact, dtype=float)[:, :-1].reshape(-1, 4, 4)
+    got = np.linalg.eigvalsh(result.covariances[:, 2:, 2:])[:, 0]
+    want = np.linalg.eigvalsh(exact[:, 2:, 2:])[:, 0]
+    assert np.max(np.abs(got - want) / want) <= 5e-12
 
 
 def test_time_dependent_evolve_matches_an_adaptive_solver(detuned):
@@ -235,6 +303,35 @@ def test_evolve_reports_divergence_time():
     generic = dataclasses.replace(growing_model(), is_time_independent=False)
     with pytest.raises(NumericalError, match=r"covariance diverged at t = 7\.0992"):
         evolve(generic, np.eye(2), 7.5)
+
+
+def test_step_error_is_reported_before_a_later_divergence():
+    # V22 = 1e-6 exp(10 t) is resolved too coarsely: its step-halving error,
+    # relative to V11 = 1e6, passes the limit near t = 2.7, long before the
+    # state overflows.  Both paths report the first sample past the limit.
+    model = LinearGaussianModel.constant(
+        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), ModelDescriptor("stiff-growth"), 5.0
+    )
+    generic = dataclasses.replace(model, is_time_independent=False)
+    v0 = np.diag([1e6, 1e-6])
+    messages = []
+    for m in (model, generic):
+        with pytest.raises(IntegrationError, match="step-halving error") as info:
+            evolve(m, v0, 100.0, dt=0.02)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    t = float(messages[0].split("at t = ")[1].split(";")[0])
+    assert 1.0 < t < 5.0
+
+
+def test_max_step_error_is_the_running_maximum():
+    # The defect of the relaxing cavity shrinks with time, so a longer run on
+    # the same grid reports the maximum of the shorter one.
+    model, v0 = damped_cavity(kappa=0.7), vac(4.0 * np.eye(2))
+    short = evolve(model, v0, 1.0, dt=0.01)
+    long = evolve(model, v0, 3.0, dt=0.01)
+    assert short.stats.dt == long.stats.dt
+    assert long.stats.max_step_error == short.stats.max_step_error > 0.0
 
 
 def test_evolve_rejects_non_positive_diagonal():

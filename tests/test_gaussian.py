@@ -43,7 +43,6 @@ def test_basis_rejects_duplicates():
 def test_basis_lookup():
     basis = CAVITY_MECH
     assert basis.dim == 4
-    assert basis.n_modes == 2
     assert basis.index("p") == 3
     with pytest.raises(BasisError):
         basis.index("q")

@@ -14,7 +14,6 @@ from levisqueeze.models import (
     SystemParams,
     _full_h_mat,
     bogoliubov_coefficients,
-    bogoliubov_coupling,
     bogoliubov_ground_variance,
     build_bogoliubov_dissipative,
     build_eliminated_detuned,
@@ -36,7 +35,6 @@ positive = st.floats(0.05, 5.0)
 def test_quality_factor_round_trip():
     p = SystemParams(omega_x=1.0, q_m=1e9)
     assert p.gamma == pytest.approx(1e-9)
-    assert p.quality_factor == pytest.approx(1e9)
 
 
 def test_gamma_and_q_m_are_mutually_exclusive():
@@ -295,11 +293,6 @@ def test_bogoliubov_coefficients_reject_strong_drive():
 def test_bogoliubov_ground_variance():
     assert bogoliubov_ground_variance(0.4) == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert bogoliubov_ground_variance(1.0) == 1.0 / 3.0
-
-
-def test_bogoliubov_coupling_frozen_value(resonant):
-    p = dataclasses.replace(resonant, alpha=0.4)
-    assert bogoliubov_coupling(p) == pytest.approx(0.20784609690826525, rel=1e-14)
 
 
 def test_bogoliubov_builder_enforces_resonance(detuned):
