@@ -41,7 +41,6 @@ from .gaussian import (
     ModelDescriptor,
     QuadratureBasis,
     _frozen,
-    lyapunov_residual,
 )
 
 #: Step-halving error (relative to the covariance scale) beyond which a
@@ -55,6 +54,10 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
+
+_STABILITY_REFUSAL = (
+    "stability needs a time-independent model; use periodic_steady_state for a periodic drive"
+)
 
 
 @dataclass(frozen=True)
@@ -122,13 +125,37 @@ def stability(model: LinearGaussianModel) -> StabilityReport:
     multipliers.
     """
     if not model.is_time_independent:
-        raise ParameterError(
-            "stability needs a time-independent model; "
-            "use periodic_steady_state for a periodic drive"
-        )
+        raise ParameterError(_STABILITY_REFUSAL)
     eig = np.linalg.eigvals(model.drift_at(0.0))
     max_re = float(np.max(eig.real))
     return StabilityReport(eigenvalues=eig, max_real_part=max_re, stable=max_re < 0.0)
+
+
+def _constant_parts(
+    models: list[LinearGaussianModel],
+    refusal: str = "steady state requires a time-independent model",
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Drifts and diffusions of constant models, stacked (k, d, d).
+
+    A time-dependent model raises ParameterError with the refusal message.
+    """
+    if not all(model.is_time_independent for model in models):
+        raise ParameterError(refusal)
+    drifts = np.stack([np.asarray(model.drift_at(0.0), dtype=float) for model in models])
+    noises = np.stack([np.asarray(model.diffusion_at(0.0), dtype=float) for model in models])
+    return drifts, noises
+
+
+def _spectra(drifts: NDArray[np.float64]) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
+    """Eigenvalues of stacked drifts (k, d, d), from one call, and each one's largest real part."""
+    eig = np.linalg.eigvals(drifts)
+    return eig, np.max(eig.real, axis=-1)
+
+
+def _stable_points(models: list[LinearGaussianModel]) -> NDArray[np.bool_]:
+    """stability(model).stable of each model, judged by one batched eigvals."""
+    drifts, _ = _constant_parts(models, _STABILITY_REFUSAL)
+    return _spectra(drifts)[1] < 0.0
 
 
 def _default_dt(model: LinearGaussianModel) -> float:
@@ -137,14 +164,19 @@ def _default_dt(model: LinearGaussianModel) -> float:
     return DT_RESOLUTION / model.fastest_rate
 
 
-def _store(
-    out_t: list[float], out_v: list[NDArray[np.float64]], t: float, v: NDArray[np.float64]
-) -> None:
-    v = 0.5 * v + 0.5 * v.T  # halved first: only a diverged state is non-finite
-    if not np.all(np.isfinite(v)):
-        raise NumericalError(f"covariance diverged at t = {t:g}")
-    out_t.append(t)
-    out_v.append(v)
+def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Stacked covariances made symmetric, halved first: only a diverged state is non-finite."""
+    return 0.5 * covs + 0.5 * covs.transpose(0, 2, 1)
+
+
+def _diverged(covs: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Indices of the stacked covariances with a non-finite entry."""
+    return np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
+
+
+def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Step-halving error of each stored (vec V, 1) state, relative to its covariance scale."""
+    return np.max(np.abs(defects), axis=1) / np.fmax(1.0, np.max(np.abs(states), axis=1))
 
 
 def _sample_array(mats: list[NDArray[np.float64]] | NDArray[np.float64]) -> NDArray[np.float64]:
@@ -170,13 +202,10 @@ def _checked_samples(
     diagonal.
     """
     n, d = len(times), math.isqrt(states.shape[1] - 1)
-    covs = states[:, :-1].reshape(n, d, d)
-    covs = 0.5 * covs + 0.5 * covs.transpose(0, 2, 1)  # halved first, as in _store
-    errs = np.max(np.abs(defects[1:]), axis=1)
-    errs /= np.fmax(1.0, np.max(np.abs(states[1:]), axis=1))
-    running = np.fmax.accumulate(np.append(0.0, errs))
+    covs = _symmetrized(states[:, :-1].reshape(n, d, d))
+    running = np.fmax.accumulate(np.append(0.0, _step_errors(defects[1:], states[1:])))
     too_coarse = np.flatnonzero(running > STEP_ERROR_LIMIT)
-    diverged = np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
+    diverged = _diverged(covs)
     if too_coarse.size and (not diverged.size or too_coarse[0] <= diverged[0]):
         k = too_coarse[0]
         raise IntegrationError(
@@ -305,12 +334,18 @@ def _constant_steps(
 def _varying_steps(
     model: LinearGaussianModel, h: float, stored: list[int], states: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Fill states[1:] at the stored steps, stepping every step; return the defects."""
+    """Fill states[1:] at the stored steps, stepping every step; return the defects.
+
+    Stepping stops after the chunk in which the state diverges or the
+    step-halving error passes STEP_ERROR_LIMIT; the rest is left NaN, and
+    the checks report the first failing sample.
+    """
     n_steps = stored[-1]
     defects = np.empty_like(states)
     vec = states[0]
     j = 1
     for first, steps, step_defects in _chunked_maps(model, h, n_steps, 4, _halved_maps):
+        chunk_start = j
         for step, m, defect in zip(range(first + 1, n_steps + 1), steps, step_defects):
             new = m @ vec
             if step == stored[j]:
@@ -318,8 +353,8 @@ def _varying_steps(
                 states[j] = new
                 j += 1
             vec = new
-        if not np.all(np.isfinite(vec)):
-            # A diverged state stays non-finite; the checks report its first sample.
+        errs = _step_errors(defects[chunk_start:j], states[chunk_start:j])
+        if not np.all(np.isfinite(vec)) or np.any(errs > STEP_ERROR_LIMIT):
             states[j:] = defects[j:] = np.nan
             break
     return defects
@@ -387,39 +422,100 @@ def evolve(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _SteadyStack:
+    """Steady states of k stacked constant models.
+
+    errors[i] is the exception steady_state raises for point i, or None;
+    covariances and residuals hold the points without one, in order.
+    """
+
+    eigenvalues: NDArray[np.complex128]
+    max_real_parts: NDArray[np.float64]
+    errors: list[Exception | None]
+    covariances: NDArray[np.float64]
+    residuals: NDArray[np.float64]
+
+
+def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> _SteadyStack:
+    """Solve A V + V A^T + N = 0 for stacked (k, d, d) drifts and diffusions.
+
+    One batched eigvals judges every point and one batched solve takes the
+    stable ones; the checks of steady_state then run on the whole stack.  A
+    stacked solve fails as a whole when one system is singular, so only then
+    are the points solved one at a time.  The first point that passes every
+    check but has a non-positive diagonal raises CovarianceError.
+    """
+    d = drifts.shape[-1]
+    eig, max_re = _spectra(drifts)
+    stable = np.flatnonzero(max_re < 0.0)
+    errors: list[Exception | None] = [
+        None
+        if re < 0.0
+        else UnstableModelError(f"drift has max Re(eig) = {re:.3e} >= 0; no steady state")
+        for re in max_re.tolist()
+    ]
+    a, n = drifts[stable], noises[stable]
+    gens, rhs = _generator(a), -n.reshape(len(stable), d * d, 1)
+    try:
+        vecs = np.linalg.solve(gens, rhs)
+    except np.linalg.LinAlgError:
+        vecs = np.full_like(rhs, np.nan)
+        for j, i in enumerate(stable):
+            try:
+                vecs[j] = np.linalg.solve(gens[j], rhs[j])
+            except np.linalg.LinAlgError as exc:
+                error = NumericalError(f"singular Lyapunov system: {exc}")
+                error.__cause__ = exc
+                errors[i] = error
+    finite = np.all(np.isfinite(vecs), axis=(1, 2))
+    v = vecs.reshape(len(stable), d, d)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    # The residual is checked against the diffusion scale, with an allowance
+    # for the backward error of the direct solve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.max(np.abs(a @ v + v @ a.transpose(0, 2, 1) + n), axis=(1, 2))
+        limit = 1e-10 * np.fmax(1e-300, np.max(np.abs(n), axis=(1, 2)))
+        scale = np.max(np.abs(a), axis=(1, 2)), np.max(np.abs(v), axis=(1, 2))
+        limit += 16.0 * np.finfo(float).eps * scale[0] * scale[1]
+    for j, i in enumerate(stable):
+        if errors[i] is not None:
+            continue
+        if not finite[j]:
+            errors[i] = NumericalError("non-finite steady-state solution")
+        elif res[j] > limit[j]:
+            errors[i] = NumericalError(
+                f"steady-state residual {res[j]:.3e} above tolerance {limit[j]:.3e}"
+            )
+    ok = [j for j, i in enumerate(stable) if errors[i] is None]
+    return _SteadyStack(
+        eigenvalues=eig,
+        max_real_parts=max_re,
+        errors=errors,
+        covariances=_sample_array(v[ok]),
+        residuals=res[ok],
+    )
+
+
 def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     """Solve A V + V A^T + N = 0 as a dense Kronecker system.
 
     Only defined for time-independent, strictly stable models; the residual
     of the returned covariance is checked against the diffusion scale with an
     allowance for the backward error of the direct solve (which grows with
-    ||A|| ||V|| and is unavoidable for large thermal covariances).
+    ||A|| ||V|| and is unavoidable for large thermal covariances).  This is
+    the one-point case of the stacked solve that steady sweeps use.
     """
-    if not model.is_time_independent:
-        raise ParameterError("steady state requires a time-independent model")
-    report = stability(model)
-    if not report.stable:
-        raise UnstableModelError(
-            f"drift has max Re(eig) = {report.max_real_part:.3e} >= 0; no steady state"
-        )
-    a = np.asarray(model.drift_at(0.0), dtype=float)
-    n = np.asarray(model.diffusion_at(0.0), dtype=float)
-    d = a.shape[0]
-    try:
-        vec = np.linalg.solve(_generator(a), -n.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular Lyapunov system: {exc}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise NumericalError("non-finite steady-state solution")
-    v = vec.reshape(d, d)
-    v = 0.5 * (v + v.T)
-    res = float(np.max(np.abs(lyapunov_residual(a, v, n))))
-    limit = 1e-10 * max(1e-300, float(np.max(np.abs(n))))
-    limit += 16.0 * np.finfo(float).eps * float(np.max(np.abs(a))) * float(np.max(np.abs(v)))
-    if res > limit:
-        raise NumericalError(f"steady-state residual {res:.3e} above tolerance {limit:.3e}")
+    stack = _steady_states(*_constant_parts([model]))
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    report = StabilityReport(
+        eigenvalues=stack.eigenvalues[0], max_real_part=float(stack.max_real_parts[0]), stable=True
+    )
     return SteadyStateResult(
-        covariance=CovarianceMatrix(model.basis, v), residual_norm=res, stability=report
+        covariance=CovarianceMatrix(model.basis, stack.covariances[0]),
+        residual_norm=float(stack.residuals[0]),
+        stability=report,
     )
 
 
@@ -474,16 +570,16 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
         raise NumericalError("non-finite periodic steady state")
 
     cycle = np.stack(snapshots)[:, :-1] @ np.append(v0.ravel(), 1.0)
-    times: list[float] = []
-    mats: list[NDArray[np.float64]] = []
-    for t, m in zip(sample_t, cycle):
-        _store(times, mats, t, m.reshape(d, d))
-    residual = float(np.max(np.abs(mats[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
+    covs = _symmetrized(cycle.reshape(len(sample_t), d, d))
+    diverged = _diverged(covs)
+    if diverged.size:
+        raise NumericalError(f"covariance diverged at t = {sample_t[diverged[0]]:g}")
+    residual = float(np.max(np.abs(covs[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
 
     return PeriodicSteadyState(
         period=period,
-        times=_frozen(times),
-        covariances=_sample_array(mats),
+        times=_frozen(sample_t),
+        covariances=_sample_array(covs),
         basis=model.basis,
         spectral_radius=radius,
         residual_norm=residual,

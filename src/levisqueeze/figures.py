@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import evolve, find_threshold, periodic_steady_state, stability
+from .dynamics import _stable_points, evolve, find_threshold, periodic_steady_state
 from .errors import ConfigError, NumericalError, ParameterError, UnstableModelError
 from .gaussian import LinearGaussianModel
 from .metrics import (
@@ -108,7 +108,7 @@ def modulation_instability(
         return build_bogoliubov_dissipative(params.with_value("alpha", alpha))
 
     grid = np.linspace(0.0, alpha_max, 40)
-    verdicts = [stability(family(a)).stable for a in grid]
+    verdicts = _stable_points([family(a) for a in grid]).tolist()
     if not verdicts[0]:
         raise ParameterError("cooling model already unstable at zero modulation")
     for lo, hi, s_lo, s_hi in zip(grid, grid[1:], verdicts, verdicts[1:]):

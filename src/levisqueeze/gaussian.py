@@ -19,6 +19,7 @@ flow dV/dt = A V + V A^T + N; both may depend on time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -68,15 +69,16 @@ CAVITY_MECH = QuadratureBasis(("X", "Y", "x", "p"))
 MECH = QuadratureBasis(("x", "p"))
 
 
+@cache
 def _omega(dim: int) -> NDArray[np.float64]:
-    """Symplectic form for dim quadratures as a plain array."""
+    """Symplectic form for dim quadratures, built once per dimension and read-only."""
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(dim // 2), block)
+    return _frozen(np.kron(np.eye(dim // 2), block))
 
 
 def symplectic_form(basis: QuadratureBasis) -> NDArray[np.float64]:
     """The symplectic form Omega of the given basis, read-only."""
-    return _frozen(_omega(basis.dim))
+    return _omega(basis.dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EvolutionResult, evolve, steady_state
+from .dynamics import EvolutionResult, _constant_parts, _steady_states, evolve
 from .errors import (
     IntegrationError,
     NumericalError,
@@ -52,6 +52,24 @@ def mechanical_block(v: CovarianceMatrix) -> CovarianceMatrix:
     return v.block(MECH_LABELS)
 
 
+def _squeezing_reports(
+    blocks: NDArray[np.float64], time: float | None = None
+) -> list[SqueezingReport]:
+    """Reduce stacked (k, 2, 2) covariances with one batched eigh."""
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+    return [
+        SqueezingReport(
+            v_sq=v_sq,
+            v_asq=v_asq,
+            eta=v_sq / v_asq,
+            angle=math.atan2(vec[1][0], vec[0][0]) % math.pi,
+            nonclassical=v_sq < 1.0,
+            time=time,
+        )
+        for (v_sq, v_asq), vec in zip(eigvals.tolist(), eigvecs.tolist())
+    ]
+
+
 def squeezing_metrics(
     v: CovarianceMatrix | NDArray[np.float64], time: float | None = None
 ) -> SqueezingReport:
@@ -63,17 +81,7 @@ def squeezing_metrics(
         m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (m + m.T))
-    v_sq, v_asq = float(eigvals[0]), float(eigvals[1])
-    angle = math.atan2(eigvecs[1, 0], eigvecs[0, 0]) % math.pi
-    return SqueezingReport(
-        v_sq=v_sq,
-        v_asq=v_asq,
-        eta=v_sq / v_asq,
-        angle=angle,
-        nonclassical=v_sq < 1.0,
-        time=time,
-    )
+    return _squeezing_reports(m[None], time)[0]
 
 
 def rotate_covariance(
@@ -209,15 +217,20 @@ class SweepTable:
     points: tuple[SweepPoint, ...]
 
 
-def _steady_point(build, params: SystemParams, value: float) -> SweepPoint:
-    try:
-        result = steady_state(build(params))
-        report = squeezing_metrics(mechanical_block(result.covariance))
-        return SweepPoint(value, params, "ok", report)
-    except UnstableModelError as exc:
-        return SweepPoint(value, params, "unstable", None, str(exc))
-    except (NumericalError, IntegrationError) as exc:
-        return SweepPoint(value, params, "failed", None, str(exc))
+def _steady_points(build, params: list[SystemParams], values: Sequence[float]) -> list[SweepPoint]:
+    """Steady points of a sweep, solved as one stack and reduced with one batched eigh."""
+    models = [build(p) for p in params]
+    stack = _steady_states(*_constant_parts(models))
+    idx = [models[0].basis.index(label) for label in MECH_LABELS]
+    reports = iter(_squeezing_reports(stack.covariances[:, idx][:, :, idx]))
+    points = []
+    for value, p, error in zip(values, params, stack.errors):
+        if error is None:
+            points.append(SweepPoint(value, p, "ok", next(reports)))
+        else:
+            status = "unstable" if isinstance(error, UnstableModelError) else "failed"
+            points.append(SweepPoint(value, p, status, None, str(error)))
+    return points
 
 
 def _transient_point(
@@ -251,11 +264,12 @@ def sweep(
     if evaluation == "transient" and t_end is None:
         raise ParameterError("transient sweeps need t_end")
 
-    def job(value: float) -> SweepPoint:
-        point_params = params.with_value(axis.name, value)
-        if evaluation == "steady":
-            return _steady_point(build, point_params, value)
-        return _transient_point(build, point_params, value, float(t_end), dt)
-
-    points = tuple(job(v) for v in axis.values)
-    return SweepTable(axis=axis, evaluation=evaluation, points=points)
+    if evaluation == "steady":
+        point_params = [params.with_value(axis.name, value) for value in axis.values]
+        points = _steady_points(build, point_params, axis.values)
+    else:
+        points = [
+            _transient_point(build, params.with_value(axis.name, value), value, float(t_end), dt)
+            for value in axis.values
+        ]
+    return SweepTable(axis=axis, evaluation=evaluation, points=tuple(points))

@@ -11,7 +11,10 @@ from levisqueeze.dynamics import (
     DT_RESOLUTION,
     MAX_STORED,
     _constant_maps,
+    _constant_parts,
+    _generator,
     _halved_maps,
+    _steady_states,
     evolve,
     find_threshold,
     periodic_steady_state,
@@ -324,6 +327,33 @@ def test_step_error_is_reported_before_a_later_divergence():
     assert 1.0 < t < 5.0
 
 
+def test_varying_steps_stop_after_a_step_error():
+    # The time-dependent copy of the stiff model above stops stepping after
+    # the chunk in which its step-halving error passes the limit, and still
+    # reports the same sample and maximum as the constant path.
+    model = LinearGaussianModel.constant(
+        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), ModelDescriptor("stiff-growth"), 5.0
+    )
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return model.drift_at(t)
+
+    generic = dataclasses.replace(model, drift_at=counted, is_time_independent=False)
+    v0 = np.diag([1e6, 1e-6])
+    messages = []
+    for m in (model, generic):
+        with pytest.raises(IntegrationError, match="step-halving error") as info:
+            evolve(m, v0, 100.0, dt=0.02)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "at t = 2.72;" in messages[1]
+    steps_to_error = round(2.72 / 0.02)
+    # Four samples per step, and one closing sample per chunk of CHUNK_STEPS.
+    assert len(calls) <= 4 * (steps_to_error + CHUNK_STEPS) + 4
+
+
 def test_max_step_error_is_the_running_maximum():
     # The defect of the relaxing cavity shrinks with time, so a longer run on
     # the same grid reports the maximum of the shorter one.
@@ -399,6 +429,42 @@ def test_steady_state_rejects_time_dependent(detuned):
     p = dataclasses.replace(detuned, alpha=0.05)
     with pytest.raises(ParameterError):
         steady_state(build_full_modulated(p))
+
+
+def _tilted_cavity(shift: float) -> LinearGaussianModel:
+    return LinearGaussianModel.constant(
+        MECH,
+        np.array([[-1.0, shift], [-shift, -1.0]]),
+        2.0 * np.eye(2),
+        ModelDescriptor("tilted-cavity"),
+        1.0,
+    )
+
+
+def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
+    # A stacked solve raises for the whole stack when one system is
+    # singular; the stack is then solved point by point, so only that point
+    # fails, with the message steady_state gives for it.
+    models = [_tilted_cavity(s) for s in (0.0, 0.5, 1.0)]
+    singular = _generator(np.asarray(models[1].drift_at(0.0)))
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if np.any(np.all(a == singular, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    direct = [steady_state(models[i]) for i in (0, 2)]
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    stack = _steady_states(*_constant_parts(models))
+    assert [type(e) for e in stack.errors] == [type(None), NumericalError, type(None)]
+    with pytest.raises(NumericalError) as info:
+        steady_state(models[1])
+    assert str(stack.errors[1]) == str(info.value) == "singular Lyapunov system: Singular matrix"
+    assert isinstance(stack.errors[1].__cause__, np.linalg.LinAlgError)
+    for got, want, res in zip(stack.covariances, direct, stack.residuals):
+        assert np.array_equal(got, want.covariance.entries)
+        assert res == want.residual_norm
 
 
 def test_stability_reports_eigenvalues(detuned):

@@ -104,6 +104,22 @@ def test_modulation_instability_frozen_onset():
     assert alpha_crit == pytest.approx(0.40861942768096926, abs=1e-4)
 
 
+def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
+    # The 40-point depth grid is one batched call; only the bisection probes
+    # of find_threshold follow, one drift at a time.
+    shapes = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert modulation_instability(resonant_params()) is not None
+    assert len(shapes[0]) == 3 and shapes[0][0] == 40
+    assert all(len(shape) == 2 for shape in shapes[1:])
+
+
 def test_modulation_instability_none_when_range_is_stable():
     assert modulation_instability(resonant_params(), alpha_max=0.3) is None
 

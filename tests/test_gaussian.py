@@ -30,6 +30,13 @@ def test_symplectic_form_is_antisymmetric():
     assert np.array_equal(omega.T, -omega)
 
 
+def test_symplectic_form_is_one_read_only_array_per_dimension():
+    omega = symplectic_form(CAVITY_MECH)
+    assert symplectic_form(QuadratureBasis(("a", "b", "c", "d"))) is omega
+    assert not omega.flags.writeable
+    assert np.array_equal(omega, np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_basis_rejects_odd_dimension():
     with pytest.raises(BasisError):
         QuadratureBasis(("x", "p", "y"))

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levisqueeze.dynamics import evolve, steady_state
-from levisqueeze.errors import BasisError, ParameterError
+from levisqueeze.errors import (
+    BasisError,
+    CovarianceError,
+    NumericalError,
+    ParameterError,
+    UnstableModelError,
+)
 from levisqueeze.gaussian import (
     CAVITY_MECH,
     MECH,
@@ -28,8 +34,10 @@ from levisqueeze.metrics import (
     vsq_trajectory,
 )
 from levisqueeze.models import (
+    build_bogoliubov_dissipative,
     build_eliminated_detuned,
     build_full_cs,
+    build_full_modulated,
     initial_covariance,
     threshold_coupling,
 )
@@ -196,6 +204,91 @@ def test_steady_sweep_marks_unstable_points(detuned):
     )
     assert table.points[2].report is None
     assert table.points[2].detail != ""
+
+
+def _point_by_point(axis, build, params):
+    """Status, detail and report of each steady point, one steady_state at a time."""
+    out = []
+    for value in axis.values:
+        try:
+            result = steady_state(build(params.with_value(axis.name, value)))
+        except UnstableModelError as exc:
+            out.append(("unstable", str(exc), None))
+        except NumericalError as exc:
+            out.append(("failed", str(exc), None))
+        else:
+            out.append(("ok", "", squeezing_metrics(mechanical_block(result.covariance))))
+    return out
+
+
+@pytest.mark.parametrize("case", ["full", "eliminated-detuned", "bogoliubov"])
+def test_steady_sweep_equals_a_point_by_point_loop(case, detuned, resonant):
+    # Across each model's instability: the lam threshold of the detuned
+    # models, the modulation-depth onset of the cooling model (0.4086).
+    if case == "full":
+        params, build, name = detuned, build_full_cs, "lam"
+        values = np.linspace(0.5, 3.0, 26)
+    elif case == "eliminated-detuned":
+        params = detuned.with_value("q_m", 1e4).with_value("nbar", 10.0)
+        build, name = build_eliminated_detuned, "lam"
+        values = np.linspace(0.1, 2.0, 20) * threshold_coupling(params)
+    else:
+        params, build, name = resonant, build_bogoliubov_dissipative, "alpha"
+        values = np.linspace(0.0, 0.8, 41)
+    axis = SweepAxis(name, tuple(float(v) for v in values))
+    table = sweep(axis, build, params, "steady")
+    expected = _point_by_point(axis, build, params)
+    got = [(pt.status, pt.detail, pt.report) for pt in table.points]
+    assert {status for status, _, _ in got} == {"ok", "unstable"}
+    assert got == expected
+
+
+def _negative_noise_builder(bad_lams):
+    def build(params):
+        noise = np.diag([-4.0, 1.0]) if params.lam in bad_lams else 2.0 * np.eye(2)
+        return LinearGaussianModel.constant(
+            MECH, -np.eye(2), noise, ModelDescriptor("negative-noise"), 1.0
+        )
+
+    return build
+
+
+def test_steady_sweep_raises_the_covariance_error_of_its_first_bad_point(detuned):
+    # Good points around two bad ones: the sweep raises what steady_state
+    # raises on the first bad model.
+    build = _negative_noise_builder({0.3, 0.5})
+    with pytest.raises(CovarianceError, match="non-positive diagonal") as direct:
+        steady_state(build(detuned.with_value("lam", 0.3)))
+    axis = SweepAxis("lam", (0.1, 0.2, 0.3, 0.4, 0.5))
+    with pytest.raises(CovarianceError) as swept:
+        sweep(axis, build, detuned, "steady")
+    assert str(swept.value) == str(direct.value)
+
+
+def test_steady_sweep_refuses_a_time_dependent_builder(detuned):
+    params = detuned.with_value("alpha", 0.01)
+    with pytest.raises(ParameterError) as direct:
+        steady_state(build_full_modulated(params))
+    with pytest.raises(ParameterError) as swept:
+        sweep(SweepAxis("lam", (0.2, 0.3)), build_full_modulated, params, "steady")
+    assert str(swept.value) == str(direct.value)
+
+
+def test_steady_sweep_solves_its_points_as_one_stack(monkeypatch, detuned):
+    # One eigvals and one solve for the whole sweep, not one per point.
+    calls = {"solve": [], "eigvals": []}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name].append(np.shape(args[0]))
+            return _real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    axis = SweepAxis("lam", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    table = sweep(axis, build_full_cs, detuned, "steady")
+    assert [pt.status for pt in table.points] == ["ok"] * 6
+    assert calls == {"solve": [(6, 16, 16)], "eigvals": [(6, 4, 4)]}
 
 
 def test_transient_sweep_matches_direct_evaluation(detuned):
