@@ -426,6 +426,8 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
     payload = {
         "passed": report.passed,
         "max_z": report.max_z,
+        "worst_time": report.worst_time,
+        "worst_entry": list(report.worst_entry),
         "z_limit": report.z_limit,
         "n_traj": spec.n_traj,
         "dt": spec.dt,
@@ -433,7 +435,14 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
         "seed": spec.seed,
         "checkpoints": [float(t) for t in report.times],
     }
-    write_report(out, payload, cfg, {"command": "mc-validate"})
+    provenance = {
+        "command": "mc-validate",
+        "n_steps": spec.n_steps,
+        "dt": spec.step,
+        "normals_drawn": spec.n_traj * model.basis.dim * (spec.n_steps + 1),
+        "reference_stats": asdict(reference.stats),
+    }
+    write_report(out, payload, cfg, provenance)
     if not report.passed:
         print(
             f"ensemble disagrees with Lyapunov result: max |z| = {report.max_z:.2f}",

@@ -10,6 +10,15 @@ diffusion normalizations rather than repeating the same arithmetic.
 Each trajectory draws from its own counter-keyed random stream derived from
 (seed, trajectory index), so results are independent of batching and of the
 ensemble size used for the remaining trajectories.
+
+Euler-Maruyama for a linear SDE with additive noise is a linear recursion,
+r <- r (I + hA)^T + sqrt(h) xi L^T, so the steps between two checkpoints (or
+noise-block edges) compose into one transfer matrix and one stacked noise
+gain.  The ensemble advances by those composed maps, which give the same
+estimator as stepping one Euler step at a time.  It is still the Euler map
+I + hA at every step: not the matrix exponential, not exact
+Ornstein-Uhlenbeck stepping and not the Lyapunov propagator, so the check
+stays independent of the covariance solvers.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .gaussian import CovarianceMatrix, LinearGaussianModel, ModelDescriptor
 EM_RESOLUTION = 0.005
 #: z-score beyond which the ensemble and the Lyapunov result disagree.
 Z_LIMIT = 5.0
+#: Upper bound on the ensemble size, checked before any stream is built.
+MAX_TRAJ = 100_000
 #: Steps per block of pre-drawn noise (fixes memory, not the statistics).
 _BLOCK = 200
 
@@ -44,6 +55,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.n_traj < 100:
             raise ParameterError(f"need at least 100 trajectories, got {self.n_traj}")
+        if self.n_traj > MAX_TRAJ:
+            raise ParameterError(f"need at most {MAX_TRAJ} trajectories, got {self.n_traj}")
         if self.t_end <= 0.0 or self.dt <= 0.0:
             raise ParameterError("t_end and dt must be positive")
         if self.seed < 0:
@@ -52,6 +65,16 @@ class EnsembleSpec:
             raise ParameterError(
                 f"need between 2 and {MAX_STORED} checkpoints, got {self.n_checkpoints}"
             )
+
+    @property
+    def n_steps(self) -> int:
+        """Euler steps taken: t_end / dt rounded, at least one."""
+        return max(1, int(round(self.t_end / self.dt)))
+
+    @property
+    def step(self) -> float:
+        """Step actually taken, trimmed so the grid lands on t_end."""
+        return self.t_end / self.n_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +90,17 @@ class EnsembleResult:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Entrywise z-scores of an ensemble against a Lyapunov trajectory."""
+    """Entrywise z-scores of an ensemble against a Lyapunov trajectory.
+
+    worst_time and worst_entry (a pair of basis labels) locate max_z.
+    """
 
     times: NDArray[np.float64]
     z_scores: NDArray[np.float64]
     max_z: float
     z_limit: float
+    worst_time: float
+    worst_entry: tuple[str, str]
 
     @property
     def passed(self) -> bool:
@@ -103,15 +131,45 @@ def _stderr(v_hat: NDArray[np.float64], n_traj: int) -> NDArray[np.float64]:
     return np.sqrt((np.outer(d, d) + v_hat**2) / n_traj)
 
 
+def _streams(seed: int, n_traj: int) -> list[np.random.Generator]:
+    """One counter-keyed Philox stream per trajectory, spawned from the seed."""
+    return [
+        np.random.Generator(np.random.Philox(child))
+        for child in np.random.SeedSequence(seed).spawn(n_traj)
+    ]
+
+
+def _interval_maps(
+    steps: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Compose the Euler steps r -> r @ p + xi @ q of one interval.
+
+    steps holds (p, q) = ((I + hA)^T, sqrt(h) L^T) for each step in order.
+    Returns the transfer p_0 ... p_{k-1} and the gains q_j p_{j+1} ... p_{k-1}
+    stacked to (k d, d), so that the end state is
+    r @ transfer + (xi_0, ..., xi_{k-1}) @ gains.
+    """
+    d = steps[0][0].shape[0]
+    gains = np.empty((len(steps), d, d))
+    transfer = np.eye(d)
+    for j in range(len(steps) - 1, -1, -1):
+        p, q = steps[j]
+        gains[j] = q @ transfer
+        transfer = p @ transfer
+    return transfer, gains.reshape(-1, d)
+
+
 def simulate_ensemble(
     model: LinearGaussianModel, v0: CovarianceMatrix, spec: EnsembleSpec
 ) -> EnsembleResult:
     """Euler-Maruyama ensemble of the model's classical Langevin equation.
 
-    Initial points are drawn from the Gaussian with covariance v0; the state
-    array is advanced in lockstep while noise is pre-drawn in fixed-size
-    blocks from per-trajectory streams.  Checkpoints are evenly spaced step
-    indices including t = 0 and t_end.
+    Initial points are drawn from the Gaussian with covariance v0; noise is
+    drawn in blocks of _BLOCK steps from per-trajectory streams.  The steps
+    between consecutive stops (checkpoints and block edges) are composed
+    into one transfer map and one stacked noise gain, so the whole ensemble
+    advances by two matrix products per interval.  Checkpoints are evenly
+    spaced step indices including t = 0 and t_end.
     """
     if v0.basis.labels != model.basis.labels:
         raise ParameterError("initial covariance basis does not match the model")
@@ -121,50 +179,52 @@ def simulate_ensemble(
             f"need dt <= {EM_RESOLUTION / model.fastest_rate:g}"
         )
     d = model.basis.dim
-    n_steps = max(1, int(round(spec.t_end / spec.dt)))
-    h = spec.t_end / n_steps
+    n_steps, h = spec.n_steps, spec.step
     # More points than steps would only repeat step indices.
     n_marks = min(spec.n_checkpoints, n_steps + 1)
     checkpoints = np.unique(np.linspace(0, n_steps, n_marks).astype(int))
 
-    streams = [
-        np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
-    ]
+    streams = _streams(spec.seed, spec.n_traj)
     try:
         l0 = np.linalg.cholesky(0.5 * v0.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"initial covariance is not positive definite: {exc}") from exc
-    r = np.empty((spec.n_traj, d))
-    for i, g in enumerate(streams):
-        r[i] = g.standard_normal(d)
-    r = r @ l0.T
+    noise = np.empty((spec.n_traj, _BLOCK, d))
+    for g, out in zip(streams, noise[:, 0]):
+        g.standard_normal(out=out)
+    r = noise[:, 0] @ l0.T
 
-    static = model.is_time_independent
-    a0 = np.asarray(model.drift_at(0.0), dtype=float)
-    l_static = _noise_matrix(model.diffusion_at(0.0))
     sqrt_h = np.sqrt(h)
+    eye = np.eye(d)
 
-    marks = set(int(c) for c in checkpoints)
+    def euler_step(t: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        a = np.asarray(model.drift_at(t), dtype=float)
+        return (eye + h * a).T, sqrt_h * _noise_matrix(model.diffusion_at(t)).T
+
+    # A constant model samples its step once; others once per step.
+    fixed = euler_step(0.0) if model.is_time_independent else None
+
+    marks = set(checkpoints.tolist())
+    stops = sorted(marks | set(range(0, n_steps, _BLOCK)) | {n_steps})
     times = [0.0]
     covs = [_sample_covariance(r)]
-    step = 0
-    noise = np.empty((spec.n_traj, _BLOCK, d))
-    while step < n_steps:
-        block = min(_BLOCK, n_steps - step)
-        for i, g in enumerate(streams):
-            noise[i, :block] = g.standard_normal((block, d))
-        for j in range(block):
-            t = (step + j) * h
-            a = a0 if static else np.asarray(model.drift_at(t), dtype=float)
-            l_mat = l_static if static else _noise_matrix(model.diffusion_at(t))
-            r = r + h * (r @ a.T) + sqrt_h * (noise[:, j, :] @ l_mat.T)
-            if (step + j + 1) in marks:
-                if not np.all(np.isfinite(r)):
-                    raise NumericalError(f"ensemble diverged at t = {(step + j + 1) * h:g}")
-                times.append((step + j + 1) * h)
-                covs.append(_sample_covariance(r))
-        step += block
+    for lo, hi in zip(stops[:-1], stops[1:]):
+        start = lo - lo % _BLOCK
+        if lo == start:
+            block = min(_BLOCK, n_steps - lo)
+            for g, out in zip(streams, noise[:, :block]):
+                g.standard_normal(out=out)
+        if fixed is None:
+            steps = [euler_step(n * h) for n in range(lo, hi)]
+        else:
+            steps = [fixed] * (hi - lo)
+        transfer, gains = _interval_maps(steps)
+        r = r @ transfer + noise[:, lo - start : hi - start].reshape(spec.n_traj, -1) @ gains
+        if hi in marks:
+            if not np.all(np.isfinite(r)):
+                raise NumericalError(f"ensemble diverged at t = {hi * h:g}")
+            times.append(hi * h)
+            covs.append(_sample_covariance(r))
 
     t_arr = np.array(times)
     v_arr = np.stack(covs)
@@ -197,9 +257,14 @@ def compare(ensemble: EnsembleResult, reference: EvolutionResult) -> ComparisonR
             diff / ensemble.stderr,
             np.where(diff == 0.0, 0.0, np.inf),
         )
+    mag = np.abs(z)
+    k, i, j = np.unravel_index(np.argmax(mag), z.shape)
+    labels = reference.basis.labels
     return ComparisonReport(
         times=ensemble.times,
         z_scores=z,
-        max_z=float(np.max(np.abs(z))),
+        max_z=float(mag[k, i, j]),
         z_limit=Z_LIMIT,
+        worst_time=float(ensemble.times[k]),
+        worst_entry=(labels[i], labels[j]),
     )

@@ -252,6 +252,12 @@ def _mc_case(model, params, t_end, dt):
     return compare(ensemble, evolve(model, v0, t_end))
 
 
+def _worst(report, digits=2):
+    """max |z| with the checkpoint time and entry where it occurs."""
+    i, j = report.worst_entry
+    return f"{report.max_z:.{digits}f} at t = {report.worst_time:g} in V[{i},{j}]"
+
+
 @pytest.mark.slow
 def test_c10_monte_carlo_cross_check():
     base = detuned_params()
@@ -288,8 +294,8 @@ def test_c10_monte_carlo_cross_check():
         10,
         "Monte Carlo cross-solver oracle",
         ok,
-        f"max |z|: full {full.max_z:.2f}, detuned {detuned_red.max_z:.2f}, "
-        f"modulated {modulated_red.max_z:.2f}; corrupted {corrupted.max_z:.1f} rejected "
+        f"max |z|: full {_worst(full)}, detuned {_worst(detuned_red)}, "
+        f"modulated {_worst(modulated_red)}; corrupted {_worst(corrupted, 1)} rejected "
         f"= {not corrupted.passed}",
     )
 

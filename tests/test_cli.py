@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from levisqueeze import montecarlo
 from levisqueeze.cli import main
 from levisqueeze.dynamics import STEP_ERROR_LIMIT
 
@@ -309,6 +310,37 @@ def test_mc_validate_rejects_huge_checkpoint_counts(tmp_path, monkeypatch, capsy
     assert code == 2
     assert "checkpoints" in capsys.readouterr().err
     assert peak < 50e6
+
+
+def test_mc_validate_rejects_more_trajectories_than_the_cap(tmp_path, monkeypatch, capsys):
+    # 2e9 streams would take hours and exhaust memory; the spec must refuse
+    # before the first one is built.
+    def no_streams(seed, n_traj):
+        raise AssertionError("streams built for a rejected ensemble")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(montecarlo, "_streams", no_streams)
+    n_traj = montecarlo.MAX_TRAJ + 1
+    assert main(["mc-validate", *MODEL, *MC_SMALL, "--set", f"n_traj={n_traj}"]) == 2
+    assert "trajectories" in capsys.readouterr().err
+
+
+def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["mc-validate", *MODEL, "--set", "n_traj=200", "--set", "t_end=2.0"]
+    assert main([*args, "--out", "mc.json", "--format", "json"]) == 0
+    report = json.loads((tmp_path / "mc.json").read_text())
+    assert report["worst_time"] in report["checkpoints"]
+    assert report["worst_entry"] in [[i, j] for i in ("x", "p") for j in ("x", "p")]
+    prov = json.loads((tmp_path / "mc.sidecar.json").read_text())["_provenance"]
+    n_steps = round(2.0 / report["dt"])
+    assert prov["n_steps"] == n_steps
+    assert prov["dt"] == 2.0 / n_steps
+    assert prov["normals_drawn"] == 200 * 2 * (n_steps + 1)
+    assert prov["reference_stats"]["n_steps"] > 0
+    first = (tmp_path / "mc.json").read_bytes()
+    assert main(["mc-validate", "--config", "mc.sidecar.json"]) == 0
+    assert (tmp_path / "mc.json").read_bytes() == first
 
 
 def test_version_flag():

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from levisqueeze import montecarlo
 from levisqueeze.dynamics import MAX_STORED, evolve
 from levisqueeze.errors import NumericalError, ParameterError
 from levisqueeze.gaussian import (
+    CAVITY_MECH,
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
@@ -16,10 +18,13 @@ from levisqueeze.gaussian import (
 from levisqueeze.models import (
     SystemParams,
     build_eliminated_modulated,
+    build_full_modulated,
     initial_covariance,
 )
 from levisqueeze.montecarlo import (
+    _BLOCK,
     EM_RESOLUTION,
+    MAX_TRAJ,
     EnsembleSpec,
     compare,
     simulate_ensemble,
@@ -50,6 +55,8 @@ def test_spec_validation():
         EnsembleSpec(n_traj=100, t_end=1.0, dt=1e-3, seed=-1)
     with pytest.raises(ParameterError, match="checkpoints"):
         EnsembleSpec(n_traj=100, t_end=1.0, dt=1e-3, seed=0, n_checkpoints=MAX_STORED + 1)
+    with pytest.raises(ParameterError, match=f"at most {MAX_TRAJ} trajectories"):
+        EnsembleSpec(n_traj=MAX_TRAJ + 1, t_end=1.0, dt=1e-3, seed=0)
 
 
 def test_surplus_checkpoints_mark_every_step():
@@ -157,6 +164,22 @@ def test_compare_to_self_is_exact():
     assert report.max_z == 0.0
 
 
+def test_compare_locates_the_worst_entry():
+    model = constant_model(-np.eye(2), 2 * np.eye(2))
+    spec = EnsembleSpec(n_traj=300, t_end=1.0, dt=2e-3, seed=9, n_checkpoints=6)
+    ensemble = simulate_ensemble(model, vac(), spec)
+    shifted = ensemble.covariances.copy()
+    shifted[3, 0, 1] += 1.0
+    shifted[3, 1, 0] += 1.0
+    reference = dataclasses.replace(
+        evolve(model, vac(), 1.0), times=ensemble.times, covariances=shifted
+    )
+    report = compare(ensemble, reference)
+    assert report.worst_time == ensemble.times[3]
+    assert report.worst_entry == ("x", "p")
+    assert report.max_z == np.max(np.abs(report.z_scores))
+
+
 def test_compare_requires_overlapping_window():
     model = constant_model(-np.eye(2), 2 * np.eye(2))
     spec = EnsembleSpec(n_traj=200, t_end=5.0, dt=2e-3, seed=2)
@@ -177,3 +200,134 @@ def test_statistical_error_shrinks_with_ensemble_size():
     # Standard error should drop roughly like 1/sqrt(n).
     ratio = np.median(small.stderr[-1] / large.stderr[-1])
     assert 2.0 < ratio < 5.0
+
+
+def reference_ensemble(model, v0, spec):
+    """Plain per-step Euler-Maruyama on the same per-trajectory streams.
+
+    Each stream draws its initial point, then all of its step noise in one
+    block; the noise factor L is the module's.  Returns the checkpoint times
+    and covariances.
+    """
+    d = model.basis.dim
+    n_steps = max(1, int(round(spec.t_end / spec.dt)))
+    h = spec.t_end / n_steps
+    marks = np.unique(np.linspace(0, n_steps, min(spec.n_checkpoints, n_steps + 1)).astype(int))
+    streams = [
+        np.random.Generator(np.random.Philox(child))
+        for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
+    ]
+    r = np.stack([g.standard_normal(d) for g in streams])
+    xi = np.stack([g.standard_normal((n_steps, d)) for g in streams])
+    r = r @ np.linalg.cholesky(0.5 * v0.entries).T
+    times, covs = [], []
+    for n in range(n_steps + 1):
+        if n in marks:
+            times.append(n * h)
+            covs.append(2.0 * (r.T @ r) / spec.n_traj)
+        if n < n_steps:
+            a = model.drift_at(n * h)
+            l_mat = montecarlo._noise_matrix(model.diffusion_at(n * h))
+            r = r + h * (r @ a.T) + np.sqrt(h) * (xi[:, n] @ l_mat.T)
+    return np.array(times), np.stack(covs)
+
+
+def assert_matches_reference(model, v0, spec):
+    result = simulate_ensemble(model, v0, spec)
+    times, covs = reference_ensemble(model, v0, spec)
+    assert np.array_equal(result.times, times)
+    assert result.covariances.shape == covs.shape
+    for got, want in zip(result.covariances, covs):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def random_stable_model(rng) -> LinearGaussianModel:
+    a = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    assert np.max(np.linalg.eigvals(a).real) < 0.0
+    b = rng.standard_normal((4, 4))
+    return LinearGaussianModel.constant(
+        CAVITY_MECH, a, b @ b.T + 0.1 * np.eye(4), ModelDescriptor("random"), 1.0
+    )
+
+
+def test_interval_maps_match_per_step_euler_on_a_constant_model(rng):
+    # 523 steps and 7 checkpoints: intervals end mid-block and on block edges.
+    model = random_stable_model(rng)
+    c = rng.standard_normal((4, 4))
+    v0 = CovarianceMatrix(CAVITY_MECH, c @ c.T + np.eye(4))
+    spec = EnsembleSpec(n_traj=300, t_end=523 * 2e-3, dt=2e-3, seed=17, n_checkpoints=7)
+    assert spec.n_steps == 523
+    assert_matches_reference(model, v0, spec)
+
+
+def test_interval_maps_match_per_step_euler_on_a_modulated_model(detuned):
+    p = dataclasses.replace(detuned, alpha=0.2)
+    model = build_full_modulated(p)
+    assert not model.is_time_independent
+    spec = EnsembleSpec(
+        n_traj=200, t_end=2.0, dt=EM_RESOLUTION / model.fastest_rate, seed=4, n_checkpoints=9
+    )
+    assert_matches_reference(model, initial_covariance(p, model.basis), spec)
+
+
+def test_growing_ensemble_reports_the_first_non_finite_checkpoint():
+    # Each step doubles the state, which overflows after about 1030 steps:
+    # finite at the checkpoint at step 1000, not at the one at step 1500.
+    model = constant_model(1000.0 * np.eye(2), 2.0 * np.eye(2))
+    spec = EnsembleSpec(n_traj=100, t_end=2.0, dt=1e-3, seed=0, n_checkpoints=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^ensemble diverged at t = 1\.5$"):
+            simulate_ensemble(model, vac(), spec)
+
+
+class CountingStream:
+    """Wraps a Generator and counts its standard_normal calls."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.generator.standard_normal(*args, **kwargs)
+
+
+def count_work(monkeypatch, model, v0, spec):
+    """Run the ensemble; return its drift_at calls and each stream's draw calls."""
+    made = []
+    build = montecarlo._streams
+
+    def counting_streams(seed, n_traj):
+        made.extend(CountingStream(g) for g in build(seed, n_traj))
+        return made
+
+    drift_calls = []
+
+    def drift_at(t):
+        drift_calls.append(t)
+        return model.drift_at(t)
+
+    monkeypatch.setattr(montecarlo, "_streams", counting_streams)
+    simulate_ensemble(dataclasses.replace(model, drift_at=drift_at), v0, spec)
+    return len(drift_calls), {s.calls for s in made}
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_ensemble_work_scales_with_intervals_not_trajectories(
+    monkeypatch, detuned, time_dependent
+):
+    # A guard against per-step or per-trajectory model sampling and against
+    # shrinking the noise blocks below their 200 steps.
+    p = dataclasses.replace(detuned, alpha=0.2 if time_dependent else 0.0)
+    model = build_full_modulated(p)
+    if not time_dependent:
+        model = LinearGaussianModel.constant(
+            model.basis, model.drift_at(0.0), model.diffusion_at(0.0),
+            model.descriptor, model.fastest_rate,
+        )
+    spec = EnsembleSpec(n_traj=100, t_end=1.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
+    v0 = initial_covariance(p, model.basis)
+    drift_calls, draw_calls = count_work(monkeypatch, model, v0, spec)
+    assert drift_calls <= (spec.n_steps + 1 if time_dependent else 1)
+    assert _BLOCK == 200
+    assert draw_calls == {1 + math.ceil(spec.n_steps / 200)}
