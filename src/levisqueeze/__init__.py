@@ -6,7 +6,7 @@ scattering couples the particle motion to the cavity field.  Second moments
 evolve under a Lyapunov flow; the modules split as
 
 ``gaussian``
-    quadrature bases, covariance matrices, drift/diffusion model contracts.
+    quadrature bases, covariance input validation, drift/diffusion model contracts.
 ``models``
     the concrete physical models: full two-mode dynamics, adiabatically
     eliminated single-mode reductions, and the resonant dissipative scheme.

@@ -284,10 +284,10 @@ def cmd_evolve(cfg: RunConfig, out: OutputSpec) -> int:
 def _steady_report(cfg: RunConfig) -> dict:
     params = cfg.params()
     result = steady_state(cfg.builder()(params))
-    rep = squeezing_metrics(mechanical_block(result.covariance))
-    labels = result.covariance.basis.labels
+    v, labels = result.covariance.entries, result.covariance.basis.labels
+    rep = squeezing_metrics(mechanical_block(v, result.covariance.basis))
     entries = {
-        f"{labels[i]}{labels[j]}": float(result.covariance.entries[i, j])
+        f"{labels[i]}{labels[j]}": float(v[i, j])
         for i in range(len(labels))
         for j in range(i, len(labels))
     }

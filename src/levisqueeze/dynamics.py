@@ -27,7 +27,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    BasisError,
     BracketError,
     CovarianceError,
     IntegrationError,
@@ -38,9 +37,10 @@ from .errors import (
 from .gaussian import (
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
+    _entries_in,
     _frozen,
+    lyapunov_residual,
 )
 
 #: Step-halving error (relative to the covariance scale) beyond which a
@@ -79,7 +79,6 @@ class EvolutionResult:
     covariances: NDArray[np.float64]
     basis: QuadratureBasis
     stats: IntegratorStats
-    descriptor: ModelDescriptor
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +113,6 @@ class PeriodicSteadyState:
     basis: QuadratureBasis
     spectral_radius: float
     residual_norm: float
-    descriptor: ModelDescriptor
 
 
 def stability(model: LinearGaussianModel) -> StabilityReport:
@@ -165,13 +163,8 @@ def _default_dt(model: LinearGaussianModel) -> float:
 
 
 def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Stacked covariances made symmetric, halved first: only a diverged state is non-finite."""
-    return 0.5 * covs + 0.5 * covs.transpose(0, 2, 1)
-
-
-def _diverged(covs: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Indices of the stacked covariances with a non-finite entry."""
-    return np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
+    """Covariances (..., d, d) made symmetric, halved first: only a diverged one is non-finite."""
+    return 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
 
 
 def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -179,14 +172,29 @@ def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> N
     return np.max(np.abs(defects), axis=1) / np.fmax(1.0, np.max(np.abs(states), axis=1))
 
 
-def _sample_array(mats: list[NDArray[np.float64]] | NDArray[np.float64]) -> NDArray[np.float64]:
-    """The stored samples as one read-only array; a non-positive diagonal raises."""
-    covs = np.asarray(mats)
+def _sample_array(covs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The stacked samples made read-only; a non-positive diagonal raises."""
     bad = np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0, axis=1)
     if bad.any():
         raise CovarianceError(f"non-positive diagonal entries {np.diag(covs[bad.argmax()])}")
     covs.flags.writeable = False
     return covs
+
+
+def _sample_covariances(
+    times: NDArray[np.float64], vecs: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Stored samples from their row-major vec V rows, symmetrized and checked.
+
+    The first non-finite sample raises NumericalError at its time, then a
+    non-positive diagonal raises CovarianceError.
+    """
+    n, d = len(times), math.isqrt(vecs.shape[1])
+    covs = _symmetrized(vecs.reshape(n, d, d))
+    diverged = np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
+    if diverged.size:
+        raise NumericalError(f"covariance diverged at t = {times[diverged[0]]:g}")
+    return _sample_array(covs)
 
 
 def _checked_samples(
@@ -201,20 +209,16 @@ def _checked_samples(
     before a non-finite sample at the same time, then a non-positive
     diagonal.
     """
-    n, d = len(times), math.isqrt(states.shape[1] - 1)
-    covs = _symmetrized(states[:, :-1].reshape(n, d, d))
     running = np.fmax.accumulate(np.append(0.0, _step_errors(defects[1:], states[1:])))
     too_coarse = np.flatnonzero(running > STEP_ERROR_LIMIT)
-    diverged = _diverged(covs)
-    if too_coarse.size and (not diverged.size or too_coarse[0] <= diverged[0]):
+    # A stored state is non-finite exactly when its covariance sample is.
+    if too_coarse.size and np.all(np.isfinite(states[: too_coarse[0]])):
         k = too_coarse[0]
         raise IntegrationError(
             f"step-halving error {running[k]:.3e} above {STEP_ERROR_LIMIT:.0e} "
             f"at t = {times[k]:g}; reduce dt below {h:g}"
         )
-    if diverged.size:
-        raise NumericalError(f"covariance diverged at t = {times[diverged[0]]:g}")
-    return _sample_array(covs), float(running[-1])
+    return _sample_covariances(times, states[:, :-1]), float(running[-1])
 
 
 def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -374,15 +378,7 @@ def evolve(
     including both endpoints.  Raises IntegrationError when the step-halving
     estimate exceeds STEP_ERROR_LIMIT.
     """
-    if isinstance(v0, CovarianceMatrix):
-        if v0.basis.labels != model.basis.labels:
-            raise BasisError(
-                f"initial covariance basis {v0.basis.labels} does not match "
-                f"model basis {model.basis.labels}"
-            )
-        start = v0.entries
-    else:
-        start = CovarianceMatrix(model.basis, np.asarray(v0, dtype=float)).entries
+    start = _entries_in(model.basis, v0)
     if t_end <= 0.0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
     if dt is None:
@@ -413,13 +409,7 @@ def evolve(
     stats = IntegratorStats(
         n_steps=n_steps, dt=h, stride=stride, n_stored=len(times), max_step_error=max_err
     )
-    return EvolutionResult(
-        times=times,
-        covariances=covariances,
-        basis=model.basis,
-        stats=stats,
-        descriptor=model.descriptor,
-    )
+    return EvolutionResult(times=times, covariances=covariances, basis=model.basis, stats=stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,12 +459,11 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
                 error.__cause__ = exc
                 errors[i] = error
     finite = np.all(np.isfinite(vecs), axis=(1, 2))
-    v = vecs.reshape(len(stable), d, d)
-    v = 0.5 * (v + v.transpose(0, 2, 1))
+    v = _symmetrized(vecs.reshape(len(stable), d, d))
     # The residual is checked against the diffusion scale, with an allowance
     # for the backward error of the direct solve.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = np.max(np.abs(a @ v + v @ a.transpose(0, 2, 1) + n), axis=(1, 2))
+        res = np.max(np.abs(lyapunov_residual(a, v, n)), axis=(1, 2))
         limit = 1e-10 * np.fmax(1e-300, np.max(np.abs(n), axis=(1, 2)))
         scale = np.max(np.abs(a), axis=(1, 2)), np.max(np.abs(v), axis=(1, 2))
         limit += 16.0 * np.finfo(float).eps * scale[0] * scale[1]
@@ -564,26 +553,21 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
         vec = np.linalg.solve(np.eye(d * d) - hom, offset)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular period-map system: {exc}") from exc
-    v0 = vec.reshape(d, d)
-    v0 = 0.5 * (v0 + v0.T)
+    v0 = _symmetrized(vec.reshape(d, d))
     if not np.all(np.isfinite(v0)):
         raise NumericalError("non-finite periodic steady state")
 
-    cycle = np.stack(snapshots)[:, :-1] @ np.append(v0.ravel(), 1.0)
-    covs = _symmetrized(cycle.reshape(len(sample_t), d, d))
-    diverged = _diverged(covs)
-    if diverged.size:
-        raise NumericalError(f"covariance diverged at t = {sample_t[diverged[0]]:g}")
+    times = _frozen(sample_t)
+    covs = _sample_covariances(times, np.stack(snapshots)[:, :-1] @ np.append(v0.ravel(), 1.0))
     residual = float(np.max(np.abs(covs[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
 
     return PeriodicSteadyState(
         period=period,
-        times=_frozen(sample_t),
-        covariances=_sample_array(covs),
+        times=times,
+        covariances=covs,
         basis=model.basis,
         spectral_radius=radius,
         residual_norm=residual,
-        descriptor=model.descriptor,
     )
 
 

@@ -170,6 +170,8 @@ def _depth_axis(
 
 
 def _apply_overrides(params: SystemParams, overrides: Mapping[str, float]) -> SystemParams:
+    if "gamma" in overrides and "q_m" in overrides:
+        raise ParameterError("give gamma or q_m, not both")
     for key, val in overrides.items():
         if key in RUN_KEYS:
             continue

@@ -111,19 +111,23 @@ class CovarianceMatrix:
             raise CovarianceError(f"non-positive diagonal entries {np.diag(v)}")
         object.__setattr__(self, "entries", _frozen(0.5 * (v + v.T)))
 
-    def block(self, labels: tuple[str, ...]) -> "CovarianceMatrix":
-        """Sub-covariance for a subset of quadratures, in the given order."""
-        idx = [self.basis.index(l) for l in labels]
-        return CovarianceMatrix(QuadratureBasis(tuple(labels)), self.entries[np.ix_(idx, idx)])
 
+def _entries_in(
+    basis: QuadratureBasis, v: CovarianceMatrix | NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Validated entries of an initial covariance for a model in the given basis.
 
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """What a model is and where its numbers came from."""
-
-    variant: str
-    summary: str = ""
-    params: object = None  # SystemParams for the physics builders, else None
+    An array is validated as a CovarianceMatrix in that basis; a
+    CovarianceMatrix in another basis raises BasisError.
+    """
+    if not isinstance(v, CovarianceMatrix):
+        v = CovarianceMatrix(basis, np.asarray(v, dtype=float))
+    elif v.basis.labels != basis.labels:
+        raise BasisError(
+            f"initial covariance basis {v.basis.labels} does not match "
+            f"model basis {basis.labels}"
+        )
+    return v.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +144,6 @@ class LinearGaussianModel:
     drift_at: Callable[[float], NDArray[np.float64]]
     diffusion_at: Callable[[float], NDArray[np.float64]]
     is_time_independent: bool
-    descriptor: ModelDescriptor
     fastest_rate: float = field(default=1.0)
 
     @staticmethod
@@ -148,7 +151,6 @@ class LinearGaussianModel:
         basis: QuadratureBasis,
         drift: NDArray[np.float64],
         diffusion: NDArray[np.float64],
-        descriptor: ModelDescriptor,
         fastest_rate: float,
     ) -> "LinearGaussianModel":
         a = _frozen(drift)
@@ -160,7 +162,6 @@ class LinearGaussianModel:
             drift_at=lambda t: a,
             diffusion_at=lambda t: n,
             is_time_independent=True,
-            descriptor=descriptor,
             fastest_rate=fastest_rate,
         )
 
@@ -194,11 +195,14 @@ def drift_from_quadratic(
 def lyapunov_residual(
     a: NDArray[np.float64], v: NDArray[np.float64], n: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Residual A V + V A^T + N of the algebraic Lyapunov equation."""
+    """Residual A V + V A^T + N of the algebraic Lyapunov equation.
+
+    Batched over the leading axes of stacked (..., d, d) arguments.
+    """
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
     n = np.asarray(n, dtype=float)
-    return a @ v + v @ a.T + n
+    return a @ v + v @ np.swapaxes(a, -1, -2) + n
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ from numpy.typing import NDArray
 
 from .dynamics import EvolutionResult, _constant_parts, _steady_states, evolve
 from .errors import (
+    BasisError,
     IntegrationError,
     NumericalError,
     ParameterError,
     UnstableModelError,
 )
-from .gaussian import CovarianceMatrix, LinearGaussianModel
+from .gaussian import LinearGaussianModel, QuadratureBasis
 from .models import SystemParams, initial_covariance
 
 MECH_LABELS = ("x", "p")
@@ -45,11 +46,16 @@ class SqueezingReport:
     at_edge: bool = False
 
 
-def mechanical_block(v: CovarianceMatrix) -> CovarianceMatrix:
-    """The (x, p) sub-covariance; identity on two-dimensional input."""
-    if v.basis.labels == MECH_LABELS:
-        return v
-    return v.block(MECH_LABELS)
+def mechanical_block(covs: NDArray[np.float64], basis: QuadratureBasis) -> NDArray[np.float64]:
+    """The (x, p) blocks (..., 2, 2) of covariances (..., d, d) in the given basis.
+
+    A basis without x and p, or one that does not fit the shape, raises BasisError.
+    """
+    covs = np.asarray(covs, dtype=float)
+    if covs.shape[-2:] != (basis.dim, basis.dim):
+        raise BasisError(f"covariances of shape {covs.shape} do not fit {basis.labels}")
+    idx = [basis.index(label) for label in MECH_LABELS]
+    return covs[..., idx, :][..., idx]
 
 
 def _squeezing_reports(
@@ -70,23 +76,15 @@ def _squeezing_reports(
     ]
 
 
-def squeezing_metrics(
-    v: CovarianceMatrix | NDArray[np.float64], time: float | None = None
-) -> SqueezingReport:
+def squeezing_metrics(v: NDArray[np.float64], time: float | None = None) -> SqueezingReport:
     """Reduce a 2x2 covariance to its squeezing figures of merit."""
-    if isinstance(v, CovarianceMatrix):
-        v = mechanical_block(v)
-        m = v.entries
-    else:
-        m = np.asarray(v, dtype=float)
+    m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
     return _squeezing_reports(m[None], time)[0]
 
 
-def rotate_covariance(
-    v: CovarianceMatrix | NDArray[np.float64], theta: float
-) -> NDArray[np.float64]:
+def rotate_covariance(v: NDArray[np.float64], theta: float) -> NDArray[np.float64]:
     """Rotate a 2x2 covariance by angle theta in the (x, p) plane.
 
     With theta = omega_x * t this undoes free phase-space precession, so a
@@ -94,18 +92,12 @@ def rotate_covariance(
     squeezing along a fixed quadrature is visible.  The spectrum, and hence
     v_sq and v_asq, is unchanged.
     """
-    if isinstance(v, CovarianceMatrix):
-        v = mechanical_block(v).entries
     m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, s], [-s, c]])
     return r @ m @ r.T
-
-
-def _mech_indices(result: EvolutionResult) -> list[int]:
-    return [result.basis.index(label) for label in MECH_LABELS]
 
 
 #: Columns of :func:`mechanical_trajectory`.
@@ -117,9 +109,8 @@ def mechanical_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
 
     One row per stored time, with the columns TRAJECTORY_COLUMNS.
     """
-    ix, ip = _mech_indices(result)
-    stack = result.covariances
-    a, b, c = stack[:, ix, ix], stack[:, ix, ip], stack[:, ip, ip]
+    mech = mechanical_block(result.covariances, result.basis)
+    a, b, c = mech[:, 0, 0], mech[:, 0, 1], mech[:, 1, 1]
     mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
     v_sq, v_asq = mean - rad, mean + rad
     return np.column_stack((result.times, a, b, c, v_sq, v_asq, v_sq / v_asq))
@@ -159,8 +150,8 @@ def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
     """
     traj = vsq_trajectory(result)
     i = int(np.argmin(traj))
-    idx = _mech_indices(result)
-    base = squeezing_metrics(result.covariances[i][np.ix_(idx, idx)], time=float(result.times[i]))
+    block = mechanical_block(result.covariances[i], result.basis)
+    base = squeezing_metrics(block, time=float(result.times[i]))
     if i in (0, len(traj) - 1):
         return replace(base, at_edge=True)
     refined = _parabolic_vertex(result.times[i - 1 : i + 2], traj[i - 1 : i + 2])
@@ -221,8 +212,7 @@ def _steady_points(build, params: list[SystemParams], values: Sequence[float]) -
     """Steady points of a sweep, solved as one stack and reduced with one batched eigh."""
     models = [build(p) for p in params]
     stack = _steady_states(*_constant_parts(models))
-    idx = [models[0].basis.index(label) for label in MECH_LABELS]
-    reports = iter(_squeezing_reports(stack.covariances[:, idx][:, :, idx]))
+    reports = iter(_squeezing_reports(mechanical_block(stack.covariances, models[0].basis)))
     points = []
     for value, p, error in zip(values, params, stack.errors):
         if error is None:

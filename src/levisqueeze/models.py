@@ -34,7 +34,6 @@ from .gaussian import (
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
     drift_from_quadratic,
 )
@@ -160,13 +159,7 @@ def build_full_cs(params: SystemParams) -> LinearGaussianModel:
     """
     decay = np.array([params.kappa, params.kappa, 0.0, params.gamma])
     a = drift_from_quadratic(_full_h_mat(params, 1.0), decay)
-    return LinearGaussianModel.constant(
-        CAVITY_MECH,
-        a,
-        _full_diffusion(params),
-        ModelDescriptor("full", "two-mode coherent scattering, lab frame", params),
-        _full_rate(params),
-    )
+    return LinearGaussianModel.constant(CAVITY_MECH, a, _full_diffusion(params), _full_rate(params))
 
 
 def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
@@ -174,20 +167,15 @@ def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
 
     The stiffness factor M(t) = 1 + alpha cos(2 omega_x t + phi) enters the
     potential as omega_x M^2 x^2 / 2 and scales the coupling to lam M, since
-    both derive from the same tweezer field.
+    both derive from the same tweezer field.  At alpha = 0 this is the
+    constant build_full_cs model.
     """
     p = params
+    if p.alpha == 0.0:
+        return build_full_cs(p)
     decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
     n = _full_diffusion(p)
     n.flags.writeable = False
-    if p.alpha == 0.0:
-        return LinearGaussianModel.constant(
-            CAVITY_MECH,
-            drift_from_quadratic(_full_h_mat(p, 1.0), decay),
-            n,
-            ModelDescriptor("full-modulated", "modulation depth zero", p),
-            _full_rate(p),
-        )
 
     # H(M) is quadratic in M, so A(t) = A0 + M A1 + M^2 A2 with the parts
     # built and validated once.  Every entry of H is a single monomial in M
@@ -207,7 +195,6 @@ def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
         drift_at=drift_at,
         diffusion_at=lambda t: n,
         is_time_independent=False,
-        descriptor=ModelDescriptor("full-modulated", "two-mode, modulated trap, lab frame", p),
         fastest_rate=_full_rate(p),
     )
 
@@ -271,13 +258,7 @@ def build_eliminated_detuned(params: SystemParams) -> LinearGaussianModel:
         ]
     )
     n = np.diag([0.0, 2.0 * p.gamma * (2.0 * p.nbar + 1.0) + detuned_backaction(p)])
-    return LinearGaussianModel.constant(
-        MECH,
-        a,
-        n,
-        ModelDescriptor("eliminated-detuned", "cavity eliminated, lab frame", p),
-        max(p.omega_x, p.gamma),
-    )
+    return LinearGaussianModel.constant(MECH, a, n, max(p.omega_x, p.gamma))
 
 
 def effective_modulated(params: SystemParams, variant: str = "shifted-frame") -> EffectiveParams:
@@ -352,13 +333,7 @@ def build_eliminated_modulated(
     noise = modulated_backaction(p) + p.gamma * (2.0 * p.nbar + 1.0)
     n = np.diag([noise, noise])
     return LinearGaussianModel.constant(
-        MECH,
-        a,
-        n,
-        ModelDescriptor(
-            "eliminated-modulated", f"cavity eliminated, rotating frame, {variant}", p
-        ),
-        max(abs(eff.omega_eff) + abs(eff.zeta_eff), p.gamma),
+        MECH, a, n, max(abs(eff.omega_eff) + abs(eff.zeta_eff), p.gamma)
     )
 
 
@@ -367,22 +342,26 @@ def build_eliminated_modulated(
 # ---------------------------------------------------------------------------
 
 
+def _check_depth(alpha: float) -> None:
+    """Refuse a modulation depth outside [0, 2), where the Bogoliubov mode exists."""
+    if not 0.0 <= alpha < 2.0:
+        raise ParameterError(f"modulation depth must be in [0, 2), got {alpha}")
+
+
 def bogoliubov_coefficients(alpha: float) -> tuple[float, float]:
     """Coefficients (u, v) of the mode beta = u b + v b^dagger.
 
     u = 2 / sqrt(4 - alpha^2) and v = alpha / sqrt(4 - alpha^2) satisfy
     u^2 - v^2 = 1 for every modulation depth below 2.
     """
-    if not 0.0 <= alpha < 2.0:
-        raise ParameterError(f"modulation depth must be in [0, 2), got {alpha}")
+    _check_depth(alpha)
     root = math.sqrt(4.0 - alpha**2)
     return 2.0 / root, alpha / root
 
 
 def bogoliubov_ground_variance(alpha: float) -> float:
     """Squeezed variance (2 - alpha) / (2 + alpha) of the Bogoliubov vacuum."""
-    if not 0.0 <= alpha < 2.0:
-        raise ParameterError(f"modulation depth must be in [0, 2), got {alpha}")
+    _check_depth(alpha)
     return (2.0 - alpha) / (2.0 + alpha)
 
 
@@ -407,8 +386,7 @@ def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
         raise ParameterError(
             f"rotating-frame cooling model requires delta = omega_x, got delta={p.delta}"
         )
-    if not 0.0 <= p.alpha < 2.0:
-        raise ParameterError(f"modulation depth must be in [0, 2), got {p.alpha}")
+    _check_depth(p.alpha)
     c, s = math.cos(p.phi), math.sin(p.phi)
     g = p.lam / SQRT2
     w = p.omega_x
@@ -433,7 +411,6 @@ def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
         CAVITY_MECH,
         drift_from_quadratic(h, decay),
         n,
-        ModelDescriptor("bogoliubov", "rotating-frame cooling of the Bogoliubov mode", p),
         max(p.kappa, p.lam, p.omega_x * p.alpha, p.gamma),
     )
 

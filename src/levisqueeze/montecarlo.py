@@ -23,6 +23,7 @@ stays independent of the covariance solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from numpy.typing import NDArray
 
 from .dynamics import MAX_STORED, EvolutionResult
 from .errors import NumericalError, ParameterError
-from .gaussian import CovarianceMatrix, LinearGaussianModel, ModelDescriptor
+from .gaussian import CovarianceMatrix, LinearGaussianModel, _entries_in
 
 #: Euler steps must resolve the fastest rate to half a percent.
 EM_RESOLUTION = 0.005
@@ -68,8 +69,8 @@ class EnsembleSpec:
 
     @property
     def n_steps(self) -> int:
-        """Euler steps taken: t_end / dt rounded, at least one."""
-        return max(1, int(round(self.t_end / self.dt)))
+        """Euler steps taken: t_end / dt rounded up, as evolve does, so no step exceeds dt."""
+        return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
     @property
     def step(self) -> float:
@@ -85,7 +86,6 @@ class EnsembleResult:
     covariances: NDArray[np.float64]
     stderr: NDArray[np.float64]
     spec: EnsembleSpec
-    descriptor: ModelDescriptor
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,9 @@ def _interval_maps(
 
 
 def simulate_ensemble(
-    model: LinearGaussianModel, v0: CovarianceMatrix, spec: EnsembleSpec
+    model: LinearGaussianModel,
+    v0: CovarianceMatrix | NDArray[np.float64],
+    spec: EnsembleSpec,
 ) -> EnsembleResult:
     """Euler-Maruyama ensemble of the model's classical Langevin equation.
 
@@ -171,8 +173,7 @@ def simulate_ensemble(
     advances by two matrix products per interval.  Checkpoints are evenly
     spaced step indices including t = 0 and t_end.
     """
-    if v0.basis.labels != model.basis.labels:
-        raise ParameterError("initial covariance basis does not match the model")
+    start = _entries_in(model.basis, v0)
     if model.fastest_rate > 0.0 and spec.dt > EM_RESOLUTION / model.fastest_rate:
         raise ParameterError(
             f"dt = {spec.dt:g} too coarse for rate {model.fastest_rate:g}; "
@@ -186,7 +187,7 @@ def simulate_ensemble(
 
     streams = _streams(spec.seed, spec.n_traj)
     try:
-        l0 = np.linalg.cholesky(0.5 * v0.entries)
+        l0 = np.linalg.cholesky(0.5 * start)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"initial covariance is not positive definite: {exc}") from exc
     noise = np.empty((spec.n_traj, _BLOCK, d))
@@ -231,9 +232,7 @@ def simulate_ensemble(
     err = np.stack([_stderr(v, spec.n_traj) for v in v_arr])
     for arr in (t_arr, v_arr, err):
         arr.flags.writeable = False
-    return EnsembleResult(
-        times=t_arr, covariances=v_arr, stderr=err, spec=spec, descriptor=model.descriptor
-    )
+    return EnsembleResult(times=t_arr, covariances=v_arr, stderr=err, spec=spec)
 
 
 def compare(ensemble: EnsembleResult, reference: EvolutionResult) -> ComparisonReport:

@@ -23,7 +23,7 @@ from levisqueeze.figures import (
     run_figure,
     _cycle_min_vsq,
 )
-from levisqueeze.gaussian import LinearGaussianModel, ModelDescriptor
+from levisqueeze.gaussian import LinearGaussianModel
 from levisqueeze.metrics import (
     mechanical_block,
     optimize_over_time,
@@ -53,6 +53,12 @@ def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert passed, line
+
+
+def _steady_mech(model):
+    """The (x, p) block of a model's steady state."""
+    cov = steady_state(model).covariance
+    return mechanical_block(cov.entries, cov.basis)
 
 
 def test_c01_instability_threshold():
@@ -103,11 +109,7 @@ def test_c04_dissipative_parametric_optimum():
     v_sq = np.array(
         [
             squeezing_metrics(
-                mechanical_block(
-                    steady_state(
-                        build_bogoliubov_dissipative(p.with_value("alpha", float(a)))
-                    ).covariance
-                )
+                _steady_mech(build_bogoliubov_dissipative(p.with_value("alpha", float(a))))
             ).v_sq
             for a in grid
         ]
@@ -193,12 +195,10 @@ def test_c08_phase_independence_of_cooling_scheme():
     for alpha in (0.01, 0.1, 0.4):
         vals = [
             squeezing_metrics(
-                mechanical_block(
-                    steady_state(
-                        build_bogoliubov_dissipative(
-                            dataclasses.replace(p, alpha=alpha, phi=float(phi))
-                        )
-                    ).covariance
+                _steady_mech(
+                    build_bogoliubov_dissipative(
+                        dataclasses.replace(p, alpha=alpha, phi=float(phi))
+                    )
                 )
             ).v_sq
             for phi in np.linspace(0.0, 2.0 * math.pi, 13)
@@ -277,7 +277,6 @@ def test_c10_monte_carlo_cross_check():
         good.basis,
         good.drift_at(0.0),
         2.0 * good.diffusion_at(0.0),
-        ModelDescriptor("corrupted"),
         good.fastest_rate,
     )
     v0 = initial_covariance(low_noise, good.basis)
@@ -302,7 +301,7 @@ def test_c10_monte_carlo_cross_check():
 
 def _adiabatic_deviation(delta: float) -> float:
     p = SystemParams(omega_x=1.0, kappa=0.2, delta=delta, lam=0.3, q_m=1e4, nbar=0.0)
-    full = steady_state(build_full_cs(p)).covariance.block(("x", "p")).entries
+    full = _steady_mech(build_full_cs(p))
     reduced = steady_state(build_eliminated_detuned(p)).covariance.entries
     dev = 0.0
     for i in range(2):
@@ -347,7 +346,6 @@ def test_c12_exact_fixed_points():
         build_eliminated_detuned(detuned_params()).basis,
         -0.5 * np.eye(2),
         1.0 * np.eye(2),
-        ModelDescriptor("bare-cavity"),
         0.5,
     )
     bare_result = steady_state(bare)

@@ -292,6 +292,14 @@ def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
 MC_SMALL = ["--set", "n_traj=100", "--set", "t_end=0.1"]
 
 
+@pytest.mark.parametrize("order", [["gamma=0.5", "q_m=10"], ["q_m=10", "gamma=0.5"]])
+def test_figure_refuses_gamma_with_q_m(tmp_path, monkeypatch, capsys, order):
+    monkeypatch.chdir(tmp_path)
+    argv = ["figure", "fig2a", "--set", order[0], "--set", order[1], "--set", "t_end=1"]
+    assert main(argv) == 2
+    assert "give gamma or q_m, not both" in capsys.readouterr().err
+
+
 def test_mc_validate_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["mc-validate", *MODEL, *MC_SMALL, "--set", "seed=-1"]) == 2

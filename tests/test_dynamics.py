@@ -35,7 +35,6 @@ from levisqueeze.gaussian import (
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
     validate_covariance,
 )
@@ -57,7 +56,6 @@ def damped_cavity(kappa: float = 1.0) -> LinearGaussianModel:
         basis,
         -kappa * np.eye(2),
         2 * kappa * np.eye(2),
-        ModelDescriptor("damped-cavity"),
         kappa,
     )
 
@@ -135,7 +133,7 @@ def test_constant_path_matches_the_generic_stepper(rng):
     b = rng.normal(size=(4, 4))
     rate = float(np.max(np.abs(np.linalg.eigvals(a))))
     constant = LinearGaussianModel.constant(
-        CAVITY_MECH, a, b @ b.T, ModelDescriptor("random-stable"), rate
+        CAVITY_MECH, a, b @ b.T, rate
     )
     generic = dataclasses.replace(constant, is_time_independent=False)
     v0 = CovarianceMatrix(CAVITY_MECH, np.eye(4))
@@ -294,7 +292,7 @@ def test_evolve_step_refinement_converged(detuned):
 def growing_model() -> LinearGaussianModel:
     # V(t) ~ exp(100 t) overflows a float near t = 7.1.
     return LinearGaussianModel.constant(
-        MECH, 50.0 * np.eye(2), np.eye(2), ModelDescriptor("growing"), 50.0
+        MECH, 50.0 * np.eye(2), np.eye(2), 50.0
     )
 
 
@@ -313,7 +311,7 @@ def test_step_error_is_reported_before_a_later_divergence():
     # relative to V11 = 1e6, passes the limit near t = 2.7, long before the
     # state overflows.  Both paths report the first sample past the limit.
     model = LinearGaussianModel.constant(
-        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), ModelDescriptor("stiff-growth"), 5.0
+        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), 5.0
     )
     generic = dataclasses.replace(model, is_time_independent=False)
     v0 = np.diag([1e6, 1e-6])
@@ -332,7 +330,7 @@ def test_varying_steps_stop_after_a_step_error():
     # the chunk in which its step-halving error passes the limit, and still
     # reports the same sample and maximum as the constant path.
     model = LinearGaussianModel.constant(
-        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), ModelDescriptor("stiff-growth"), 5.0
+        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), 5.0
     )
     calls = []
 
@@ -367,7 +365,7 @@ def test_max_step_error_is_the_running_maximum():
 def test_evolve_rejects_non_positive_diagonal():
     # Negative diffusion drives V(t) = 3 exp(-2t) - 2 below zero.
     model = LinearGaussianModel.constant(
-        MECH, -np.eye(2), -4.0 * np.eye(2), ModelDescriptor("negative-noise"), 1.0
+        MECH, -np.eye(2), -4.0 * np.eye(2), 1.0
     )
     with pytest.raises(CovarianceError, match="non-positive diagonal entries"):
         evolve(model, np.eye(2), 3.0)
@@ -412,7 +410,6 @@ def test_steady_state_thermal_oscillator():
         basis,
         np.array([[0.0, 1.0], [-1.0, -p.gamma]]),
         np.diag([0.0, 2 * p.gamma * 7.0]),
-        ModelDescriptor("thermal"),
         1.0,
     )
     v = steady_state(model).covariance.entries
@@ -436,7 +433,6 @@ def _tilted_cavity(shift: float) -> LinearGaussianModel:
         MECH,
         np.array([[-1.0, shift], [-shift, -1.0]]),
         2.0 * np.eye(2),
-        ModelDescriptor("tilted-cavity"),
         1.0,
     )
 

@@ -139,8 +139,9 @@ def _reference_optimum(params):
     grid = np.linspace(0.0, top, 60)
 
     def value(alpha):
-        result = steady_state(build_bogoliubov_dissipative(params.with_value("alpha", alpha)))
-        rep = squeezing_metrics(mechanical_block(result.covariance))
+        model = build_bogoliubov_dissipative(params.with_value("alpha", alpha))
+        cov = steady_state(model).covariance
+        rep = squeezing_metrics(mechanical_block(cov.entries, cov.basis))
         return rep.v_sq, rep.v_asq
 
     vals = [value(a) for a in grid]
@@ -268,9 +269,8 @@ def test_figs5_rows_equal_a_direct_loop():
     for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01)):
         for phi in (0.0, math.pi, 2.0 * math.pi):
             p = base.with_value("alpha", alpha).with_value("phi", phi)
-            rep = squeezing_metrics(
-                mechanical_block(steady_state(build_bogoliubov_dissipative(p)).covariance)
-            )
+            cov = steady_state(build_bogoliubov_dissipative(p)).covariance
+            rep = squeezing_metrics(mechanical_block(cov.entries, cov.basis))
             cycle = periodic_steady_state(build_full_modulated(p), math.pi / p.omega_x)
             v_full = float(vsq_trajectory(cycle).min())
             expected.append((name, phi, rep.v_sq, rep.v_asq, rep.eta, v_full))

@@ -10,7 +10,6 @@ from levisqueeze.gaussian import (
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
     drift_from_quadratic,
     lyapunov_residual,
@@ -79,16 +78,6 @@ def test_covariance_entries_are_read_only():
     v = CovarianceMatrix(MECH, np.eye(2))
     with pytest.raises(ValueError):
         v.entries[0, 0] = 2.0
-
-
-def test_covariance_block_extraction():
-    m = np.diag([1.0, 2.0, 3.0, 4.0])
-    m[0, 2] = m[2, 0] = 0.1
-    v = CovarianceMatrix(CAVITY_MECH, m)
-    block = v.block(("x", "p"))
-    assert np.array_equal(block.entries, np.diag([3.0, 4.0]))
-    with pytest.raises(BasisError):
-        v.block(("x", "q"))
 
 
 def test_vacuum_is_physical():
@@ -163,17 +152,23 @@ def test_lyapunov_residual_vanishes_at_fixed_point():
     assert np.max(np.abs(lyapunov_residual(a, v, n))) < 1e-14
 
 
+def test_lyapunov_residual_is_batched():
+    rng = np.random.default_rng(3)
+    a, v, n = (rng.normal(size=(5, 4, 4)) for _ in range(3))
+    stacked = lyapunov_residual(a, v, n)
+    for k in range(5):
+        assert np.array_equal(stacked[k], lyapunov_residual(a[k], v[k], n[k]))
+
+
 def test_constant_model_shape_guard():
     basis = MECH
     with pytest.raises(BasisError):
-        LinearGaussianModel.constant(
-            basis, np.eye(4), np.eye(4), ModelDescriptor("test"), 1.0
-        )
+        LinearGaussianModel.constant(basis, np.eye(4), np.eye(4), 1.0)
 
 
 def test_constant_model_evaluates_anywhere():
     basis = MECH
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    model = LinearGaussianModel.constant(basis, a, np.zeros((2, 2)), ModelDescriptor("test"), 1.0)
+    model = LinearGaussianModel.constant(basis, a, np.zeros((2, 2)), 1.0)
     assert model.is_time_independent
     assert np.array_equal(model.drift_at(0.0), model.drift_at(17.3))

@@ -19,7 +19,6 @@ from levisqueeze.gaussian import (
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
 )
 from levisqueeze.metrics import (
@@ -43,8 +42,8 @@ from levisqueeze.models import (
 )
 
 
-def mech(entries) -> CovarianceMatrix:
-    return CovarianceMatrix(MECH, np.asarray(entries, dtype=float))
+def mech(entries) -> np.ndarray:
+    return np.asarray(entries, dtype=float)
 
 
 def test_squeezed_diagonal_state():
@@ -75,25 +74,43 @@ def test_rotated_state_reports_rotation_angle():
 
 
 def test_squeezing_metrics_accepts_full_basis_and_rejects_raw_4x4():
-    full = CovarianceMatrix(CAVITY_MECH, np.diag([1.0, 1.0, 0.5, 2.0]))
-    report = squeezing_metrics(full)
+    # A full-basis covariance is read through its mechanical block; the
+    # metrics take 2x2 arrays only.
+    full = np.diag([1.0, 1.0, 0.5, 2.0])
+    report = squeezing_metrics(mechanical_block(full, CAVITY_MECH))
     assert report.v_sq == 0.5 and report.v_asq == 2.0
     with pytest.raises(ParameterError):
         squeezing_metrics(np.eye(4))
 
 
 def test_mechanical_block_extracts_and_passes_through():
-    m = np.diag([1.0, 1.0, 0.5, 2.0])
-    full = CovarianceMatrix(CAVITY_MECH, m)
-    assert np.array_equal(mechanical_block(full).entries, np.diag([0.5, 2.0]))
-    small = mech(np.diag([0.5, 2.0]))
-    assert mechanical_block(small) is small
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[0, 2] = m[2, 0] = 0.1
+    m[2, 3] = m[3, 2] = 0.2
+    assert np.array_equal(mechanical_block(m, CAVITY_MECH), [[3.0, 0.2], [0.2, 4.0]])
+    # The basis order decides which rows and columns are taken.
+    swapped = QuadratureBasis(("x", "p", "X", "Y"))
+    assert np.array_equal(mechanical_block(m, swapped), [[1.0, 0.0], [0.0, 2.0]])
+    small = mech([[0.5, 0.1], [0.1, 2.0]])
+    assert np.array_equal(mechanical_block(small, MECH), small)
+
+
+def test_mechanical_block_of_a_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, 4, 4))
+    blocks = mechanical_block(stack, CAVITY_MECH)
+    assert blocks.shape == (6, 2, 2)
+    for k in range(6):
+        assert np.array_equal(blocks[k], stack[k][2:, 2:])
+    small = rng.normal(size=(3, 2, 2))
+    assert np.array_equal(mechanical_block(small, MECH), small)
 
 
 def test_mechanical_block_needs_mechanical_labels():
-    odd = CovarianceMatrix(QuadratureBasis(("X", "Y")), np.eye(2))
+    with pytest.raises(BasisError, match="'x' not in basis"):
+        mechanical_block(np.eye(2), QuadratureBasis(("X", "Y")))
     with pytest.raises(BasisError):
-        mechanical_block(odd)
+        mechanical_block(np.eye(2), CAVITY_MECH)
 
 
 @settings(max_examples=60)
@@ -162,9 +179,7 @@ def test_optimize_over_time_finds_the_dip(detuned):
 
 def test_optimize_over_time_constant_run():
     v = mech(np.eye(2))
-    model = LinearGaussianModel.constant(
-        MECH, np.zeros((2, 2)), np.zeros((2, 2)), ModelDescriptor("idle"), 1.0
-    )
+    model = LinearGaussianModel.constant(MECH, np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
     result = evolve(model, v, 5.0)
     best = optimize_over_time(result)
     assert best.v_sq == pytest.approx(1.0)
@@ -200,7 +215,7 @@ def test_steady_sweep_marks_unstable_points(detuned):
         build_eliminated_detuned(p.with_value("lam", axis.values[0]))
     ).covariance
     assert table.points[0].report.v_sq == pytest.approx(
-        squeezing_metrics(mechanical_block(direct)).v_sq
+        squeezing_metrics(mechanical_block(direct.entries, direct.basis)).v_sq
     )
     assert table.points[2].report is None
     assert table.points[2].detail != ""
@@ -217,7 +232,8 @@ def _point_by_point(axis, build, params):
         except NumericalError as exc:
             out.append(("failed", str(exc), None))
         else:
-            out.append(("ok", "", squeezing_metrics(mechanical_block(result.covariance))))
+            cov = result.covariance
+            out.append(("ok", "", squeezing_metrics(mechanical_block(cov.entries, cov.basis))))
     return out
 
 
@@ -246,9 +262,7 @@ def test_steady_sweep_equals_a_point_by_point_loop(case, detuned, resonant):
 def _negative_noise_builder(bad_lams):
     def build(params):
         noise = np.diag([-4.0, 1.0]) if params.lam in bad_lams else 2.0 * np.eye(2)
-        return LinearGaussianModel.constant(
-            MECH, -np.eye(2), noise, ModelDescriptor("negative-noise"), 1.0
-        )
+        return LinearGaussianModel.constant(MECH, -np.eye(2), noise, 1.0)
 
     return build
 

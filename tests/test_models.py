@@ -104,8 +104,11 @@ def test_full_modulated_without_modulation_equals_static(detuned):
     static = build_full_cs(detuned)
     modulated = build_full_modulated(detuned)
     assert modulated.is_time_independent
+    assert modulated.basis == static.basis
+    assert modulated.fastest_rate == static.fastest_rate
     for t in (0.0, 0.3, 2.7):
-        assert np.allclose(modulated.drift_at(t), static.drift_at(t))
+        assert np.array_equal(modulated.drift_at(t), static.drift_at(t))
+        assert np.array_equal(modulated.diffusion_at(t), static.diffusion_at(t))
 
 
 def test_full_modulated_samples_the_drive(detuned):
@@ -285,9 +288,16 @@ def test_bogoliubov_coefficients_are_normalized(alpha):
     assert u**2 - v**2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_bogoliubov_coefficients_reject_strong_drive():
-    with pytest.raises(ParameterError):
-        bogoliubov_coefficients(2.0)
+def test_bogoliubov_coefficients_reject_strong_drive(resonant):
+    # The Bogoliubov helpers and the cooling builder share one depth check.
+    depth = r"modulation depth must be in \[0, 2\), got "
+    for alpha in (-0.1, 2.0):
+        with pytest.raises(ParameterError, match=depth + str(alpha)):
+            bogoliubov_coefficients(alpha)
+        with pytest.raises(ParameterError, match=depth + str(alpha)):
+            bogoliubov_ground_variance(alpha)
+    with pytest.raises(ParameterError, match=depth + "2.0"):
+        build_bogoliubov_dissipative(dataclasses.replace(resonant, alpha=2.0))
 
 
 def test_bogoliubov_ground_variance():

@@ -6,13 +6,12 @@ import pytest
 
 from levisqueeze import montecarlo
 from levisqueeze.dynamics import MAX_STORED, evolve
-from levisqueeze.errors import NumericalError, ParameterError
+from levisqueeze.errors import BasisError, NumericalError, ParameterError
 from levisqueeze.gaussian import (
     CAVITY_MECH,
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    ModelDescriptor,
     QuadratureBasis,
 )
 from levisqueeze.models import (
@@ -33,9 +32,7 @@ from levisqueeze.montecarlo import (
 
 def constant_model(a, n, rate=1.0) -> LinearGaussianModel:
     basis = MECH
-    return LinearGaussianModel.constant(
-        basis, np.asarray(a, float), np.asarray(n, float), ModelDescriptor("test"), rate
-    )
+    return LinearGaussianModel.constant(basis, np.asarray(a, float), np.asarray(n, float), rate)
 
 
 def vac() -> CovarianceMatrix:
@@ -77,8 +74,38 @@ def test_basis_mismatch():
     model = constant_model(-np.eye(2), 2 * np.eye(2))
     v0 = CovarianceMatrix(QuadratureBasis(("X", "Y")), np.eye(2))
     spec = EnsembleSpec(n_traj=100, t_end=0.5, dt=1e-3, seed=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(BasisError):
         simulate_ensemble(model, v0, spec)
+
+
+def test_evolve_and_ensemble_share_the_initial_covariance_check():
+    # Both accept the same plain array and refuse a foreign basis alike.
+    model = constant_model(-np.eye(2), 2 * np.eye(2))
+    spec = EnsembleSpec(n_traj=100, t_end=0.1, dt=1e-3, seed=0)
+    start = np.diag([3.0, 2.0])
+    assert evolve(model, start, 0.1).covariances[0].tolist() == start.tolist()
+    from_array = simulate_ensemble(model, start, spec)
+    from_matrix = simulate_ensemble(model, CovarianceMatrix(MECH, start), spec)
+    assert np.array_equal(from_array.covariances, from_matrix.covariances)
+    foreign = CovarianceMatrix(QuadratureBasis(("X", "Y")), start)
+    with pytest.raises(BasisError) as from_evolve:
+        evolve(model, foreign, 0.1)
+    with pytest.raises(BasisError) as from_ensemble:
+        simulate_ensemble(model, foreign, spec)
+    assert str(from_evolve.value) == str(from_ensemble.value)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, n_steps",
+    [(0.0014, 1e-3, 2), (1.0, 1e-3, 1000), (0.05, 1e-3, 50), (523 * 2e-3, 2e-3, 523),
+     (0.0005, 1e-3, 1), (0.0021, 1e-3, 3)],
+)
+def test_steps_never_exceed_the_requested_dt(t_end, dt, n_steps):
+    # t_end / dt is rounded up, as evolve does, so the step taken stays
+    # within the dt that simulate_ensemble checks against its limit.
+    spec = EnsembleSpec(n_traj=100, t_end=t_end, dt=dt, seed=0)
+    assert spec.n_steps == n_steps
+    assert spec.step <= dt
 
 
 def test_indefinite_diffusion_is_rejected():
@@ -210,7 +237,7 @@ def reference_ensemble(model, v0, spec):
     and covariances.
     """
     d = model.basis.dim
-    n_steps = max(1, int(round(spec.t_end / spec.dt)))
+    n_steps = max(1, math.ceil(spec.t_end / spec.dt - 1e-12))
     h = spec.t_end / n_steps
     marks = np.unique(np.linspace(0, n_steps, min(spec.n_checkpoints, n_steps + 1)).astype(int))
     streams = [
@@ -246,7 +273,7 @@ def random_stable_model(rng) -> LinearGaussianModel:
     assert np.max(np.linalg.eigvals(a).real) < 0.0
     b = rng.standard_normal((4, 4))
     return LinearGaussianModel.constant(
-        CAVITY_MECH, a, b @ b.T + 0.1 * np.eye(4), ModelDescriptor("random"), 1.0
+        CAVITY_MECH, a, b @ b.T + 0.1 * np.eye(4), 1.0
     )
 
 
@@ -323,7 +350,7 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
     if not time_dependent:
         model = LinearGaussianModel.constant(
             model.basis, model.drift_at(0.0), model.diffusion_at(0.0),
-            model.descriptor, model.fastest_rate,
+            model.fastest_rate,
         )
     spec = EnsembleSpec(n_traj=100, t_end=1.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
     v0 = initial_covariance(p, model.basis)
