@@ -4,11 +4,6 @@ import pytest
 from levisqueeze.models import SystemParams
 
 
-def pytest_configure(config) -> None:
-    # Deselect with `pytest -m "not slow"` for a fast local loop.
-    config.addinivalue_line("markers", "slow: runs for tens of seconds; the full tier-1 run keeps it")
-
-
 @pytest.fixture
 def detuned() -> SystemParams:
     """Far-detuned working point used throughout the transient studies."""

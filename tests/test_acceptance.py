@@ -258,17 +258,16 @@ def _worst(report, digits=2):
     return f"{report.max_z:.{digits}f} at t = {report.worst_time:g} in V[{i},{j}]"
 
 
-@pytest.mark.slow
 def test_c10_monte_carlo_cross_check():
     base = detuned_params()
     low_noise = dataclasses.replace(base, nbar=10.0)
     quiet = low_noise.with_value("q_m", 1e4)
 
-    full = _mc_case(build_full_cs(low_noise), low_noise, 15.0, 2.5e-4)
-    detuned_red = _mc_case(build_eliminated_detuned(quiet), quiet, 20.0, 1e-3)
+    full = _mc_case(build_full_cs(low_noise), low_noise, 15.0, 4e-3)
+    detuned_red = _mc_case(build_eliminated_detuned(quiet), quiet, 20.0, 1.6e-2)
     p_mod = dataclasses.replace(quiet, alpha=0.01, phi=math.pi / 2.0)
     modulated_red = _mc_case(
-        build_eliminated_modulated(p_mod, variant="bare-frame"), p_mod, 400.0, 0.05
+        build_eliminated_modulated(p_mod, variant="bare-frame"), p_mod, 400.0, 0.8
     )
 
     # Corrupted diffusion must be caught: simulate with 2N, compare against N.
@@ -280,7 +279,7 @@ def test_c10_monte_carlo_cross_check():
         good.fastest_rate,
     )
     v0 = initial_covariance(low_noise, good.basis)
-    spec = EnsembleSpec(n_traj=10000, t_end=5.0, dt=2.5e-4, seed=0)
+    spec = EnsembleSpec(n_traj=10000, t_end=5.0, dt=4e-3, seed=0)
     corrupted = compare(simulate_ensemble(bad, v0, spec), evolve(good, v0, 5.0))
 
     ok = (

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from levisqueeze import montecarlo
 from levisqueeze.dynamics import MAX_STORED, evolve
@@ -16,7 +17,9 @@ from levisqueeze.gaussian import (
 )
 from levisqueeze.models import (
     SystemParams,
+    build_eliminated_detuned,
     build_eliminated_modulated,
+    build_full_cs,
     build_full_modulated,
     initial_covariance,
 )
@@ -128,17 +131,19 @@ def test_seed_determinism():
 
 
 def test_zero_noise_rotation_conserves_energy_per_step():
-    # Euler-Maruyama on a pure rotation inflates the trace by exactly
-    # (1 + dt^2 w^2) per step, independent of the trajectory noise draw.
-    w, dt, t_end = 1.0, 2e-3, 2.0
+    # The order-2 map on a pure rotation, (1 - (hw)^2 / 2) I + hA, inflates
+    # the trace by exactly (1 + (hw)^4 / 4) per step, independent of the
+    # trajectory noise draw.  At the largest step the rate allows, 100 steps
+    # grow it by 6.4e-5, far above the tolerance below.
+    w, dt, t_end = 1.0, EM_RESOLUTION, 4.0
     a = np.array([[0.0, w], [-w, 0.0]])
     model = constant_model(a, np.zeros((2, 2)))
     spec = EnsembleSpec(n_traj=150, t_end=t_end, dt=dt, seed=7, n_checkpoints=5)
     result = simulate_ensemble(model, vac(), spec)
-    n_steps = round(t_end / dt)
+    assert spec.n_steps == 100
     # The sampled initial trace carries finite-ensemble scatter, but its
     # growth factor is exact.
-    expected = np.trace(result.covariances[0]) * (1.0 + (dt * w) ** 2) ** n_steps
+    expected = np.trace(result.covariances[0]) * (1.0 + (dt * w) ** 4 / 4.0) ** spec.n_steps
     assert np.trace(result.covariances[-1]) == pytest.approx(expected, rel=1e-9)
 
 
@@ -230,7 +235,7 @@ def test_statistical_error_shrinks_with_ensemble_size():
 
 
 def reference_ensemble(model, v0, spec):
-    """Plain per-step Euler-Maruyama on the same per-trajectory streams.
+    """The order-2 scheme one step at a time, on the same per-trajectory streams.
 
     Each stream draws its initial point, then all of its step noise in one
     block; the noise factor L is the module's.  Returns the checkpoint times
@@ -253,9 +258,12 @@ def reference_ensemble(model, v0, spec):
             times.append(n * h)
             covs.append(2.0 * (r.T @ r) / spec.n_traj)
         if n < n_steps:
-            a = model.drift_at(n * h)
-            l_mat = montecarlo._noise_matrix(model.diffusion_at(n * h))
-            r = r + h * (r @ a.T) + np.sqrt(h) * (xi[:, n] @ l_mat.T)
+            # A and L are sampled at the step's midpoint.
+            ha = h * model.drift_at((n + 0.5) * h)
+            l_mat = montecarlo._noise_matrix(model.diffusion_at((n + 0.5) * h))
+            ra = r @ ha.T
+            y = np.sqrt(h) * (xi[:, n] @ l_mat.T)
+            r = r + ra + 0.5 * (ra @ ha.T) + y + 0.5 * (y @ ha.T)
     return np.array(times), np.stack(covs)
 
 
@@ -277,7 +285,7 @@ def random_stable_model(rng) -> LinearGaussianModel:
     )
 
 
-def test_interval_maps_match_per_step_euler_on_a_constant_model(rng):
+def test_interval_maps_match_per_step_order2_on_a_constant_model(rng):
     # 523 steps and 7 checkpoints: intervals end mid-block and on block edges.
     model = random_stable_model(rng)
     c = rng.standard_normal((4, 4))
@@ -287,7 +295,7 @@ def test_interval_maps_match_per_step_euler_on_a_constant_model(rng):
     assert_matches_reference(model, v0, spec)
 
 
-def test_interval_maps_match_per_step_euler_on_a_modulated_model(detuned):
+def test_interval_maps_match_per_step_order2_on_a_modulated_model(detuned):
     p = dataclasses.replace(detuned, alpha=0.2)
     model = build_full_modulated(p)
     assert not model.is_time_independent
@@ -298,12 +306,13 @@ def test_interval_maps_match_per_step_euler_on_a_modulated_model(detuned):
 
 
 def test_growing_ensemble_reports_the_first_non_finite_checkpoint():
-    # Each step doubles the state, which overflows after about 1030 steps:
-    # finite at the checkpoint at step 1000, not at the one at step 1500.
+    # Each step multiplies the state by 1 + 1 + 1/2 = 2.5, which overflows
+    # after about 775 steps: finite at the checkpoint at step 500, not at the
+    # one at step 1000.
     model = constant_model(1000.0 * np.eye(2), 2.0 * np.eye(2))
     spec = EnsembleSpec(n_traj=100, t_end=2.0, dt=1e-3, seed=0, n_checkpoints=5)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match=r"^ensemble diverged at t = 1\.5$"):
+        with pytest.raises(NumericalError, match=r"^ensemble diverged at t = 1$"):
             simulate_ensemble(model, vac(), spec)
 
 
@@ -352,9 +361,92 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
             model.basis, model.drift_at(0.0), model.diffusion_at(0.0),
             model.fastest_rate,
         )
-    spec = EnsembleSpec(n_traj=100, t_end=1.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
+    # 1000 steps, so the noise comes in five full blocks.
+    spec = EnsembleSpec(n_traj=100, t_end=8.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
+    assert spec.n_steps == 1000
     v0 = initial_covariance(p, model.basis)
     drift_calls, draw_calls = count_work(monkeypatch, model, v0, spec)
     assert drift_calls <= (spec.n_steps + 1 if time_dependent else 1)
     assert _BLOCK == 200
     assert draw_calls == {1 + math.ceil(spec.n_steps / 200)}
+
+
+def scheme_covariances(model, v0, spec):
+    """Exact covariance of the ensemble at every step, without sampling.
+
+    Iterates the module's own step maps r -> r @ p + xi @ q as
+    V <- p^T V p + 2 q^T q, which is V <- P V P^T + h G N G^T.
+    """
+    h = spec.step
+    fixed = montecarlo._step_map(model, 0.5 * h, h) if model.is_time_independent else None
+    v = v0
+    path = [v]
+    for n in range(spec.n_steps):
+        p, q = fixed if fixed is not None else montecarlo._step_map(model, (n + 0.5) * h, h)
+        v = p.T @ v @ p + 2.0 * (q.T @ q)
+        path.append(v)
+    return np.stack(path)
+
+
+def exact_covariances(model, v0, spec):
+    """Lyapunov solution of a constant model at every step, by matrix exponential.
+
+    Van Loan's block exponential gives the step's propagator E and noise
+    integral Q, and V <- E V E^T + Q is exact at any step.
+    """
+    a, n = model.drift_at(0.0), model.diffusion_at(0.0)
+    d = a.shape[0]
+    block = np.block([[-a, n], [np.zeros((d, d)), a.T]])
+    f = scipy.linalg.expm(spec.step * block)
+    e, q = f[d:, d:].T, f[d:, d:].T @ f[:d, d:]
+    v = v0
+    path = [v]
+    for _ in range(spec.n_steps):
+        v = e @ v @ e.T + q
+        path.append(v)
+    return np.stack(path)
+
+
+def bias_case(name, detuned):
+    """(model, params, t_end) of the ensemble-check run, the C10 runs and the lab drive."""
+    low_noise = dataclasses.replace(detuned, nbar=10.0)
+    quiet = low_noise.with_value("q_m", 1e4)
+    p_mod = dataclasses.replace(quiet, alpha=0.01, phi=math.pi / 2.0)
+    p_lab = dataclasses.replace(low_noise, alpha=0.2)
+    return {
+        "ensemble-check": (build_full_cs(low_noise), low_noise, 1.0),
+        "full": (build_full_cs(low_noise), low_noise, 15.0),
+        "eliminated-detuned": (build_eliminated_detuned(quiet), quiet, 20.0),
+        "eliminated-modulated": (
+            build_eliminated_modulated(p_mod, variant="bare-frame"), p_mod, 400.0
+        ),
+        "full-modulated": (build_full_modulated(p_lab), p_lab, 2.0),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ensemble-check", "full", "eliminated-detuned", "eliminated-modulated", "full-modulated"],
+)
+def test_scheme_bias_at_the_default_step_is_below_a_quarter_standard_error(detuned, name):
+    # The ensemble's covariance obeys an exact recursion, so its bias needs
+    # no sampling.  At the default step it must stay far below the standard
+    # error of the largest ensemble allowed, at every step.
+    model, params, t_end = bias_case(name, detuned)
+    v0 = initial_covariance(params, model.basis).entries
+    spec = EnsembleSpec(
+        n_traj=MAX_TRAJ, t_end=t_end, dt=EM_RESOLUTION / model.fastest_rate, seed=0
+    )
+    got = scheme_covariances(model, v0, spec)
+    if model.is_time_independent:
+        want = exact_covariances(model, v0, spec)
+    else:
+        # A fine RK4 step on V; compare at the stored samples on the step grid.
+        reference = evolve(model, v0, t_end, dt=spec.step / 8)
+        k = np.rint(reference.times / spec.step).astype(int)
+        on_grid = np.abs(reference.times / spec.step - k) < 1e-9
+        assert on_grid.sum() > 100
+        got, want = got[k[on_grid]], reference.covariances[on_grid]
+    stderr = np.stack([montecarlo._stderr(v, MAX_TRAJ) for v in want])
+    worst = float(np.max(np.abs(got - want) / stderr))
+    assert worst < 0.25
