@@ -56,7 +56,6 @@ from .metrics import (
     mechanical_block,
     mechanical_trajectory,
     optimize_over_time,
-    rotate_covariance,
     squeezing_metrics,
     sweep,
     vsq_trajectory,
@@ -120,7 +119,6 @@ __all__ = [
     "mechanical_trajectory",
     "optimize_over_time",
     "periodic_steady_state",
-    "rotate_covariance",
     "simulate_ensemble",
     "squeezing_metrics",
     "stability",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import evolve, find_threshold, stability, steady_state
+from .dynamics import _default_dt, evolve, find_threshold, stability, steady_state
 from .errors import (
     BasisError,
     BracketError,
@@ -406,22 +406,18 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
     params = cfg.params()
     model = cfg.builder()(params)
     t_end = float(cfg.get("t_end", 15.0))
-    if cfg.get("dt") is not None:
-        dt = float(cfg.get("dt"))
-    elif model.fastest_rate > 0.0:
-        dt = EM_RESOLUTION / model.fastest_rate
-    else:
-        raise ConfigError("model advertises no intrinsic rate; set dt explicitly")
+    dt = cfg.get("dt")
     spec = EnsembleSpec(
         n_traj=int(cfg.get("n_traj", 10000)),
         t_end=t_end,
-        dt=dt,
+        dt=_default_dt(model, EM_RESOLUTION) if dt is None else float(dt),
         seed=int(cfg.get("seed", 0)),
         n_checkpoints=int(cfg.get("n_checkpoints", 25)),
     )
     v0 = initial_covariance(params, model.basis)
     ensemble = simulate_ensemble(model, v0, spec)
-    reference = evolve(model, v0, t_end)
+    # A model without a rate has no default step; its reference takes the ensemble's.
+    reference = evolve(model, v0, t_end, None if model.fastest_rate > 0.0 else spec.dt)
     report = compare(ensemble, reference)
     payload = {
         "passed": report.passed,

@@ -54,10 +54,8 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
-
-_STABILITY_REFUSAL = (
-    "stability needs a time-independent model; use periodic_steady_state for a periodic drive"
-)
+#: Bisection steps of find_threshold before it stops short of its tolerance.
+MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -115,51 +113,68 @@ class PeriodicSteadyState:
     residual_norm: float
 
 
-def stability(model: LinearGaussianModel) -> StabilityReport:
-    """Classify a constant drift: stable iff all Re(eig) < 0.
+def _constant_drifts(models: list[LinearGaussianModel]) -> NDArray[np.float64]:
+    """Drifts of constant models, stacked (k, d, d).
 
-    The instantaneous drift says nothing about a time-periodic model, so
-    those are refused; periodic_steady_state judges them by their Floquet
-    multipliers.
+    The instantaneous drift says nothing about a time-periodic model, so a
+    time-dependent model raises ParameterError; periodic_steady_state judges
+    those by their Floquet multipliers.
     """
-    if not model.is_time_independent:
-        raise ParameterError(_STABILITY_REFUSAL)
-    eig = np.linalg.eigvals(model.drift_at(0.0))
-    max_re = float(np.max(eig.real))
-    return StabilityReport(eigenvalues=eig, max_real_part=max_re, stable=max_re < 0.0)
+    if not all(model.is_time_independent for model in models):
+        raise ParameterError(
+            "stability and steady-state verdicts need a time-independent model; "
+            "use periodic_steady_state for a periodic drive"
+        )
+    return np.array([np.asarray(model.drift_at(0.0), dtype=float) for model in models])
 
 
 def _constant_parts(
     models: list[LinearGaussianModel],
-    refusal: str = "steady state requires a time-independent model",
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Drifts and diffusions of constant models, stacked (k, d, d).
 
-    A time-dependent model raises ParameterError with the refusal message.
+    A time-dependent model is refused as by _constant_drifts.
     """
-    if not all(model.is_time_independent for model in models):
-        raise ParameterError(refusal)
-    drifts = np.stack([np.asarray(model.drift_at(0.0), dtype=float) for model in models])
-    noises = np.stack([np.asarray(model.diffusion_at(0.0), dtype=float) for model in models])
+    drifts = _constant_drifts(models)
+    noises = np.array([np.asarray(model.diffusion_at(0.0), dtype=float) for model in models])
     return drifts, noises
 
 
-def _spectra(drifts: NDArray[np.float64]) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
-    """Eigenvalues of stacked drifts (k, d, d), from one call, and each one's largest real part."""
+def _spectra(
+    drifts: NDArray[np.float64],
+) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.bool_]]:
+    """Eigenvalues of drifts (..., d, d) from one eigvals call, with each drift's verdict.
+
+    Returns the eigenvalues, each drift's largest real part, and whether it
+    is stable: iff all Re(eig) < 0.
+    """
     eig = np.linalg.eigvals(drifts)
-    return eig, np.max(eig.real, axis=-1)
+    max_re = np.max(eig.real, axis=-1)
+    return eig, max_re, max_re < 0.0
+
+
+def stability(model: LinearGaussianModel) -> StabilityReport:
+    """Classify a constant drift by its spectrum; periodic models are refused."""
+    eig, max_re, stable = _spectra(_constant_drifts([model])[0])
+    return StabilityReport(eigenvalues=eig, max_real_part=float(max_re), stable=bool(stable))
 
 
 def _stable_points(models: list[LinearGaussianModel]) -> NDArray[np.bool_]:
     """stability(model).stable of each model, judged by one batched eigvals."""
-    drifts, _ = _constant_parts(models, _STABILITY_REFUSAL)
-    return _spectra(drifts)[1] < 0.0
+    return _spectra(_constant_drifts(models))[2]
 
 
-def _default_dt(model: LinearGaussianModel) -> float:
+def _default_dt(model: LinearGaussianModel, resolution: float = DT_RESOLUTION) -> float:
+    """Default step: resolution over the model's fastest rate; a model without one raises."""
     if model.fastest_rate <= 0.0:
         raise ParameterError("model advertises no intrinsic rate; pass dt explicitly")
-    return DT_RESOLUTION / model.fastest_rate
+    return resolution / model.fastest_rate
+
+
+def _step_grid(span: float, dt: float) -> tuple[int, float]:
+    """Fewest equal steps of at most dt that land exactly on span: their count and length."""
+    n_steps = max(1, math.ceil(span / dt - 1e-12))
+    return n_steps, span / n_steps
 
 
 def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -386,8 +401,7 @@ def evolve(
     if dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {dt}")
 
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    h = t_end / n_steps
+    n_steps, h = _step_grid(t_end, dt)
     # Leave room for both endpoints so the stored count never exceeds the cap.
     stride = max(1, math.ceil(n_steps / (MAX_STORED - 2)))
 
@@ -437,13 +451,13 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
     check but has a non-positive diagonal raises CovarianceError.
     """
     d = drifts.shape[-1]
-    eig, max_re = _spectra(drifts)
-    stable = np.flatnonzero(max_re < 0.0)
+    eig, max_re, verdicts = _spectra(drifts)
+    stable = np.flatnonzero(verdicts)
     errors: list[Exception | None] = [
         None
-        if re < 0.0
+        if ok
         else UnstableModelError(f"drift has max Re(eig) = {re:.3e} >= 0; no steady state")
-        for re in max_re.tolist()
+        for ok, re in zip(verdicts.tolist(), max_re.tolist())
     ]
     a, n = drifts[stable], noises[stable]
     gens, rhs = _generator(a), -n.reshape(len(stable), d * d, 1)
@@ -522,8 +536,7 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     """
     if period <= 0.0:
         raise ParameterError(f"period must be positive, got {period}")
-    n_steps = max(1, math.ceil(period / _default_dt(model) - 1e-12))
-    h = period / n_steps
+    n_steps, h = _step_grid(period, _default_dt(model))
     d = model.basis.dim
 
     # The period map on (vec V, 1) is [[homogeneous map, offset], [0, 1]];
@@ -571,19 +584,14 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     )
 
 
-def find_threshold(
-    model_family,
-    bracket: tuple[float, float],
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> float:
+def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6) -> float:
     """Bisect the stability boundary of a one-parameter model family.
 
     model_family maps a scalar to a LinearGaussianModel; the bracket must
     contain exactly one change of the stability verdict.  Marginal spectra
     (max Re(eig) = 0) count as unstable, so the returned point is the lower
-    edge of instability up to tol.  Time-periodic families are refused, as
-    by stability.
+    edge of instability up to tol, or wherever MAX_BISECTIONS steps end.
+    Time-periodic families are refused, as by stability.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -597,7 +605,7 @@ def find_threshold(
         raise BracketError(
             f"bracket endpoints {bracket} are both {'stable' if s_lo else 'unstable'}"
         )
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

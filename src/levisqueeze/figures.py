@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import _stable_points, evolve, find_threshold, periodic_steady_state
-from .errors import ConfigError, NumericalError, ParameterError, UnstableModelError
+from .errors import ConfigError, ParameterError, UnstableModelError
 from .gaussian import LinearGaussianModel
 from .metrics import (
     TRAJECTORY_COLUMNS,
@@ -44,6 +44,10 @@ from .models import (
 #: Overridable run controls understood by every recipe in addition to the
 #: SystemParams fields and q_m.
 RUN_KEYS = ("t_end", "dt", "points")
+#: Largest modulation depth searched for the cooling model's instability.
+ALPHA_MAX = 1.95
+#: Tolerance to which that instability onset is bisected.
+ONSET_TOL = 1e-5
 
 
 def detuned_params() -> SystemParams:
@@ -99,9 +103,7 @@ def _cycle_min_vsq(params: SystemParams) -> float | None:
     return float(vsq_trajectory(cycle).min())
 
 
-def modulation_instability(
-    params: SystemParams, alpha_max: float = 1.95, tol: float = 1e-5
-) -> float | None:
+def modulation_instability(params: SystemParams, alpha_max: float = ALPHA_MAX) -> float | None:
     """Smallest unstable modulation depth of the cooling model, if any."""
 
     def family(alpha: float) -> LinearGaussianModel:
@@ -113,24 +115,19 @@ def modulation_instability(
         raise ParameterError("cooling model already unstable at zero modulation")
     for lo, hi, s_lo, s_hi in zip(grid, grid[1:], verdicts, verdicts[1:]):
         if s_lo and not s_hi:
-            return find_threshold(family, (lo, hi), tol=tol)
+            return find_threshold(family, (lo, hi), tol=ONSET_TOL)
     return None
 
 
-def optimize_modulation(
-    params: SystemParams,
-    alpha_max: float = 1.95,
-    grid_points: int = 60,
-    tol: float = 1e-5,
-) -> ModulationOptimum:
+def optimize_modulation(params: SystemParams) -> ModulationOptimum:
     """Minimize the steady squeezed variance over the modulation depth.
 
-    The stable branch below the instability (or the whole [0, alpha_max]
-    range when none exists) is scanned on a uniform grid; the discrete
-    minimum is polished with one parabolic step evaluated exactly.  A minimum
-    on the first or last depth is reported with at_edge set.
+    The stable branch below the instability (or the whole [0, ALPHA_MAX]
+    range when none exists) is scanned on a uniform grid of 60 depths; the
+    discrete minimum is polished with one parabolic step evaluated exactly.
+    A minimum on the first or last depth is reported with at_edge set.
     """
-    alpha_crit, axis = _depth_axis(params, grid_points, alpha_max, tol)
+    alpha_crit, axis = _depth_axis(params, 60)
 
     def scan(axis: SweepAxis) -> list:
         table = sweep(axis, build_bogoliubov_dissipative, params, "steady")
@@ -155,12 +152,10 @@ def optimize_modulation(
     )
 
 
-def _depth_axis(
-    params: SystemParams, points: int, alpha_max: float = 1.95, tol: float = 1e-5
-) -> tuple[float | None, SweepAxis]:
+def _depth_axis(params: SystemParams, points: int) -> tuple[float | None, SweepAxis]:
     """Instability onset of the cooling model and the depth grid just below it."""
-    alpha_crit = modulation_instability(params, alpha_max, tol)
-    top = alpha_max if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
+    alpha_crit = modulation_instability(params)
+    top = ALPHA_MAX if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
     return alpha_crit, SweepAxis.linear("alpha", 0.0, top, points)
 
 
@@ -197,12 +192,10 @@ def _traj_rows(result, prefix: tuple = ()) -> list[tuple]:
 
 
 def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
-    """The points of a sweep; the first point that is not ok raises again."""
+    """The points of a sweep; the error of the first failed point is raised again."""
     for point in table.points:
-        if point.status == "unstable":
-            raise UnstableModelError(point.detail)
-        if point.status == "failed":
-            raise NumericalError(point.detail)
+        if point.error is not None:
+            raise point.error
     return table.points
 
 

@@ -84,22 +84,6 @@ def squeezing_metrics(v: NDArray[np.float64], time: float | None = None) -> Sque
     return _squeezing_reports(m[None], time)[0]
 
 
-def rotate_covariance(v: NDArray[np.float64], theta: float) -> NDArray[np.float64]:
-    """Rotate a 2x2 covariance by angle theta in the (x, p) plane.
-
-    With theta = omega_x * t this undoes free phase-space precession, so a
-    lab-frame trajectory can be read off in the co-rotating frame where
-    squeezing along a fixed quadrature is visible.  The spectrum, and hence
-    v_sq and v_asq, is unchanged.
-    """
-    m = np.asarray(v, dtype=float)
-    if m.shape != (2, 2):
-        raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, s], [-s, c]])
-    return r @ m @ r.T
-
-
 #: Columns of :func:`mechanical_trajectory`.
 TRAJECTORY_COLUMNS = ("t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta")
 
@@ -194,11 +178,19 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One point of a sweep: its report, or the exception its solve raised."""
+
     value: float
     params: SystemParams
-    status: str  # "ok", "unstable" or "failed"
     report: SqueezingReport | None
-    detail: str = ""
+    error: Exception | None = None
+
+    @property
+    def status(self) -> str:
+        """The outcome: ok, unstable (no steady state) or failed (any other solver error)."""
+        if self.error is None:
+            return "ok"
+        return "unstable" if isinstance(self.error, UnstableModelError) else "failed"
 
 
 @dataclass(frozen=True)
@@ -213,14 +205,10 @@ def _steady_points(build, params: list[SystemParams], values: Sequence[float]) -
     models = [build(p) for p in params]
     stack = _steady_states(*_constant_parts(models))
     reports = iter(_squeezing_reports(mechanical_block(stack.covariances, models[0].basis)))
-    points = []
-    for value, p, error in zip(values, params, stack.errors):
-        if error is None:
-            points.append(SweepPoint(value, p, "ok", next(reports)))
-        else:
-            status = "unstable" if isinstance(error, UnstableModelError) else "failed"
-            points.append(SweepPoint(value, p, status, None, str(error)))
-    return points
+    return [
+        SweepPoint(value, p, next(reports) if error is None else None, error)
+        for value, p, error in zip(values, params, stack.errors)
+    ]
 
 
 def _transient_point(
@@ -229,9 +217,9 @@ def _transient_point(
     model = build(params)
     try:
         result = evolve(model, initial_covariance(params, model.basis), t_end, dt)
-        return SweepPoint(value, params, "ok", optimize_over_time(result))
+        return SweepPoint(value, params, optimize_over_time(result))
     except (NumericalError, IntegrationError) as exc:
-        return SweepPoint(value, params, "failed", None, str(exc))
+        return SweepPoint(value, params, None, exc)
 
 
 def sweep(

@@ -31,13 +31,12 @@ the covariance solvers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MAX_STORED, EvolutionResult
+from .dynamics import MAX_STORED, EvolutionResult, _default_dt, _step_grid
 from .errors import NumericalError, ParameterError
 from .gaussian import CovarianceMatrix, LinearGaussianModel, _entries_in
 
@@ -79,12 +78,12 @@ class EnsembleSpec:
     @property
     def n_steps(self) -> int:
         """Steps taken: t_end / dt rounded up, as evolve does, so no step exceeds dt."""
-        return max(1, math.ceil(self.t_end / self.dt - 1e-12))
+        return _step_grid(self.t_end, self.dt)[0]
 
     @property
     def step(self) -> float:
         """Step actually taken, trimmed so the grid lands on t_end."""
-        return self.t_end / self.n_steps
+        return _step_grid(self.t_end, self.dt)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +197,9 @@ def simulate_ensemble(
     spaced step indices including t = 0 and t_end.
     """
     start = _entries_in(model.basis, v0)
-    if model.fastest_rate > 0.0 and spec.dt > EM_RESOLUTION / model.fastest_rate:
+    if model.fastest_rate > 0.0 and spec.dt > (limit := _default_dt(model, EM_RESOLUTION)):
         raise ParameterError(
-            f"dt = {spec.dt:g} too coarse for rate {model.fastest_rate:g}; "
-            f"need dt <= {EM_RESOLUTION / model.fastest_rate:g}"
+            f"dt = {spec.dt:g} too coarse for rate {model.fastest_rate:g}; need dt <= {limit:g}"
         )
     d = model.basis.dim
     n_steps, h = spec.n_steps, spec.step

@@ -351,6 +351,29 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     assert (tmp_path / "mc.json").read_bytes() == first
 
 
+def test_mc_validate_gives_its_step_to_the_reference_of_a_model_without_a_rate(
+    tmp_path, monkeypatch, capsys
+):
+    # The rotating-frame model advertises no rate, so neither run has a
+    # default step; the reference must take the dt that the ensemble takes.
+    monkeypatch.chdir(tmp_path)
+    argv = ["mc-validate", "--set", "model=eliminated-modulated", "--set", "delta=5",
+            "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "dt=0.01", "--set", "t_end=1",
+            "--set", "n_traj=100", "--out", "mc.json", "--format", "json"]
+    assert main(argv) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "mc.json").read_text())
+    assert report["passed"] is True
+    prov = json.loads((tmp_path / "mc.sidecar.json").read_text())["_provenance"]
+    assert prov["n_steps"] == prov["reference_stats"]["n_steps"] == 100
+
+
+def test_mc_validate_needs_a_dt_for_a_model_without_a_rate(capsys):
+    argv = ["mc-validate", "--set", "model=eliminated-modulated", "--set", "delta=5",
+            "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "t_end=1", "--set", "n_traj=100"]
+    assert main(argv) == 2
+    assert "pass dt explicitly" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -14,6 +14,7 @@ from levisqueeze.dynamics import (
     _constant_parts,
     _generator,
     _halved_maps,
+    _stable_points,
     _steady_states,
     evolve,
     find_threshold,
@@ -480,6 +481,18 @@ def test_stability_refuses_periodic_models(resonant):
         find_threshold(
             lambda a: build_full_modulated(dataclasses.replace(resonant, alpha=a)), (0.1, 1.2)
         )
+
+
+def test_stability_verdicts_read_no_diffusion(detuned):
+    # A verdict needs the drift only; a diffusion that cannot be built must
+    # not stop it.
+    def no_diffusion(t):
+        raise AssertionError("diffusion_at called")
+
+    built = [build_full_cs(detuned.with_value("lam", lam)) for lam in (0.3, 3.0)]
+    models = [dataclasses.replace(model, diffusion_at=no_diffusion) for model in built]
+    assert _stable_points(models).tolist() == [True, False]
+    assert [stability(model).stable for model in models] == [True, False]
 
 
 def test_stability_at_threshold_is_marginal(detuned):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levisqueeze.dynamics import evolve, periodic_steady_state, steady_state
-from levisqueeze.errors import ConfigError
+from levisqueeze.errors import ConfigError, IntegrationError
 from levisqueeze.figures import (
     FIGURES,
     FigureJob,
@@ -253,6 +253,13 @@ def test_fig3d_rows_equal_a_direct_loop():
         rep = _best_transient(build_eliminated_modulated, base.with_value("phi", phi), 600.0)
         expected.append((phi, rep.v_sq, rep.time))
     assert data.rows == tuple(expected)
+
+
+def test_fig3d_raises_the_error_of_its_failed_point():
+    # Two steps of 50 fail the step-halving check; the figure raises that
+    # IntegrationError itself, not another exception made from its message.
+    with pytest.raises(IntegrationError, match="step-halving error"):
+        run_figure(FigureJob("fig3d", {"points": 2, "t_end": 100.0, "dt": 50.0}))
 
 
 def test_fig3d_counts_optima_on_the_window_edge():

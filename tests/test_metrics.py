@@ -10,6 +10,7 @@ from levisqueeze.dynamics import evolve, steady_state
 from levisqueeze.errors import (
     BasisError,
     CovarianceError,
+    IntegrationError,
     NumericalError,
     ParameterError,
     UnstableModelError,
@@ -24,10 +25,10 @@ from levisqueeze.gaussian import (
 from levisqueeze.metrics import (
     TRAJECTORY_COLUMNS,
     SweepAxis,
+    SweepPoint,
     mechanical_block,
     mechanical_trajectory,
     optimize_over_time,
-    rotate_covariance,
     squeezing_metrics,
     sweep,
     vsq_trajectory,
@@ -111,16 +112,6 @@ def test_mechanical_block_needs_mechanical_labels():
         mechanical_block(np.eye(2), QuadratureBasis(("X", "Y")))
     with pytest.raises(BasisError):
         mechanical_block(np.eye(2), CAVITY_MECH)
-
-
-@settings(max_examples=60)
-@given(st.floats(-3.0, 3.0), st.floats(0.1, 3.0), st.floats(0.5, 4.0))
-def test_rotation_leaves_eigenvariances_alone(theta, a, scale):
-    v = mech(np.diag([a, a * scale + 0.1]))
-    before = squeezing_metrics(v)
-    after = squeezing_metrics(rotate_covariance(v, theta))
-    assert after.v_sq == pytest.approx(before.v_sq, rel=1e-10)
-    assert after.v_asq == pytest.approx(before.v_asq, rel=1e-10)
 
 
 @settings(max_examples=60)
@@ -218,11 +209,11 @@ def test_steady_sweep_marks_unstable_points(detuned):
         squeezing_metrics(mechanical_block(direct.entries, direct.basis)).v_sq
     )
     assert table.points[2].report is None
-    assert table.points[2].detail != ""
+    assert str(table.points[2].error) != ""
 
 
 def _point_by_point(axis, build, params):
-    """Status, detail and report of each steady point, one steady_state at a time."""
+    """Status, error message and report of each steady point, one steady_state at a time."""
     out = []
     for value in axis.values:
         try:
@@ -254,9 +245,26 @@ def test_steady_sweep_equals_a_point_by_point_loop(case, detuned, resonant):
     axis = SweepAxis(name, tuple(float(v) for v in values))
     table = sweep(axis, build, params, "steady")
     expected = _point_by_point(axis, build, params)
-    got = [(pt.status, pt.detail, pt.report) for pt in table.points]
+    got = [
+        (pt.status, "" if pt.error is None else str(pt.error), pt.report) for pt in table.points
+    ]
     assert {status for status, _, _ in got} == {"ok", "unstable"}
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "error, status",
+    [
+        (None, "ok"),
+        (UnstableModelError("no steady state"), "unstable"),
+        (NumericalError("singular"), "failed"),
+        (IntegrationError("step too coarse"), "failed"),
+    ],
+)
+def test_sweep_point_status_follows_its_error(error, status, detuned):
+    point = SweepPoint(0.3, detuned, None, error)
+    assert point.status == status
+    assert point.error is error
 
 
 def _negative_noise_builder(bad_lams):
