@@ -55,7 +55,7 @@ from .models import (
     builder_for,
     initial_covariance,
 )
-from .montecarlo import EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
+from .montecarlo import _CHUNK, EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
 
 PARAM_KEYS = (
     "omega_x",
@@ -435,7 +435,9 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
         "command": "mc-validate",
         "n_steps": spec.n_steps,
         "dt": spec.step,
-        "normals_drawn": spec.n_traj * model.basis.dim * (spec.n_steps + 1),
+        # Each stream draws a full chunk, padding included.
+        "streams": spec.n_streams,
+        "normals_drawn": spec.n_streams * _CHUNK * model.basis.dim * (spec.n_steps + 1),
         "reference_stats": asdict(reference.stats),
     }
     write_report(out, payload, cfg, provenance)

@@ -153,9 +153,18 @@ def optimize_modulation(params: SystemParams) -> ModulationOptimum:
 
 
 def _depth_axis(params: SystemParams, points: int) -> tuple[float | None, SweepAxis]:
-    """Instability onset of the cooling model and the depth grid just below it."""
+    """Instability onset of the cooling model and the depth grid just below it.
+
+    The onset is the midpoint of a final bracket at most ONSET_TOL wide, so it
+    may lie ONSET_TOL / 2 above the bracket's stable end.  The grid stops a
+    relative 1e-3 or a full ONSET_TOL below the onset, whichever is lower,
+    and so below that stable end; it never goes below the stable depth 0.
+    """
     alpha_crit = modulation_instability(params)
-    top = ALPHA_MAX if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
+    if alpha_crit is None:
+        top = ALPHA_MAX
+    else:
+        top = max(0.0, min(alpha_crit * (1.0 - 1e-3), alpha_crit - ONSET_TOL))
     return alpha_crit, SweepAxis.linear("alpha", 0.0, top, points)
 
 

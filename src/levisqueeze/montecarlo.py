@@ -8,9 +8,15 @@ order-2 scheme on trajectories versus Runge-Kutta on V), so agreement
 certifies drift and diffusion normalizations rather than repeating the same
 arithmetic.
 
-Each trajectory draws from its own counter-keyed random stream derived from
-(seed, trajectory index), so results are independent of batching and of the
-ensemble size used for the remaining trajectories.
+Trajectories come in chunks of _CHUNK = 100, each with one counter-keyed
+Philox stream: chunk c takes child c of SeedSequence(seed) and holds
+trajectories 100 c to 100 c + 99.  A chunk draws its initial points as one
+(_CHUNK, d) array, then its step noise step-major, as (steps, _CHUNK, d)
+per noise block, so the values do not depend on the block size.  A partial
+last chunk is drawn in full and trimmed.  Trajectory i's path therefore
+depends only on (seed, i), not on the ensemble size or the blocking.
+Building one stream per chunk rather than per trajectory keeps the stream
+set-up a small share of the run.
 
 Each step is the simplified weak order-2 scheme for linear drift and
 additive noise (Kloeden & Platen 1992, ch. 14),
@@ -49,6 +55,8 @@ Z_LIMIT = 5.0
 MAX_TRAJ = 100_000
 #: Steps per block of pre-drawn noise (fixes memory, not the statistics).
 _BLOCK = 200
+#: Trajectories per random stream: the smallest ensemble allowed.
+_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,11 @@ class EnsembleSpec:
     def n_steps(self) -> int:
         """Steps taken: t_end / dt rounded up, as evolve does, so no step exceeds dt."""
         return _step_grid(self.t_end, self.dt)[0]
+
+    @property
+    def n_streams(self) -> int:
+        """Random streams built: one per chunk of _CHUNK trajectories, the last padded."""
+        return -(-self.n_traj // _CHUNK)
 
     @property
     def step(self) -> float:
@@ -139,11 +152,14 @@ def _stderr(v_hat: NDArray[np.float64], n_traj: int) -> NDArray[np.float64]:
     return np.sqrt((np.outer(d, d) + v_hat**2) / n_traj)
 
 
-def _streams(seed: int, n_traj: int) -> list[np.random.Generator]:
-    """One counter-keyed Philox stream per trajectory, spawned from the seed."""
+def _streams(seed: int, n_streams: int) -> list[np.random.Generator]:
+    """Counter-keyed Philox streams, stream c keyed by child c of SeedSequence(seed).
+
+    Stream c feeds the chunk of trajectories c _CHUNK to (c + 1) _CHUNK - 1.
+    """
     return [
         np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(seed).spawn(n_traj)
+        for child in np.random.SeedSequence(seed).spawn(n_streams)
     ]
 
 
@@ -169,8 +185,8 @@ def _interval_maps(
 
     steps holds the (p, q) of _step_map for each step in order.
     Returns the transfer p_0 ... p_{k-1} and the gains q_j p_{j+1} ... p_{k-1}
-    stacked to (k d, d), so that the end state is
-    r @ transfer + (xi_0, ..., xi_{k-1}) @ gains.
+    stacked to (k, d, d), so that the end state is
+    r @ transfer + sum_j xi_j @ gains[j].
     """
     d = steps[0][0].shape[0]
     gains = np.empty((len(steps), d, d))
@@ -179,7 +195,7 @@ def _interval_maps(
         p, q = steps[j]
         gains[j] = q @ transfer
         transfer = p @ transfer
-    return transfer, gains.reshape(-1, d)
+    return transfer, gains
 
 
 def simulate_ensemble(
@@ -190,11 +206,14 @@ def simulate_ensemble(
     """Weak order-2 ensemble of the model's classical Langevin equation.
 
     Initial points are drawn from the Gaussian with covariance v0; noise is
-    drawn in blocks of up to _BLOCK steps from per-trajectory streams.  The
-    steps between consecutive stops (checkpoints and block edges) are
-    composed into one transfer map and one stacked noise gain, so the whole
-    ensemble advances by two matrix products per interval.  Checkpoints are evenly
-    spaced step indices including t = 0 and t_end.
+    drawn in blocks of up to _BLOCK steps from one stream per chunk of
+    _CHUNK trajectories.  The padding of a partial last chunk is stepped but
+    left out of every estimate and of the finiteness check.  The steps
+    between consecutive stops (checkpoints and block edges) are composed
+    into one transfer map and one stacked noise gain, so the whole ensemble
+    advances by one transfer product per interval plus one d x d noise
+    product per step, which reads the noise block in place.  Checkpoints are
+    evenly spaced step indices including t = 0 and t_end.
     """
     start = _entries_in(model.basis, v0)
     if model.fastest_rate > 0.0 and spec.dt > (limit := _default_dt(model, EM_RESOLUTION)):
@@ -207,12 +226,13 @@ def simulate_ensemble(
     n_marks = min(spec.n_checkpoints, n_steps + 1)
     checkpoints = np.unique(np.linspace(0, n_steps, n_marks).astype(int))
 
-    streams = _streams(spec.seed, spec.n_traj)
+    streams = _streams(spec.seed, spec.n_streams)
     try:
         l0 = np.linalg.cholesky(0.5 * start)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"initial covariance is not positive definite: {exc}") from exc
-    noise = np.empty((spec.n_traj, min(_BLOCK, n_steps), d))
+    # Stream c fills noise[c], step-major; r is (chunk, trajectory, coordinate).
+    noise = np.empty((len(streams), min(_BLOCK, n_steps), _CHUNK, d))
     for g, out in zip(streams, noise[:, 0]):
         g.standard_normal(out=out)
     r = noise[:, 0] @ l0.T
@@ -223,7 +243,7 @@ def simulate_ensemble(
     marks = set(checkpoints.tolist())
     stops = sorted(marks | set(range(0, n_steps, _BLOCK)) | {n_steps})
     times = [0.0]
-    covs = [_sample_covariance(r)]
+    covs = [_sample_covariance(r.reshape(-1, d)[: spec.n_traj])]
     for lo, hi in zip(stops[:-1], stops[1:]):
         start = lo - lo % _BLOCK
         if lo == start:
@@ -235,12 +255,15 @@ def simulate_ensemble(
         else:
             steps = [fixed] * (hi - lo)
         transfer, gains = _interval_maps(steps)
-        r = r @ transfer + noise[:, lo - start : hi - start].reshape(spec.n_traj, -1) @ gains
+        r = r @ transfer
+        for xi, gain in zip(noise[:, lo - start : hi - start].swapaxes(0, 1), gains):
+            r += xi @ gain
         if hi in marks:
-            if not np.all(np.isfinite(r)):
+            live = r.reshape(-1, d)[: spec.n_traj]
+            if not np.all(np.isfinite(live)):
                 raise NumericalError(f"ensemble diverged at t = {hi * h:g}")
             times.append(hi * h)
-            covs.append(_sample_covariance(r))
+            covs.append(_sample_covariance(live))
 
     t_arr = np.array(times)
     v_arr = np.stack(covs)

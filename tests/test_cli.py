@@ -321,9 +321,9 @@ def test_mc_validate_rejects_huge_checkpoint_counts(tmp_path, monkeypatch, capsy
 
 
 def test_mc_validate_rejects_more_trajectories_than_the_cap(tmp_path, monkeypatch, capsys):
-    # 2e9 streams would take hours and exhaust memory; the spec must refuse
-    # before the first one is built.
-    def no_streams(seed, n_traj):
+    # 2e9 trajectories would need 2e7 streams and terabytes of noise; the
+    # spec must refuse an ensemble above the cap before any stream is built.
+    def no_streams(seed, n_streams):
         raise AssertionError("streams built for a rejected ensemble")
 
     monkeypatch.chdir(tmp_path)
@@ -344,11 +344,18 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     n_steps = round(2.0 / report["dt"])
     assert prov["n_steps"] == n_steps
     assert prov["dt"] == 2.0 / n_steps
+    assert prov["streams"] == 2
     assert prov["normals_drawn"] == 200 * 2 * (n_steps + 1)
     assert prov["reference_stats"]["n_steps"] > 0
     first = (tmp_path / "mc.json").read_bytes()
     assert main(["mc-validate", "--config", "mc.sidecar.json"]) == 0
     assert (tmp_path / "mc.json").read_bytes() == first
+    # 250 trajectories are drawn by three streams of 100, the last one cut.
+    args = ["mc-validate", *MODEL, "--set", "n_traj=250", "--set", "t_end=0.1"]
+    assert main([*args, "--out", "padded.json", "--format", "json"]) == 0
+    prov = json.loads((tmp_path / "padded.sidecar.json").read_text())["_provenance"]
+    assert prov["streams"] == 3
+    assert prov["normals_drawn"] == 300 * 2 * (prov["n_steps"] + 1)
 
 
 def test_mc_validate_gives_its_step_to_the_reference_of_a_model_without_a_rate(

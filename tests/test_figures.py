@@ -7,6 +7,7 @@ from levisqueeze.dynamics import evolve, periodic_steady_state, steady_state
 from levisqueeze.errors import ConfigError, IntegrationError
 from levisqueeze.figures import (
     FIGURES,
+    ONSET_TOL,
     FigureJob,
     detuned_params,
     modulation_instability,
@@ -185,6 +186,22 @@ def test_optimize_modulation_flags_an_edge_optimum():
     interior = optimize_modulation(resonant_params().with_value("lam", 2.0).with_value("kappa", 2.0))
     assert not interior.at_edge
     assert interior.alpha_opt < interior.alpha_crit * (1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("kappa", [6.9e-4, 1.6e-4])
+def test_depth_grid_of_a_small_onset_stays_stable(kappa):
+    # The onset is found to ONSET_TOL = 1e-5; a top at a relative 1e-3 below
+    # it lay above the stable end of the final bracket at these linewidths,
+    # and fig4b exited 3 on an unstable grid point.
+    params = resonant_params().with_value("kappa", kappa)
+    alpha_crit = modulation_instability(params)
+    assert alpha_crit < 5e-3
+    opt = optimize_modulation(params)
+    assert opt.alpha_crit == alpha_crit
+    assert 0.0 < opt.alpha_opt < alpha_crit - 0.5 * ONSET_TOL
+    for fig in ("fig4a", "fig4b"):
+        data = run_figure(FigureJob(fig, {"points": 3, "kappa": kappa}))
+        assert data.rows
 
 
 def test_fig4a_tracks_the_ideal_variance():

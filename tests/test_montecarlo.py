@@ -25,6 +25,7 @@ from levisqueeze.models import (
 )
 from levisqueeze.montecarlo import (
     _BLOCK,
+    _CHUNK,
     EM_RESOLUTION,
     MAX_TRAJ,
     EnsembleSpec,
@@ -128,6 +129,44 @@ def test_seed_determinism():
     assert np.array_equal(a.stderr, b.stderr)
     c = simulate_ensemble(model, vac(), dataclasses.replace(spec, seed=43))
     assert not np.array_equal(a.covariances, c.covariances)
+
+
+def checkpoint_states(monkeypatch, model, spec):
+    """Run the ensemble and return the trajectory states at every checkpoint."""
+    states = []
+    estimate = montecarlo._sample_covariance
+
+    def recording(r):
+        states.append(r.copy())
+        return estimate(r)
+
+    monkeypatch.setattr(montecarlo, "_sample_covariance", recording)
+    simulate_ensemble(model, vac(), spec)
+    return np.stack(states)
+
+
+def test_a_trajectory_depends_only_on_the_seed_and_its_index(monkeypatch):
+    # 150 and 250 trajectories pad their last stream differently; the first
+    # 150 paths must not notice.
+    model = constant_model([[-1.0, 0.5], [-0.5, -1.0]], 2 * np.eye(2))
+    spec = EnsembleSpec(n_traj=150, t_end=1.0, dt=2e-3, seed=8, n_checkpoints=6)
+    small = checkpoint_states(monkeypatch, model, spec)
+    large = checkpoint_states(monkeypatch, model, dataclasses.replace(spec, n_traj=250))
+    assert small.shape == (6, 150, 2) and large.shape == (6, 250, 2)
+    assert np.max(np.abs(large[:, :150] - small)) <= 1e-12 * np.max(np.abs(small))
+
+
+def test_ensemble_does_not_depend_on_the_noise_block_size(monkeypatch):
+    # 523 steps: 75 blocks of 7 steps against 3 of 200 split the draws at
+    # different steps.
+    model = constant_model([[-1.0, 0.5], [-0.5, -1.0]], 2 * np.eye(2))
+    spec = EnsembleSpec(n_traj=250, t_end=523 * 2e-3, dt=2e-3, seed=5, n_checkpoints=7)
+    wide = simulate_ensemble(model, vac(), spec)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    narrow = simulate_ensemble(model, vac(), spec)
+    assert np.array_equal(narrow.times, wide.times)
+    scale = np.max(np.abs(wide.covariances))
+    assert np.max(np.abs(narrow.covariances - wide.covariances)) <= 1e-12 * scale
 
 
 def test_zero_noise_rotation_conserves_energy_per_step():
@@ -235,22 +274,26 @@ def test_statistical_error_shrinks_with_ensemble_size():
 
 
 def reference_ensemble(model, v0, spec):
-    """The order-2 scheme one step at a time, on the same per-trajectory streams.
+    """The order-2 scheme one step at a time, on the same chunked streams.
 
-    Each stream draws its initial point, then all of its step noise in one
-    block; the noise factor L is the module's.  Returns the checkpoint times
-    and covariances.
+    Stream c, child c of SeedSequence(seed), draws the initial points of its
+    _CHUNK trajectories, then all of their step noise in one
+    (n_steps, _CHUNK, d) array, whatever the module's block size; a partial
+    last chunk is trimmed.  The noise factor L is the module's.  Returns the
+    checkpoint times and covariances.
     """
     d = model.basis.dim
     n_steps = max(1, math.ceil(spec.t_end / spec.dt - 1e-12))
     h = spec.t_end / n_steps
     marks = np.unique(np.linspace(0, n_steps, min(spec.n_checkpoints, n_steps + 1)).astype(int))
-    streams = [
-        np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(spec.seed).spawn(spec.n_traj)
-    ]
-    r = np.stack([g.standard_normal(d) for g in streams])
-    xi = np.stack([g.standard_normal((n_steps, d)) for g in streams])
+    n_chunks = math.ceil(spec.n_traj / _CHUNK)
+    r, xi = [], []
+    for child in np.random.SeedSequence(spec.seed).spawn(n_chunks):
+        g = np.random.Generator(np.random.Philox(child))
+        r.append(g.standard_normal((_CHUNK, d)))
+        xi.append(g.standard_normal((n_steps, _CHUNK, d)))
+    r = np.concatenate(r)[: spec.n_traj]
+    xi = np.concatenate(xi, axis=1)[:, : spec.n_traj]
     r = r @ np.linalg.cholesky(0.5 * v0.entries).T
     times, covs = [], []
     for n in range(n_steps + 1):
@@ -262,7 +305,7 @@ def reference_ensemble(model, v0, spec):
             ha = h * model.drift_at((n + 0.5) * h)
             l_mat = montecarlo._noise_matrix(model.diffusion_at((n + 0.5) * h))
             ra = r @ ha.T
-            y = np.sqrt(h) * (xi[:, n] @ l_mat.T)
+            y = np.sqrt(h) * (xi[n] @ l_mat.T)
             r = r + ra + 0.5 * (ra @ ha.T) + y + 0.5 * (y @ ha.T)
     return np.array(times), np.stack(covs)
 
@@ -287,12 +330,16 @@ def random_stable_model(rng) -> LinearGaussianModel:
 
 def test_interval_maps_match_per_step_order2_on_a_constant_model(rng):
     # 523 steps and 7 checkpoints: intervals end mid-block and on block edges.
+    # At 250 trajectories the third stream draws 100 and half of them are cut.
     model = random_stable_model(rng)
     c = rng.standard_normal((4, 4))
     v0 = CovarianceMatrix(CAVITY_MECH, c @ c.T + np.eye(4))
     spec = EnsembleSpec(n_traj=300, t_end=523 * 2e-3, dt=2e-3, seed=17, n_checkpoints=7)
     assert spec.n_steps == 523
     assert_matches_reference(model, v0, spec)
+    padded = dataclasses.replace(spec, n_traj=250)
+    assert padded.n_streams == 3
+    assert_matches_reference(model, v0, padded)
 
 
 def test_interval_maps_match_per_step_order2_on_a_modulated_model(detuned):
@@ -333,8 +380,8 @@ def count_work(monkeypatch, model, v0, spec):
     made = []
     build = montecarlo._streams
 
-    def counting_streams(seed, n_traj):
-        made.extend(CountingStream(g) for g in build(seed, n_traj))
+    def counting_streams(seed, n_streams):
+        made.extend(CountingStream(g) for g in build(seed, n_streams))
         return made
 
     drift_calls = []
@@ -345,15 +392,16 @@ def count_work(monkeypatch, model, v0, spec):
 
     monkeypatch.setattr(montecarlo, "_streams", counting_streams)
     simulate_ensemble(dataclasses.replace(model, drift_at=drift_at), v0, spec)
-    return len(drift_calls), {s.calls for s in made}
+    return len(drift_calls), [s.calls for s in made]
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])
 def test_ensemble_work_scales_with_intervals_not_trajectories(
     monkeypatch, detuned, time_dependent
 ):
-    # A guard against per-step or per-trajectory model sampling and against
-    # shrinking the noise blocks below their 200 steps.
+    # A guard against per-step or per-trajectory model sampling, against
+    # shrinking the noise blocks below their 200 steps and against building
+    # more than one stream per chunk of 100 trajectories.
     p = dataclasses.replace(detuned, alpha=0.2 if time_dependent else 0.0)
     model = build_full_modulated(p)
     if not time_dependent:
@@ -362,13 +410,14 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
             model.fastest_rate,
         )
     # 1000 steps, so the noise comes in five full blocks.
-    spec = EnsembleSpec(n_traj=100, t_end=8.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
+    spec = EnsembleSpec(n_traj=250, t_end=8.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
     assert spec.n_steps == 1000
     v0 = initial_covariance(p, model.basis)
     drift_calls, draw_calls = count_work(monkeypatch, model, v0, spec)
     assert drift_calls <= (spec.n_steps + 1 if time_dependent else 1)
     assert _BLOCK == 200
-    assert draw_calls == {1 + math.ceil(spec.n_steps / 200)}
+    assert len(draw_calls) == math.ceil(spec.n_traj / _CHUNK) == 3
+    assert set(draw_calls) == {1 + math.ceil(spec.n_steps / 200)}
 
 
 def scheme_covariances(model, v0, spec):
