@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import (
     BracketError,
@@ -54,7 +55,7 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
-#: Bisection steps of find_threshold before it stops short of its tolerance.
+#: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
 
 
@@ -584,6 +585,34 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     )
 
 
+def _bisect_brackets(
+    stable_at: Callable[[NDArray[np.intp], NDArray[np.float64]], NDArray[np.bool_]],
+    lo: ArrayLike,
+    hi: ArrayLike,
+    stable_lo: ArrayLike,
+    width: Callable[[NDArray[np.float64]], ArrayLike],
+) -> NDArray[np.float64]:
+    """Bisect brackets [lo, hi], each holding one change of stability verdict, in lockstep.
+
+    stable_lo is the verdict at each lower end.  Every step halves each
+    bracket still wider than width(hi), its allowed width at its upper end,
+    and judges all their midpoints with stable_at(brackets, midpoints), the
+    verdicts of those brackets' models there.  A bracket stops after
+    MAX_BISECTIONS steps at the latest.  Returns each final midpoint.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    stable_lo = np.asarray(stable_lo, dtype=bool)
+    for _ in range(MAX_BISECTIONS):
+        active = np.flatnonzero(~(hi - lo <= width(hi)))
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        same = stable_at(active, mid) == stable_lo[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+    return 0.5 * (lo + hi)
+
+
 def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6) -> float:
     """Bisect the stability boundary of a one-parameter model family.
 
@@ -591,26 +620,19 @@ def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6
     contain exactly one change of the stability verdict.  Marginal spectra
     (max Re(eig) = 0) count as unstable, so the returned point is the lower
     edge of instability up to tol, or wherever MAX_BISECTIONS steps end.
-    Time-periodic families are refused, as by stability.
+    Time-periodic families are refused, as by stability.  This is the
+    one-bracket case of the lockstep bisection.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must be increasing, got {bracket}")
-
-    def stable_at(x: float) -> bool:
-        return stability(model_family(x)).stable
-
-    s_lo, s_hi = stable_at(lo), stable_at(hi)
+    s_lo, s_hi = _stable_points([model_family(lo), model_family(hi)]).tolist()
     if s_lo == s_hi:
         raise BracketError(
             f"bracket endpoints {bracket} are both {'stable' if s_lo else 'unstable'}"
         )
-    for _ in range(MAX_BISECTIONS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if stable_at(mid) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def stable_at(_, mid: NDArray[np.float64]) -> NDArray[np.bool_]:
+        return _stable_points([model_family(float(mid[0]))])
+
+    return float(_bisect_brackets(stable_at, [lo], [hi], [s_lo], lambda _: tol)[0])

@@ -12,19 +12,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .dynamics import _stable_points, evolve, find_threshold, periodic_steady_state
+from .dynamics import (
+    _bisect_brackets,
+    _spectra,
+    _steady_states,
+    evolve,
+    periodic_steady_state,
+)
 from .errors import ConfigError, ParameterError, UnstableModelError
-from .gaussian import LinearGaussianModel
+from .gaussian import CAVITY_MECH
 from .metrics import (
     TRAJECTORY_COLUMNS,
+    SqueezingReport,
     SweepAxis,
     SweepPoint,
     SweepTable,
     _parabolic_vertex,
+    _squeezing_reports,
+    mechanical_block,
     mechanical_trajectory,
     sweep,
     vsq_trajectory,
@@ -32,6 +42,7 @@ from .metrics import (
 from .models import (
     SystemParams,
     bogoliubov_ground_variance,
+    bogoliubov_stack,
     build_bogoliubov_dissipative,
     build_eliminated_modulated,
     build_full_cs,
@@ -48,6 +59,9 @@ RUN_KEYS = ("t_end", "dt", "points")
 ALPHA_MAX = 1.95
 #: Tolerance to which that instability onset is bisected.
 ONSET_TOL = 1e-5
+#: Relative margin of the depth grid below that onset; an onset bracket also
+#: stops at this relative width where that is tighter than ONSET_TOL.
+ONSET_MARGIN = 1e-3
 
 
 def detuned_params() -> SystemParams:
@@ -103,69 +117,134 @@ def _cycle_min_vsq(params: SystemParams) -> float | None:
     return float(vsq_trajectory(cycle).min())
 
 
+def modulation_instabilities(
+    rows: Sequence[SystemParams], alpha_max: float = ALPHA_MAX
+) -> list[float | None]:
+    """Smallest unstable modulation depth of the cooling model of each row, if any.
+
+    Each row is judged on 40 depths in [0, alpha_max], all rows with one
+    eigvals, and the first stable-to-unstable step of each is bisected, all
+    brackets in lockstep.  A bracket stops at ONSET_TOL, or at a relative
+    ONSET_MARGIN of its upper end where that is tighter, so that an onset
+    below ONSET_TOL is resolved too.
+    """
+    grid = np.linspace(0.0, alpha_max, 40)
+    drifts, _, _ = bogoliubov_stack(rows, np.broadcast_to(grid, (len(rows), len(grid))))
+    verdicts = _spectra(drifts)[2]
+    if not verdicts[:, 0].all():
+        raise ParameterError("cooling model already unstable at zero modulation")
+    onsets = verdicts[:, :-1] & ~verdicts[:, 1:]
+    bracketed = np.flatnonzero(onsets.any(axis=1))
+    first = onsets[bracketed].argmax(axis=1)
+
+    def stable_at(brackets, alphas):
+        probed = [rows[i] for i in bracketed[brackets]]
+        return _spectra(bogoliubov_stack(probed, alphas[:, None])[0])[2][:, 0]
+
+    crits = _bisect_brackets(
+        stable_at,
+        grid[first],
+        grid[first + 1],
+        np.ones(len(bracketed), dtype=bool),
+        lambda hi: np.fmin(ONSET_TOL, ONSET_MARGIN * hi),
+    )
+    found = dict(zip(bracketed.tolist(), crits.tolist()))
+    return [found.get(i) for i in range(len(rows))]
+
+
 def modulation_instability(params: SystemParams, alpha_max: float = ALPHA_MAX) -> float | None:
     """Smallest unstable modulation depth of the cooling model, if any."""
+    return modulation_instabilities([params], alpha_max)[0]
 
-    def family(alpha: float) -> LinearGaussianModel:
-        return build_bogoliubov_dissipative(params.with_value("alpha", alpha))
 
-    grid = np.linspace(0.0, alpha_max, 40)
-    verdicts = _stable_points([family(a) for a in grid]).tolist()
-    if not verdicts[0]:
-        raise ParameterError("cooling model already unstable at zero modulation")
-    for lo, hi, s_lo, s_hi in zip(grid, grid[1:], verdicts, verdicts[1:]):
-        if s_lo and not s_hi:
-            return find_threshold(family, (lo, hi), tol=ONSET_TOL)
-    return None
+def _grid_top(alpha_crit: float | None) -> float:
+    """Top of the depth grid below an instability onset, or ALPHA_MAX without one.
+
+    The onset is the midpoint of a final bracket at most ONSET_TOL and at most
+    a relative ONSET_MARGIN wide, so a relative ONSET_MARGIN below it lies
+    below the bracket's stable end.  The grid stops that far or a full
+    ONSET_TOL below the onset, whichever is lower, unless ONSET_TOL would
+    take more than half the stable range.
+    """
+    if alpha_crit is None:
+        return ALPHA_MAX
+    top = min(alpha_crit * (1.0 - ONSET_MARGIN), alpha_crit - ONSET_TOL)
+    return top if top >= 0.5 * alpha_crit else alpha_crit * (1.0 - ONSET_MARGIN)
+
+
+def _depth_axes(
+    rows: Sequence[SystemParams], points: int
+) -> tuple[list[float | None], NDArray[np.float64]]:
+    """Instability onset of each row's cooling model and its depth grid just below it.
+
+    Returns the onsets and the grids, one row of points depths each.
+    """
+    alpha_crits = modulation_instabilities(rows)
+    tops = [_grid_top(crit) for crit in alpha_crits]
+    return alpha_crits, np.linspace(0.0, tops, points, axis=-1)
+
+
+def _steady_reports(
+    drifts: NDArray[np.float64], noises: NDArray[np.float64]
+) -> list[SqueezingReport]:
+    """Squeezing reports of stacked steady states; the first point's error is raised."""
+    stack = _steady_states(drifts, noises)
+    for error in stack.errors:
+        if error is not None:
+            raise error
+    return _squeezing_reports(mechanical_block(stack.covariances, CAVITY_MECH))
+
+
+def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum]:
+    """Minimize the steady squeezed variance of each row over the modulation depth.
+
+    The stable branch below each row's instability (or the whole
+    [0, ALPHA_MAX] range when none exists) is scanned on a uniform grid of 60
+    depths, one stacked steady solve per row; each discrete minimum is
+    polished with one parabolic step evaluated exactly, all rows' steps in
+    one solve.  A minimum on the first or last depth is reported with
+    at_edge set.
+    """
+    alpha_crits, grids = _depth_axes(rows, 60)
+    drifts, noises, _ = bogoliubov_stack(rows, grids)
+    best: list[tuple[float, SqueezingReport]] = []
+    polish: list[tuple[int, float]] = []
+    edges = []
+    for i, (grid, row_drifts, noise) in enumerate(zip(grids.tolist(), drifts, noises)):
+        reports = _steady_reports(row_drifts, np.broadcast_to(noise, row_drifts.shape))
+        v_sq = [rep.v_sq for rep in reports]
+        j = int(np.argmin(v_sq))
+        best.append((grid[j], reports[j]))
+        edges.append(j in (0, len(v_sq) - 1))
+        if 0 < j < len(v_sq) - 1:
+            vertex = _parabolic_vertex(grid[j - 1 : j + 2], v_sq[j - 1 : j + 2])
+            if vertex is not None:
+                polish.append((i, vertex[0]))
+    if polish:
+        polished_rows = [rows[i] for i, _ in polish]
+        p_drifts, p_noises, _ = bogoliubov_stack(polished_rows, [[alpha] for _, alpha in polish])
+        reports = _steady_reports(p_drifts[:, 0], p_noises)
+        for (i, alpha), report in zip(polish, reports):
+            if report.v_sq < best[i][1].v_sq:
+                best[i] = (alpha, report)
+    return [
+        ModulationOptimum(
+            alpha_crit=crit,
+            alpha_opt=alpha,
+            v_sq=report.v_sq,
+            v_asq=report.v_asq,
+            at_edge=edge,
+        )
+        for crit, (alpha, report), edge in zip(alpha_crits, best, edges)
+    ]
 
 
 def optimize_modulation(params: SystemParams) -> ModulationOptimum:
     """Minimize the steady squeezed variance over the modulation depth.
 
-    The stable branch below the instability (or the whole [0, ALPHA_MAX]
-    range when none exists) is scanned on a uniform grid of 60 depths; the
-    discrete minimum is polished with one parabolic step evaluated exactly.
-    A minimum on the first or last depth is reported with at_edge set.
+    The one-row case of :func:`optimize_modulations`.
     """
-    alpha_crit, axis = _depth_axis(params, 60)
-
-    def scan(axis: SweepAxis) -> list:
-        table = sweep(axis, build_bogoliubov_dissipative, params, "steady")
-        return [pt.report for pt in _ok_points(table)]
-
-    reports = scan(axis)
-    v_sq = [rep.v_sq for rep in reports]
-    i = int(np.argmin(v_sq))
-    best_alpha, best = axis.values[i], reports[i]
-    if 0 < i < len(v_sq) - 1:
-        vertex = _parabolic_vertex(axis.values[i - 1 : i + 2], v_sq[i - 1 : i + 2])
-        if vertex is not None:
-            polished = scan(SweepAxis("alpha", (vertex[0],)))[0]
-            if polished.v_sq < best.v_sq:
-                best_alpha, best = vertex[0], polished
-    return ModulationOptimum(
-        alpha_crit=alpha_crit,
-        alpha_opt=best_alpha,
-        v_sq=best.v_sq,
-        v_asq=best.v_asq,
-        at_edge=i in (0, len(v_sq) - 1),
-    )
-
-
-def _depth_axis(params: SystemParams, points: int) -> tuple[float | None, SweepAxis]:
-    """Instability onset of the cooling model and the depth grid just below it.
-
-    The onset is the midpoint of a final bracket at most ONSET_TOL wide, so it
-    may lie ONSET_TOL / 2 above the bracket's stable end.  The grid stops a
-    relative 1e-3 or a full ONSET_TOL below the onset, whichever is lower,
-    and so below that stable end; it never goes below the stable depth 0.
-    """
-    alpha_crit = modulation_instability(params)
-    if alpha_crit is None:
-        top = ALPHA_MAX
-    else:
-        top = max(0.0, min(alpha_crit * (1.0 - 1e-3), alpha_crit - ONSET_TOL))
-    return alpha_crit, SweepAxis.linear("alpha", 0.0, top, points)
+    return optimize_modulations([params])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +428,13 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
     """Steady squeezing of the cooling scheme versus modulation depth."""
     base = _apply_overrides(resonant_params(), ov)
     points = _points(ov, 40)
+    series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
+    alpha_crits, grids = _depth_axes([p for _, p in series], points)
     rows: list[tuple] = []
     meta: dict = {"params": base}
-    for name, q_m in (("qm-1e9", 1e9), ("qm-1e8", 1e8)):
-        p = base.with_value("q_m", q_m)
-        meta[f"alpha_crit_{name}"], axis = _depth_axis(p, points)
+    for (name, p), alpha_crit, grid in zip(series, alpha_crits, grids.tolist()):
+        meta[f"alpha_crit_{name}"] = alpha_crit
+        axis = SweepAxis("alpha", tuple(grid))
         rows += [
             (
                 name,
@@ -377,14 +458,14 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
 def _fig4b(ov: Mapping[str, float]) -> FigureData:
     """Depth-optimized steady squeezing versus mechanical quality factor."""
     base = _apply_overrides(resonant_params(), ov)
-    rows = []
-    at_edge = 0
-    for q_m in np.geomspace(1e7, 1e12, _points(ov, 26)):
-        p = base.with_value("q_m", float(q_m))
-        opt = optimize_modulation(p)
-        at_edge += opt.at_edge
-        rows.append((float(q_m), p.gamma * p.nbar / p.omega_x, opt.alpha_opt, opt.v_sq))
-    meta = {"params": base, "alpha_opt_at_edge": at_edge}
+    q_ms = np.geomspace(1e7, 1e12, _points(ov, 26)).tolist()
+    grid = [base.with_value("q_m", q_m) for q_m in q_ms]
+    opts = optimize_modulations(grid)
+    rows = [
+        (q_m, p.gamma * p.nbar / p.omega_x, opt.alpha_opt, opt.v_sq)
+        for q_m, p, opt in zip(q_ms, grid, opts)
+    ]
+    meta = {"params": base, "alpha_opt_at_edge": sum(opt.at_edge for opt in opts)}
     return FigureData("fig4b", ("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
@@ -392,15 +473,14 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
     """Depth-optimized steady squeezing versus cavity linewidth."""
     base = _apply_overrides(resonant_params(), ov)
     points = _points(ov, 20)
-    rows: list[tuple] = []
-    at_edge = 0
-    for name, lam in (("lam-0.3", 0.3), ("lam-0.5", 0.5)):
-        for kappa in np.linspace(0.05, 1.0, points):
-            p = base.with_value("lam", lam).with_value("kappa", float(kappa))
-            opt = optimize_modulation(p)
-            at_edge += opt.at_edge
-            rows.append((name, float(kappa), opt.alpha_opt, opt.v_sq))
-    meta = {"params": base, "alpha_opt_at_edge": at_edge}
+    grid = [
+        (name, base.with_value("lam", lam).with_value("kappa", float(kappa)))
+        for name, lam in (("lam-0.3", 0.3), ("lam-0.5", 0.5))
+        for kappa in np.linspace(0.05, 1.0, points)
+    ]
+    opts = optimize_modulations([p for _, p in grid])
+    rows = [(name, p.kappa, opt.alpha_opt, opt.v_sq) for (name, p), opt in zip(grid, opts)]
+    meta = {"params": base, "alpha_opt_at_edge": sum(opt.at_edge for opt in opts)}
     return FigureData("fig4c", ("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 

@@ -171,25 +171,38 @@ def drift_from_quadratic(
 ) -> NDArray[np.float64]:
     """Drift matrix A = Omega H - diag(decay) for H = (1/2) r^T H r.
 
+    Batched over the leading axes of a (..., d, d) stack of forms; each form
+    is checked on its own.
+
     Parameters
     ----------
     h_mat:
         Symmetric quadratic form of the Hamiltonian in the quadrature basis.
     decay:
-        Per-quadrature amplitude decay rates, all >= 0.
+        Per-quadrature amplitude decay rates, all >= 0, shape (d,) or any
+        (..., d) that broadcasts against the stack.
     """
     h = np.asarray(h_mat, dtype=float)
     d = np.asarray(decay, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] % 2 != 0:
         raise BasisError(f"quadratic form must be square with even dimension, got {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.T))) > SYMMETRY_TOL * scale:
+    dim = h.shape[-1]
+    flat = h.shape[:-2] + (dim * dim,)
+    scale = np.fmax(1.0, np.abs(h).reshape(flat).max(axis=-1))
+    asym = np.abs(h - h.swapaxes(-1, -2)).reshape(flat).max(axis=-1)
+    if (asym > SYMMETRY_TOL * scale).any():
         raise CovarianceError("quadratic form is not symmetric")
-    if d.shape != (h.shape[0],):
-        raise BasisError(f"decay vector shape {d.shape} does not match dimension {h.shape[0]}")
-    if np.any(d < 0.0):
+    # The decay's leading axes must broadcast against the stack's.
+    if d.shape[-1:] != (dim,) or d.ndim >= h.ndim or any(
+        n not in (1, m) for n, m in zip(d.shape[-2::-1], h.shape[-3::-1])
+    ):
+        raise BasisError(f"decay vector shape {d.shape} does not match dimension {dim}")
+    if (d < 0.0).any():
         raise ParameterError(f"negative decay rates {d}")
-    return _omega(h.shape[0]) @ h - np.diag(d)
+    a = _omega(dim) @ h
+    # The diagonal of each (fresh, contiguous) drift is every (dim + 1)-th entry.
+    a.reshape(flat)[..., :: dim + 1] -= d
+    return a
 
 
 def lyapunov_residual(

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, fields, replace
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import ParameterError
 from .gaussian import (
@@ -365,6 +367,77 @@ def bogoliubov_ground_variance(alpha: float) -> float:
     return (2.0 - alpha) / (2.0 + alpha)
 
 
+def _require_resonant(params: SystemParams) -> None:
+    if not math.isclose(params.delta, params.omega_x, rel_tol=1e-12, abs_tol=0.0):
+        raise ParameterError(
+            f"rotating-frame cooling model requires delta = omega_x, got delta={params.delta}"
+        )
+
+
+def _bogoliubov_parts(p, c, s, alpha, alpha_sq):
+    """Drift and diffusion of the cooling model, from its Hamiltonian.
+
+    p holds the parameters, as floats (a SystemParams) or as (r, 1) columns;
+    c and s are cos(phi) and sin(phi) in the same form, and alpha and
+    alpha_sq = alpha**2 a float or an (r, k) array.  The drift has shape
+    alpha.shape + (4, 4), the diffusion that of a column + (4, 4).  Floats
+    and arrays go through the same expressions, so both give the same bits.
+    """
+    g = p.lam / SQRT2
+    w = p.omega_x
+    h = np.zeros(np.shape(alpha) + (4, 4))
+    h[..., 2, 2] = w * alpha / 2.0 * c + w * alpha_sq / 4.0
+    h[..., 3, 3] = -w * alpha / 2.0 * c + w * alpha_sq / 4.0
+    h[..., 2, 3] = h[..., 3, 2] = -w * alpha / 2.0 * s
+    h[..., 0, 2] = h[..., 2, 0] = -g * (1.0 + alpha / 2.0 * c)
+    h[..., 1, 3] = h[..., 3, 1] = -g * (1.0 - alpha / 2.0 * c)
+    h[..., 1, 2] = h[..., 2, 1] = g * alpha / 2.0 * s
+    h[..., 0, 3] = h[..., 3, 0] = g * alpha / 2.0 * s
+    decay = np.array([p.kappa, p.kappa, p.gamma / 2.0, p.gamma / 2.0])
+    decay = decay.transpose(tuple(range(1, decay.ndim)) + (0,))
+    thermal = p.gamma * (2.0 * p.nbar + 1.0)
+    noise = np.zeros(np.shape(thermal) + (4, 4))
+    noise[..., 0, 0] = noise[..., 1, 1] = 2.0 * p.kappa
+    noise[..., 2, 2] = noise[..., 3, 3] = thermal
+    return drift_from_quadratic(h, decay), noise
+
+
+def bogoliubov_stack(
+    rows: Sequence[SystemParams], alphas: ArrayLike
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Cooling-model drifts of several parameter rows, each at several depths.
+
+    alphas[i] are the depths of rows[i], whose own alpha is not read.
+    Returns the drifts (r, k, 4, 4), the depth-independent diffusions
+    (r, 4, 4) and the fastest rates (r, k), each equal bit for bit to the
+    one-point build_bogoliubov_dissipative at that row and depth.  A row
+    without delta = omega_x or a depth outside [0, 2) raises ParameterError.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 2 or len(alphas) != len(rows):
+        raise ParameterError(f"need one row of depths per parameter row, got {alphas.shape}")
+    for p in rows:
+        _require_resonant(p)
+    outside = ~((alphas >= 0.0) & (alphas < 2.0))
+    if outside.any():
+        _check_depth(float(alphas[outside][0]))
+
+    def column(values) -> NDArray[np.float64]:
+        return np.array(values, dtype=float)[:, None]
+
+    names = ("omega_x", "lam", "kappa", "gamma", "nbar")
+    columns = SimpleNamespace(**{name: column([getattr(p, name) for p in rows]) for name in names})
+    c, s = column([math.cos(p.phi) for p in rows]), column([math.sin(p.phi) for p in rows])
+    # numpy squares by multiplication, which rounds differently from the libm
+    # pow of a float's ** 2 in about one case in a thousand.
+    alpha_sq = np.array([a**2 for a in alphas.ravel().tolist()]).reshape(alphas.shape)
+    drifts, noises = _bogoliubov_parts(columns, c, s, alphas, alpha_sq)
+    rates = np.maximum(
+        np.maximum(columns.kappa, columns.lam), np.maximum(columns.omega_x * alphas, columns.gamma)
+    )
+    return drifts, noises[:, 0], rates
+
+
 def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
     """Cavity + mechanics in the rotating frame at delta = omega_x.
 
@@ -379,40 +452,15 @@ def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
 
     with rotating-frame decay (kappa, kappa, gamma/2, gamma/2) and diffusion
     diag(2 kappa, 2 kappa, gamma(2 nbar + 1), gamma(2 nbar + 1)), whose
-    drive-free fixed point is the thermal state.
+    drive-free fixed point is the thermal state.  This is the one-point case
+    of :func:`bogoliubov_stack`, evaluated on floats.
     """
     p = params
-    if not math.isclose(p.delta, p.omega_x, rel_tol=1e-12, abs_tol=0.0):
-        raise ParameterError(
-            f"rotating-frame cooling model requires delta = omega_x, got delta={p.delta}"
-        )
+    _require_resonant(p)
     _check_depth(p.alpha)
-    c, s = math.cos(p.phi), math.sin(p.phi)
-    g = p.lam / SQRT2
-    w = p.omega_x
-    h = np.zeros((4, 4))
-    h[2, 2] = w * p.alpha / 2.0 * c + w * p.alpha**2 / 4.0
-    h[3, 3] = -w * p.alpha / 2.0 * c + w * p.alpha**2 / 4.0
-    h[2, 3] = h[3, 2] = -w * p.alpha / 2.0 * s
-    h[0, 2] = h[2, 0] = -g * (1.0 + p.alpha / 2.0 * c)
-    h[1, 3] = h[3, 1] = -g * (1.0 - p.alpha / 2.0 * c)
-    h[1, 2] = h[2, 1] = g * p.alpha / 2.0 * s
-    h[0, 3] = h[3, 0] = g * p.alpha / 2.0 * s
-    decay = np.array([p.kappa, p.kappa, p.gamma / 2.0, p.gamma / 2.0])
-    n = np.diag(
-        [
-            2.0 * p.kappa,
-            2.0 * p.kappa,
-            p.gamma * (2.0 * p.nbar + 1.0),
-            p.gamma * (2.0 * p.nbar + 1.0),
-        ]
-    )
-    return LinearGaussianModel.constant(
-        CAVITY_MECH,
-        drift_from_quadratic(h, decay),
-        n,
-        max(p.kappa, p.lam, p.omega_x * p.alpha, p.gamma),
-    )
+    drift, noise = _bogoliubov_parts(p, math.cos(p.phi), math.sin(p.phi), p.alpha, p.alpha**2)
+    rate = max(p.kappa, p.lam, p.omega_x * p.alpha, p.gamma)
+    return LinearGaussianModel.constant(CAVITY_MECH, drift, noise, rate)
 
 
 MODEL_BUILDERS = {

@@ -9,7 +9,9 @@ import scipy.linalg
 from levisqueeze.dynamics import (
     CHUNK_STEPS,
     DT_RESOLUTION,
+    MAX_BISECTIONS,
     MAX_STORED,
+    _bisect_brackets,
     _constant_maps,
     _constant_parts,
     _generator,
@@ -533,6 +535,37 @@ def test_find_threshold_needs_a_sign_change(detuned):
 def test_find_threshold_rejects_bad_bracket(detuned):
     with pytest.raises(ParameterError):
         find_threshold(family(detuned), (2.0, 1.0))
+
+
+def test_lockstep_bisection_equals_find_threshold_per_bracket(detuned):
+    rows = [dataclasses.replace(detuned, kappa=kappa) for kappa in (0.1, 0.2, 0.5)]
+    brackets = [(1.0, 2.0), (1.0, 3.0), (1.5, 1.7)]
+    open_brackets = []
+
+    def stable_at(which, lams):
+        open_brackets.append(len(which))
+        models = [family(rows[i])(lam) for i, lam in zip(which.tolist(), lams.tolist())]
+        return _stable_points(models)
+
+    lo, hi = zip(*brackets)
+    found = _bisect_brackets(stable_at, lo, hi, [True] * 3, lambda _: 1e-9)
+    expected = [find_threshold(family(row), b, tol=1e-9) for row, b in zip(rows, brackets)]
+    assert found.tolist() == expected
+    # Narrower brackets finish first; the widest one sets the step count.
+    assert open_brackets[0] == 3 and open_brackets[-1] == 1
+    assert open_brackets == sorted(open_brackets, reverse=True)
+
+
+def test_lockstep_bisection_stops_after_max_bisections(detuned):
+    steps = []
+
+    def stable_at(which, lams):
+        steps.append(len(which))
+        return _stable_points([family(detuned)(lam) for lam in lams.tolist()])
+
+    found = _bisect_brackets(stable_at, [1.0], [2.0], [True], lambda _: 0.0)
+    assert len(steps) == MAX_BISECTIONS
+    assert found[0] == pytest.approx(threshold_coupling(detuned), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from levisqueeze.dynamics import evolve, periodic_steady_state, steady_state
+from levisqueeze.dynamics import (
+    MAX_BISECTIONS,
+    evolve,
+    find_threshold,
+    periodic_steady_state,
+    stability,
+    steady_state,
+)
 from levisqueeze.errors import ConfigError, IntegrationError
 from levisqueeze.figures import (
     FIGURES,
+    ALPHA_MAX,
+    ONSET_MARGIN,
     ONSET_TOL,
     FigureJob,
     detuned_params,
+    modulation_instabilities,
     modulation_instability,
     optimize_modulation,
+    optimize_modulations,
     resonant_params,
     run_figure,
 )
@@ -106,8 +117,14 @@ def test_modulation_instability_frozen_onset():
 
 
 def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
-    # The 40-point depth grid is one batched call; only the bisection probes
-    # of find_threshold follow, one drift at a time.
+    # The 40-depth grids of all rows are one stacked eigvals call; each
+    # bisection step is one more, stacked over the brackets still open.  The
+    # small onset is bisected to a relative width, so it takes more steps.
+    rows = [
+        resonant_params(),
+        resonant_params().with_value("kappa", 6.9e-4),
+        resonant_params().with_value("lam", 5.0).with_value("kappa", 1.0),
+    ]
     shapes = []
     real = np.linalg.eigvals
 
@@ -116,9 +133,13 @@ def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    assert modulation_instability(resonant_params()) is not None
-    assert len(shapes[0]) == 3 and shapes[0][0] == 40
-    assert all(len(shape) == 2 for shape in shapes[1:])
+    crits = modulation_instabilities(rows)
+    assert crits[0] is not None and crits[1] is not None and crits[2] is None
+    assert shapes[0] == (3, 40, 4, 4)
+    assert all(shape[1:] == (1, 4, 4) for shape in shapes[1:])
+    open_brackets = [shape[0] for shape in shapes[1:]]
+    assert open_brackets[0] == 2 and open_brackets[-1] == 1
+    assert open_brackets == sorted(open_brackets, reverse=True)
 
 
 def test_modulation_instability_none_when_range_is_stable():
@@ -202,6 +223,97 @@ def test_depth_grid_of_a_small_onset_stays_stable(kappa):
     for fig in ("fig4a", "fig4b"):
         data = run_figure(FigureJob(fig, {"points": 3, "kappa": kappa}))
         assert data.rows
+
+
+def test_an_onset_below_onset_tol_is_resolved():
+    # At kappa = 1e-6 the onset lies below ONSET_TOL; it is bisected to a
+    # relative width, and the depth grids stop below it instead of collapsing
+    # to alpha = 0.
+    params = resonant_params().with_value("kappa", 1e-6)
+
+    def family(alpha):
+        return build_bogoliubov_dissipative(params.with_value("alpha", alpha))
+
+    exact = find_threshold(family, (0.0, 0.05), tol=1e-12)
+    assert exact < ONSET_TOL
+    assert modulation_instability(params) == pytest.approx(exact, rel=ONSET_MARGIN)
+    data = run_figure(FigureJob("fig4a", {"points": 3, "kappa": 1e-6}))
+    for name in ("qm-1e9", "qm-1e8"):
+        alphas = [row[1] for row in data.rows if row[0] == name]
+        assert 0.0 == alphas[0] < alphas[1] < alphas[2] < data.meta[f"alpha_crit_{name}"]
+        row = params.with_value("q_m", float(name.removeprefix("qm-")))
+        assert stability(build_bogoliubov_dissipative(row.with_value("alpha", alphas[2]))).stable
+    fig4b = run_figure(FigureJob("fig4b", {"points": 3, "kappa": 1e-6}))
+    assert all(row[2] > 0.0 for row in fig4b.rows)
+
+
+def _reference_rows(rows):
+    """Each row's depth optimum from scalar bisection and a loop of steady_state calls."""
+
+    def build(params, alpha):
+        return build_bogoliubov_dissipative(params.with_value("alpha", float(alpha)))
+
+    def squeezing(params, alpha):
+        cov = steady_state(build(params, alpha)).covariance
+        return squeezing_metrics(mechanical_block(cov.entries, cov.basis))
+
+    out = []
+    for params in rows:
+        coarse = np.linspace(0.0, ALPHA_MAX, 40)
+        stable = [stability(build(params, a)).stable for a in coarse]
+        steps = [k for k in range(39) if stable[k] and not stable[k + 1]]
+        alpha_crit = None
+        top = ALPHA_MAX
+        if steps:
+            lo, hi = float(coarse[steps[0]]), float(coarse[steps[0] + 1])
+            for _ in range(MAX_BISECTIONS):
+                if hi - lo <= min(ONSET_TOL, ONSET_MARGIN * hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                if stability(build(params, mid)).stable:
+                    lo = mid
+                else:
+                    hi = mid
+            alpha_crit = 0.5 * (lo + hi)
+            top = min(alpha_crit * (1.0 - ONSET_MARGIN), alpha_crit - ONSET_TOL)
+            if top < 0.5 * alpha_crit:
+                top = alpha_crit * (1.0 - ONSET_MARGIN)
+            assert top < lo
+        grid = [float(a) for a in np.linspace(0.0, top, 60)]
+        reports = [squeezing(params, a) for a in grid]
+        v_sq = [rep.v_sq for rep in reports]
+        i = int(np.argmin(v_sq))
+        best_alpha, best = grid[i], reports[i]
+        if 0 < i < 59:
+            (a0, a1, a2), (v0, v1, v2) = grid[i - 1 : i + 2], v_sq[i - 1 : i + 2]
+            d0 = (v1 - v0) / (a1 - a0)
+            curv = ((v2 - v1) / (a2 - a1) - d0) / (a2 - a0)
+            a_star = 0.5 * (a0 + a1) - d0 / (2.0 * curv) if curv > 0.0 else None
+            if a_star is not None and a0 <= a_star <= a2:
+                polished = squeezing(params, a_star)
+                if polished.v_sq < best.v_sq:
+                    best_alpha, best = a_star, polished
+        out.append((alpha_crit, best_alpha, best.v_sq, best.v_asq, i in (0, 59)))
+    return out
+
+
+def test_lockstep_optimization_equals_a_per_row_reference():
+    base = resonant_params()
+    rows = [base.with_value("q_m", float(q)) for q in np.geomspace(1e7, 1e12, 5)]
+    rows += [
+        base.with_value("lam", lam).with_value("kappa", float(kappa))
+        for lam in (0.3, 0.5)
+        for kappa in np.linspace(0.05, 1.0, 4)
+    ]
+    rows.append(base.with_value("lam", 2.0).with_value("kappa", 2.0))  # interior optimum
+    rows.append(base.with_value("lam", 5.0).with_value("kappa", 1.0))  # no onset
+    got = [
+        (opt.alpha_crit, opt.alpha_opt, opt.v_sq, opt.v_asq, opt.at_edge)
+        for opt in optimize_modulations(rows)
+    ]
+    expected = _reference_rows(rows)
+    assert got == expected
+    assert expected[-1][0] is None and not expected[-2][4]
 
 
 def test_fig4a_tracks_the_ideal_variance():

@@ -138,6 +138,30 @@ def test_drift_rejects_negative_decay():
         drift_from_quadratic(np.eye(2), np.array([-0.1, 0.0]))
 
 
+def test_stacked_drifts_equal_each_slice(rng):
+    m = rng.normal(size=(3, 5, 4, 4))
+    h = m + np.swapaxes(m, -1, -2)
+    decay = rng.uniform(0.0, 1.0, size=(3, 1, 4))
+    stacked = drift_from_quadratic(h, decay)
+    assert stacked.shape == (3, 5, 4, 4)
+    for i in range(3):
+        for j in range(5):
+            assert stacked[i, j].tobytes() == drift_from_quadratic(h[i, j], decay[i, 0]).tobytes()
+
+
+def test_stacked_drift_checks_every_slice():
+    h = np.broadcast_to(np.eye(4), (3, 2, 4, 4)).copy()
+    h[2, 1, 0, 1] = 1.0
+    with pytest.raises(CovarianceError):
+        drift_from_quadratic(h, np.zeros(4))
+    decay = np.zeros((3, 1, 4))
+    decay[1, 0, 3] = -0.1
+    with pytest.raises(ParameterError):
+        drift_from_quadratic(np.eye(4) + np.zeros((3, 2, 4, 4)), decay)
+    with pytest.raises(BasisError):
+        drift_from_quadratic(np.zeros((3, 4, 4)), np.zeros((2, 4)))
+
+
 def test_drift_oscillator_matches_hand_result():
     # H = (w/2)(x^2 + p^2) with decay g on p only.
     w, g = 1.3, 0.2

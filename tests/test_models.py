@@ -15,6 +15,7 @@ from levisqueeze.models import (
     _full_h_mat,
     bogoliubov_coefficients,
     bogoliubov_ground_variance,
+    bogoliubov_stack,
     build_bogoliubov_dissipative,
     build_eliminated_detuned,
     build_eliminated_modulated,
@@ -317,6 +318,46 @@ def test_bogoliubov_decoupled_thermal_fixed_point():
     n = model.diffusion_at(0.0)
     v = np.diag([1.0, 1.0, 7.0, 7.0])
     assert np.allclose(a @ v + v @ a.T + n, 0.0, atol=1e-12)
+
+
+def test_bogoliubov_stack_equals_one_point_builds_bit_for_bit(resonant, rng):
+    # Each row gets its own depths and its own alpha is not read.  The depths
+    # include ones whose square rounds differently under libm pow (the
+    # one-point build's alpha**2) and under multiplication, where the platform
+    # has such depths.
+    rows = [
+        dataclasses.replace(resonant, gamma=1.0 / q_m, lam=lam, kappa=kappa, phi=phi, alpha=0.5)
+        for q_m in (1e7, 1e12)
+        for lam in (0.3, 2.0)
+        for kappa in (1e-6, 0.2)
+        for phi in (0.0, 1.3)
+    ]
+    alphas = rng.uniform(0.0, 2.0, size=(len(rows), 64))
+    alphas[:, 0] = 0.0
+    candidates = rng.uniform(0.0, 2.0, 20000)
+    split = candidates[np.array([a**2 for a in candidates.tolist()]) != candidates**2][:32]
+    alphas[:, 1 : 1 + split.size] = split
+    drifts, noises, rates = bogoliubov_stack(rows, alphas)
+    assert drifts.shape == (len(rows), 64, 4, 4) and noises.shape == (len(rows), 4, 4)
+    for i, row in enumerate(rows):
+        for j, alpha in enumerate(alphas[i].tolist()):
+            model = build_bogoliubov_dissipative(dataclasses.replace(row, alpha=alpha))
+            assert drifts[i, j].tobytes() == model.drift_at(0.0).tobytes()
+            assert noises[i].tobytes() == model.diffusion_at(0.0).tobytes()
+            assert rates[i, j] == model.fastest_rate
+
+
+def test_bogoliubov_stack_refuses_what_the_one_point_build_refuses(resonant, detuned):
+    alphas = np.full((2, 3), 0.3)
+    alphas[1, 2] = 2.0
+    with pytest.raises(ParameterError) as stacked:
+        bogoliubov_stack([resonant, resonant], alphas)
+    with pytest.raises(ParameterError) as single:
+        build_bogoliubov_dissipative(dataclasses.replace(resonant, alpha=2.0))
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value) == "modulation depth must be in [0, 2), got 2.0"
+    with pytest.raises(ParameterError, match="requires delta = omega_x"):
+        bogoliubov_stack([resonant, detuned], np.zeros((2, 1)))
 
 
 def test_builder_registry():
