@@ -217,17 +217,18 @@ def write_table(
 ) -> None:
     """Write rows, a float array or a list of rows of cells, and the sidecar."""
     if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-        cells = (map(repr, row) for row in rows)  # a Python float's cell is its repr
+        # A Python float's cell is its repr; rows are converted one at a time
+        # so that only the text of the table is held at once.
+        cells = (map(repr, row.tolist()) for row in rows)
     else:
         cells = (map(_cell, row) for row in rows)
     if out.fmt == "csv":
+        body = "".join([",".join(row) + "\n" for row in cells])
         with open(out.path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in cells:
-                fh.write(",".join(row) + "\n")
+            fh.write(body)
     else:
-        _dump_json(out.path, {"columns": list(columns), "rows": [list(r) for r in rows]})
+        _dump_json(out.path, {"columns": list(columns), "rows": rows})
     write_sidecar(out, cfg, provenance)
 
 
@@ -455,7 +456,9 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument(

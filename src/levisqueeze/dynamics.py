@@ -13,8 +13,8 @@ which steady_state solves with.  On the homogeneous coordinates (vec V, 1) it
 is linear, so every RK4 step is one matrix built from the generators at the
 step's stage times; time-dependent models are sampled and their step maps
 built in small batches, constant ones once.  evolve takes a time-dependent
-model through every step, and a constant one from each stored sample to the
-next with a power of its step map.
+model through every step, and fills a constant one's stored samples a block
+at a time from a ladder of powers of its stride map.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
+#: Stride-map powers in the ladder that fills a constant model's stored samples.
+LADDER = 64
 #: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
 
@@ -330,24 +332,40 @@ def _constant_steps(
 ) -> NDArray[np.float64]:
     """Fill states[1:] at the stored steps of a constant model; return the defects.
 
-    A power of the step map brings the state to one step before each stored
-    step, so the defect acts on the same state as on the time-dependent
-    path.  The power is taken in extended precision where the platform has
-    it, so it adds one rounding instead of one per step.
+    The stride map S, the step map to the power of the stride, and its
+    powers S, S^2, ..., S^B (B = LADDER, at most the number of full stride
+    intervals) are taken in extended precision where the platform has it
+    and rounded once.  Each block of B stored states is then one product of
+    this ladder with the block's first state, so rounding errors add up
+    once per block instead of once per sample.  A last interval shorter
+    than the stride takes its own power.  The defect acts on the state one
+    step before each stored step, as on the time-dependent path: the
+    previous stored state advanced by one step fewer than its interval.
     """
     step_map, defect = _constant_maps(model, h, 4, _halved_maps)
-    powers: dict[int, NDArray[np.float64]] = {}
+    exact = step_map.astype(np.longdouble)
+
+    def power(k: int) -> NDArray[np.float64]:
+        return np.linalg.matrix_power(exact, k).astype(float)
+
+    stride, last, dim = stored[1], stored[-1] - stored[-2], states.shape[1]
+    n_full = len(stored) - 1 if last == stride else len(stored) - 2
+    n_rungs = min(LADDER, n_full)
+    ladder = np.empty((n_rungs, dim, dim))
+    ladder[0] = rung = stride_map = np.linalg.matrix_power(exact, stride)
+    for b in range(1, n_rungs):
+        ladder[b] = rung = rung @ stride_map
+    # Row block b of the stacked ladder is S^(b+1).
+    stacked = ladder.reshape(-1, dim)
+    for first in range(0, n_full, n_rungs):
+        count = min(n_rungs, n_full - first)
+        block = stacked[: count * dim] @ states[first]
+        states[first + 1 : first + 1 + count] = block.reshape(count, dim)
     before = np.empty_like(states)
-    vec = states[0]
-    for j in range(1, len(stored)):
-        k = stored[j] - stored[j - 1] - 1
-        if k:
-            if k not in powers:
-                powers[k] = np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
-            vec = powers[k] @ vec
-        before[j] = vec
-        vec = step_map @ vec
-        states[j] = vec
+    np.matmul(states[:-1], power(stride - 1).T, out=before[1:])
+    if last < stride:
+        states[-1] = power(last) @ states[-2]
+        before[-1] = power(last - 1) @ states[-2]
     return before @ defect.T
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from levisqueeze import montecarlo
 from levisqueeze.cli import main
-from levisqueeze.dynamics import STEP_ERROR_LIMIT
+from levisqueeze.dynamics import STEP_ERROR_LIMIT, evolve
+from levisqueeze.metrics import TRAJECTORY_COLUMNS, mechanical_trajectory
+from levisqueeze.models import SystemParams, build_eliminated_detuned, initial_covariance
 
 DETUNED = {
     "model": "eliminated-detuned",
@@ -71,6 +73,18 @@ def test_sidecar_reproduces_the_run_bit_for_bit(tmp_path, monkeypatch):
     first = (tmp_path / "first.csv").read_bytes()
     assert main(["evolve", "--config", str(tmp_path / "first.sidecar.json")]) == 0
     assert (tmp_path / "first.csv").read_bytes() == first
+
+
+def test_evolve_csv_cells_are_float_reprs(tmp_path, monkeypatch):
+    # One line per stored sample, each cell the repr of its Python float.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "run.json", {**DETUNED, "t_end": 20.0})
+    assert main(["evolve", "--config", cfg, "--out", "traj.csv"]) == 0
+    params = SystemParams(**{k: v for k, v in DETUNED.items() if k != "model"})
+    model = build_eliminated_detuned(params)
+    table = mechanical_trajectory(evolve(model, initial_covariance(params, model.basis), 20.0))
+    lines = [",".join(TRAJECTORY_COLUMNS)] + [",".join(map(repr, row)) for row in table.tolist()]
+    assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_evolve_step_is_converged(tmp_path, monkeypatch):
@@ -155,6 +169,19 @@ def test_set_overrides_config(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     expected = math.sqrt(1.0 * (0.2**2 + 6.0**2) / (2 * 6.0))
     assert payload["critical_value"] == pytest.approx(expected, abs=1e-4)
+
+
+def test_successive_calls_do_not_share_assignments(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "run.json", {**DETUNED, "bracket_lo": 1.0, "bracket_hi": 2.0}
+    )
+    values = []
+    for sets in (["--set", "delta=6"], ["--set", "kappa=0.3"], []):
+        assert main(["threshold", "--config", cfg, *sets]) == 0
+        values.append(json.loads(capsys.readouterr().out)["critical_value"])
+    for value, (kappa, delta) in zip(values, ((0.2, 6.0), (0.3, 5.0), (0.2, 5.0))):
+        expected = math.sqrt(1.0 * (kappa**2 + delta**2) / (2 * delta))
+        assert value == pytest.approx(expected, abs=1e-4)
 
 
 def test_set_without_config_file(capsys):

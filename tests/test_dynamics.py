@@ -9,15 +9,18 @@ import scipy.linalg
 from levisqueeze.dynamics import (
     CHUNK_STEPS,
     DT_RESOLUTION,
+    LADDER,
     MAX_BISECTIONS,
     MAX_STORED,
     _bisect_brackets,
     _constant_maps,
     _constant_parts,
+    _constant_steps,
     _generator,
     _halved_maps,
     _stable_points,
     _steady_states,
+    _step_grid,
     evolve,
     find_threshold,
     periodic_steady_state,
@@ -176,6 +179,136 @@ def test_powered_samples_match_an_extended_precision_iteration():
     assert np.max(np.abs(got - want) / want) <= 5e-12
 
 
+def stored_steps(stats) -> list[int]:
+    """The steps at which evolve stores a sample: every stride-th one and the last."""
+    stored = list(range(0, stats.n_steps + stats.stride, stats.stride))
+    stored[-1] = stats.n_steps
+    return stored
+
+
+def extended_iteration(model, v0s, dt, steps) -> np.ndarray:
+    """(vec V, 1) states at the given steps of size dt, (len(steps) + 1, D, len(v0s)).
+
+    Every start is carried step by step through the step map in long double;
+    the first row holds the starts.
+    """
+    step_map, _ = _constant_maps(model, dt, 4, _halved_maps)
+    step_map = step_map.astype(np.longdouble)
+    vecs = np.array([np.append(np.ravel(v0), 1.0) for v0 in v0s], dtype=np.longdouble).T
+    states, wanted = [vecs], set(steps)
+    for step in range(1, max(steps) + 1):
+        vecs = step_map @ vecs
+        if step in wanted:
+            states.append(vecs)
+    return np.array(states, dtype=float)
+
+
+def per_sample_states(model, v0, stats) -> np.ndarray:
+    """Stored (vec V, 1) states as a loop over the samples reaches them.
+
+    A power of the step map, taken in long double and rounded, brings each
+    sample to one step before the next stored step, and one float64 step
+    lands on it.
+    """
+    step_map, _ = _constant_maps(model, stats.dt, 4, _halved_maps)
+    stored = stored_steps(stats)
+    powers = {
+        k: np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
+        for k in {step - prev - 1 for prev, step in zip(stored, stored[1:])}
+    }
+    vec = np.append(np.ravel(v0), 1.0)
+    states = [vec]
+    for prev, step in zip(stored, stored[1:]):
+        vec = step_map @ (powers[step - prev - 1] @ vec)
+        states.append(vec)
+    return np.array(states)
+
+
+def random_constant_model(rng) -> LinearGaussianModel:
+    """A random stable constant model on the cavity-mechanics basis."""
+    m = rng.normal(size=(4, 4))
+    a = m - (np.max(np.linalg.eigvals(m).real) + 0.5) * np.eye(4)
+    b = rng.normal(size=(4, 4))
+    rate = float(np.max(np.abs(np.linalg.eigvals(a))))
+    return LinearGaussianModel.constant(CAVITY_MECH, a, b @ b.T, rate)
+
+
+def assert_matches_extended_iteration(model, v0, result) -> None:
+    stats = result.stats
+    want = extended_iteration(model, [v0], stats.dt, stored_steps(stats)[1:])
+    want = want[:, :-1, 0].reshape(result.covariances.shape)
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.max(np.max(np.abs(result.covariances - want), axis=(1, 2)) / scale) <= 5e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, LADDER - 1, LADDER, LADDER + 1, 2 * LADDER + 3])
+def test_ladder_blocks_match_an_extended_precision_iteration(rng, n_steps):
+    # At stride 1 every step is stored and the ladder holds the first powers
+    # of the step map itself; the counts straddle one block and its edges.
+    model = random_constant_model(rng)
+    v0 = np.eye(4)
+    dt = DT_RESOLUTION / model.fastest_rate
+    result = evolve(model, v0, n_steps * dt, dt=dt)
+    assert result.stats.stride == 1 and result.stats.n_stored == n_steps + 1
+    assert_matches_extended_iteration(model, v0, result)
+
+
+@pytest.mark.parametrize(("n_steps", "stride", "last"), [(5001, 2, 1), (10001, 3, 2)])
+def test_short_last_interval_matches_an_extended_precision_iteration(rng, n_steps, stride, last):
+    # The last stored step lies closer than a stride to the one before; it
+    # is reached by its own power.  Every step-halving defect acts on the
+    # state one step before its stored step, as on the time-dependent path.
+    model = random_constant_model(rng)
+    v0 = np.eye(4)
+    t_end = 20.0 / model.fastest_rate
+    result = evolve(model, v0, t_end, dt=t_end / n_steps)
+    stored = stored_steps(result.stats)
+    assert (result.stats.n_steps, result.stats.stride) == (n_steps, stride)
+    assert stored[-1] - stored[-2] == last
+    assert_matches_extended_iteration(model, v0, result)
+
+    h = result.stats.dt
+    states = np.empty((len(stored), v0.size + 1))
+    states[0] = np.append(v0.ravel(), 1.0)
+    defects = _constant_steps(model, h, stored, states)[1:]
+    _, defect = _constant_maps(model, h, 4, _halved_maps)
+    before = extended_iteration(model, [v0], h, [step - 1 for step in stored[1:]])[1:, :, 0]
+    want = before @ defect.T
+    assert np.all(np.max(np.abs(defects - want), axis=1) <= 1e-10 * np.max(np.abs(want), axis=1))
+
+
+def vsq_of_states(states: np.ndarray) -> np.ndarray:
+    """Smallest mechanical eigen-variance of stored (vec V, 1) states of the full model.
+
+    The covariances are symmetrized as evolve's samples are.
+    """
+    covs = states[:, :-1].reshape(-1, 4, 4)
+    blocks = (0.5 * covs + 0.5 * np.swapaxes(covs, 1, 2))[:, 2:, 2:]
+    return np.linalg.eigvalsh(blocks)[:, 0]
+
+
+def test_ladder_is_no_less_accurate_than_a_per_sample_loop():
+    # fig2a's model and fig2c's at-threshold models over fig2c's nbar0 grid
+    # (at points=7).  Rounding is amplified most at threshold from a hot
+    # start; the ladder's worst v_sq deviation from the long-double
+    # iteration stays at or below that of a loop with one float64 step per
+    # stored sample.
+    base = detuned_params()
+    at_threshold = base.with_value("lam", threshold_coupling(base))
+    grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, 6)])
+    for params in ([base], [at_threshold.with_value("nbar0", n0) for n0 in grid]):
+        model = build_full_cs(params[0])
+        v0s = [initial_covariance(p, model.basis).entries for p in params]
+        results = [evolve(model, v0, 100.0) for v0 in v0s]
+        stats = results[0].stats
+        exact = extended_iteration(model, v0s, stats.dt, stored_steps(stats)[1:])
+        for k, (v0, result) in enumerate(zip(v0s, results)):
+            want = vsq_of_states(exact[:, :, k])
+            loop = vsq_of_states(per_sample_states(model, v0, result.stats))
+            got = np.linalg.eigvalsh(result.covariances[:, 2:, 2:])[:, 0]
+            assert np.max(np.abs(got - want) / want) <= np.max(np.abs(loop - want) / want)
+
+
 def test_time_dependent_evolve_matches_an_adaptive_solver(detuned):
     p = dataclasses.replace(detuned, gamma=1e-4, nbar=10.0, nbar0=1.5, alpha=0.3, phi=0.8)
     model = build_full_modulated(p)
@@ -309,13 +442,17 @@ def test_evolve_reports_divergence_time():
         evolve(generic, np.eye(2), 7.5)
 
 
+def stiff_model() -> LinearGaussianModel:
+    # V22 = 1e-6 exp(10 t) against V11 = 1e6: the step-halving error passes
+    # the limit at dt = 0.02 near t = 2.7.
+    return LinearGaussianModel.constant(MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), 5.0)
+
+
 def test_step_error_is_reported_before_a_later_divergence():
     # V22 = 1e-6 exp(10 t) is resolved too coarsely: its step-halving error,
     # relative to V11 = 1e6, passes the limit near t = 2.7, long before the
     # state overflows.  Both paths report the first sample past the limit.
-    model = LinearGaussianModel.constant(
-        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), 5.0
-    )
+    model = stiff_model()
     generic = dataclasses.replace(model, is_time_independent=False)
     v0 = np.diag([1e6, 1e-6])
     messages = []
@@ -332,9 +469,7 @@ def test_varying_steps_stop_after_a_step_error():
     # The time-dependent copy of the stiff model above stops stepping after
     # the chunk in which its step-halving error passes the limit, and still
     # reports the same sample and maximum as the constant path.
-    model = LinearGaussianModel.constant(
-        MECH, np.diag([0.0, 5.0]), np.zeros((2, 2)), 5.0
-    )
+    model = stiff_model()
     calls = []
 
     def counted(t):
@@ -353,6 +488,32 @@ def test_varying_steps_stop_after_a_step_error():
     steps_to_error = round(2.72 / 0.02)
     # Four samples per step, and one closing sample per chunk of CHUNK_STEPS.
     assert len(calls) <= 4 * (steps_to_error + CHUNK_STEPS) + 4
+
+
+@pytest.mark.parametrize(
+    ("model", "v0", "t_end", "dt", "error"),
+    [
+        (growing_model(), np.eye(2), 7.2, 1e-3, NumericalError),
+        (stiff_model(), np.diag([1e6, 1e-6]), 100.0, 0.02, IntegrationError),
+    ],
+    ids=["divergence", "step-halving"],
+)
+def test_failure_inside_a_ladder_block_matches_the_time_dependent_path(
+    model, v0, t_end, dt, error
+):
+    generic = dataclasses.replace(model, is_time_independent=False)
+    messages = []
+    for m in (model, generic):
+        with pytest.raises(error) as info:
+            evolve(m, v0, t_end, dt=dt)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # The failing sample, stored sample k, is not the first of its block:
+    # block b holds samples b * LADDER + 1 to (b + 1) * LADDER.
+    n_steps, h = _step_grid(t_end, dt)
+    stride = math.ceil(n_steps / (MAX_STORED - 2))
+    t = float(messages[0].split("at t = ")[1].split(";")[0])
+    assert round(t / (stride * h)) % LADDER > 1
 
 
 def test_max_step_error_is_the_running_maximum():
