@@ -9,19 +9,18 @@ Every step is advanced as two half steps; comparing against the single full
 step at the stored samples gives a step-halving error estimate that aborts
 the run when the step is too coarse for the requested dynamics.
 On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A,
-which steady_state solves with.  On the homogeneous coordinates (vec V, 1) it
-is linear, so every RK4 step is one matrix built from the generators at the
-step's stage times; time-dependent models are sampled and their step maps
-built in small batches, constant ones once.  evolve takes a time-dependent
-model through every step, and fills a constant one's stored samples a block
-at a time from a ladder of powers of its stride map.
+which steady_state solves with.  On (vec V, 1) it is linear, so evolve's RK4
+steps are matrices built in small batches from the generators at the stage
+times, taken through every step of a time-dependent model and raised to a
+ladder of powers for a constant one.  periodic_steady_state steps a stack of
+models in d x d arithmetic: the monodromy Phi and the covariance Q grown from
+zero over one period give the orbit start V0 = Phi V0 Phi^T + Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -51,7 +50,7 @@ STEP_ERROR_LIMIT = 1e-6
 MAX_STORED = 5000
 #: Default step resolves the fastest generator rate to one percent.
 DT_RESOLUTION = 0.01
-#: Stored samples of one periodic cycle, both endpoints included.
+#: Most stored samples of one periodic cycle, both endpoints included.
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
@@ -104,8 +103,8 @@ class PeriodicSteadyState:
 
     times/covariances resolve one full period as in EvolutionResult (endpoints
     included, V(period) = V(0) up to the stated residual).  spectral_radius is
-    the largest Floquet multiplier modulus of the homogeneous flow; the orbit
-    exists iff it is below one.
+    rho(Phi)^2 for the monodromy Phi, the largest multiplier modulus of the
+    covariance flow; the orbit exists iff it is below one.
     """
 
     period: float
@@ -176,6 +175,8 @@ def _default_dt(model: LinearGaussianModel, resolution: float = DT_RESOLUTION) -
 
 def _step_grid(span: float, dt: float) -> tuple[int, float]:
     """Fewest equal steps of at most dt that land exactly on span: their count and length."""
+    if not (0.0 < span < math.inf and 0.0 < dt < math.inf):
+        raise ParameterError(f"time span and step must be positive and finite, got {span}, {dt}")
     n_steps = max(1, math.ceil(span / dt - 1e-12))
     return n_steps, span / n_steps
 
@@ -266,12 +267,12 @@ def _affine_generators(model: LinearGaussianModel, times: list[float]) -> NDArra
 def _rk4_maps(gens: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     """Classical RK4 steps of dx/dt = G(t) x as matrices, x -> M x.
 
-    gens has shape (n, 3, D, D): G of each of n steps at its stage times
-    t, t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k!
-    up to k = 4.
+    gens has shape (..., 3, D, D): G of each step at its stage times t,
+    t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k! up
+    to k = 4.
     """
     eye = np.eye(gens.shape[-1])
-    g0, gm, g1 = gens[:, 0], gens[:, 1], gens[:, 2]
+    g0, gm, g1 = np.moveaxis(gens, -3, 0)
     k2 = gm @ (eye + (0.5 * h) * g0)
     k3 = gm @ (eye + (0.5 * h) * k2)
     k4 = g1 @ (eye + h * k3)
@@ -286,11 +287,6 @@ def _stages(n: int, gap: int) -> NDArray[np.intp]:
     return 2 * gap * np.arange(n)[:, None] + gap * np.arange(3)
 
 
-def _single_maps(gens: NDArray[np.float64], h: float) -> tuple[NDArray[np.float64]]:
-    """Step maps from generators sampled every h / 2."""
-    return (_rk4_maps(gens[_stages((len(gens) - 1) // 2, 1)], h),)
-
-
 def _halved_maps(
     gens: NDArray[np.float64], h: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -299,32 +295,16 @@ def _halved_maps(
     gens are sampled every h / 4; the defect applied to the state before the
     step is the step-halving error estimate.
     """
-    (half,) = _single_maps(gens, 0.5 * h)
+    half = _rk4_maps(gens[_stages((len(gens) - 1) // 2, 1)], 0.5 * h)
     step = half[1::2] @ half[::2]
     return step, _rk4_maps(gens[_stages(len(step), 2)], h) - step
 
 
-def _constant_maps(model: LinearGaussianModel, h: float, per_step: int, build):
-    """The one step's maps of a constant model, sampled once."""
+def _constant_maps(model: LinearGaussianModel, h: float):
+    """A constant model's one step map and its defect, as _halved_maps, sampled once."""
     gens = _affine_generators(model, [0.0])
-    gens = np.broadcast_to(gens, (per_step + 1,) + gens.shape[1:])
-    return tuple(maps[0] for maps in build(gens, h))
-
-
-def _chunked_maps(model: LinearGaussianModel, h: float, n_steps: int, per_step: int, build):
-    """Yield (first step, map stacks) of n_steps steps of size h, chunk by chunk.
-
-    The model is sampled per_step times per step and build turns the samples
-    of a chunk into per-step map stacks.  A constant model is sampled once
-    and its maps are repeated over all steps.
-    """
-    if model.is_time_independent:
-        yield (0, *(repeat(m, n_steps) for m in _constant_maps(model, h, per_step, build)))
-        return
-    for first in range(0, n_steps, CHUNK_STEPS):
-        count = min(CHUNK_STEPS, n_steps - first)
-        times = (per_step * first + np.arange(per_step * count + 1)) * (h / per_step)
-        yield (first, *build(_affine_generators(model, times.tolist()), h))
+    step, defect = _halved_maps(np.broadcast_to(gens, (5,) + gens.shape[1:]), h)
+    return step[0], defect[0]
 
 
 def _constant_steps(
@@ -342,7 +322,7 @@ def _constant_steps(
     step before each stored step, as on the time-dependent path: the
     previous stored state advanced by one step fewer than its interval.
     """
-    step_map, defect = _constant_maps(model, h, 4, _halved_maps)
+    step_map, defect = _constant_maps(model, h)
     exact = step_map.astype(np.longdouble)
 
     def power(k: int) -> NDArray[np.float64]:
@@ -382,7 +362,9 @@ def _varying_steps(
     defects = np.empty_like(states)
     vec = states[0]
     j = 1
-    for first, steps, step_defects in _chunked_maps(model, h, n_steps, 4, _halved_maps):
+    for first in range(0, n_steps, CHUNK_STEPS):
+        times = np.arange(4 * first, 4 * min(first + CHUNK_STEPS, n_steps) + 1) * (h / 4)
+        steps, step_defects = _halved_maps(_affine_generators(model, times.tolist()), h)
         chunk_start = j
         for step, m, defect in zip(range(first + 1, n_steps + 1), steps, step_defects):
             new = m @ vec
@@ -413,20 +395,12 @@ def evolve(
     estimate exceeds STEP_ERROR_LIMIT.
     """
     start = _entries_in(model.basis, v0)
-    if t_end <= 0.0:
-        raise ParameterError(f"t_end must be positive, got {t_end}")
-    if dt is None:
-        dt = _default_dt(model)
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-
-    n_steps, h = _step_grid(t_end, dt)
+    n_steps, h = _step_grid(t_end, _default_dt(model) if dt is None else dt)
     # Leave room for both endpoints so the stored count never exceeds the cap.
     stride = max(1, math.ceil(n_steps / (MAX_STORED - 2)))
 
     # Stored steps: every stride-th one and the last.
-    stored = list(range(0, n_steps + stride, stride))
-    stored[-1] = n_steps
+    stored = [*range(0, n_steps, stride), n_steps]
     # One nominal step is two RK4 half steps composed into one map on
     # (vec V, 1); the single full step's defect against it, applied to the
     # state before a stored step, gives the error.
@@ -460,14 +434,28 @@ class _SteadyStack:
     residuals: NDArray[np.float64]
 
 
+def _stacked_solve(gens: NDArray[np.float64], rhs: NDArray[np.float64], points, errors, system):
+    """Solve stacked gens x = rhs of points; a singular one is left NaN, its error set."""
+    try:
+        return np.linalg.solve(gens, rhs)
+    except np.linalg.LinAlgError:
+        vecs = np.full_like(rhs, np.nan)
+        for j, i in enumerate(points):
+            try:
+                vecs[j] = np.linalg.solve(gens[j], rhs[j])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = NumericalError(f"singular {system} system: {exc}")
+                errors[i].__cause__ = exc
+        return vecs
+
+
 def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> _SteadyStack:
     """Solve A V + V A^T + N = 0 for stacked (k, d, d) drifts and diffusions.
 
-    One batched eigvals judges every point and one batched solve takes the
-    stable ones; the checks of steady_state then run on the whole stack.  A
-    stacked solve fails as a whole when one system is singular, so only then
-    are the points solved one at a time.  The first point that passes every
-    check but has a non-positive diagonal raises CovarianceError.
+    One batched eigvals judges every point and one _stacked_solve takes the
+    stable ones; the checks of steady_state then run on the whole stack.  The
+    first point that passes every check but has a non-positive diagonal
+    raises CovarianceError.
     """
     d = drifts.shape[-1]
     eig, max_re, verdicts = _spectra(drifts)
@@ -480,17 +468,7 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
     ]
     a, n = drifts[stable], noises[stable]
     gens, rhs = _generator(a), -n.reshape(len(stable), d * d, 1)
-    try:
-        vecs = np.linalg.solve(gens, rhs)
-    except np.linalg.LinAlgError:
-        vecs = np.full_like(rhs, np.nan)
-        for j, i in enumerate(stable):
-            try:
-                vecs[j] = np.linalg.solve(gens[j], rhs[j])
-            except np.linalg.LinAlgError as exc:
-                error = NumericalError(f"singular Lyapunov system: {exc}")
-                error.__cause__ = exc
-                errors[i] = error
+    vecs = _stacked_solve(gens, rhs, stable, errors, "Lyapunov")
     finite = np.all(np.isfinite(vecs), axis=(1, 2))
     v = _symmetrized(vecs.reshape(len(stable), d, d))
     # The residual is checked against the diffusion scale, with an allowance
@@ -541,66 +519,98 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     )
 
 
+def _lyapunov_rk4(q: NDArray[np.float64], a: NDArray[np.float64], n: NDArray[np.float64]):
+    """One classical RK4 step of dQ/dt = A Q + Q A^T + N for stacked (k, d, d) Q.
+
+    a and n (4, k, d, d): A and N at t, t + h/2, t + h/2, t + h times h/2, h/2, h, h/6.
+    """
+
+    def increment(stage: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        ax = a[stage] @ x  # ax + ax^T keeps Q exactly symmetric
+        return ax + ax.swapaxes(-1, -2) + n[stage]
+
+    q1 = q + increment(0, q)
+    q2 = q + increment(1, q1)
+    q3 = q + increment(2, q2)
+    return (q1 + 2.0 * q2 + q3 - q) / 3.0 + increment(3, q3)
+
+
+def _periodic_states(
+    models: list[LinearGaussianModel], period: float
+) -> list[PeriodicSteadyState | Exception]:
+    """Periodic steady states of stacked models: each its result or the error it raises.
+
+    The models must share a basis and a default step, else ParameterError.
+    On that step's grid the monodromy Phi' = A Phi (from I) and Q' = A Q +
+    Q A^T + N (from 0) are RK4-stepped over one period for all models at
+    once, sampled at the half-step stage times CHUNK_STEPS steps at a time.
+    V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL 103, 213603 (2009));
+    the cycle samples are Phi V0 Phi^T + Q.
+    """
+    if len({(model.basis, _default_dt(model)) for model in models}) > 1:
+        raise ParameterError("stacked periodic models must share a basis and a default step")
+    n_steps, h = _step_grid(period, _default_dt(models[0]))
+    d, stride = models[0].basis.dim, max(1, math.ceil(n_steps / (CYCLE_SAMPLES - 1)))
+    phi, q = np.broadcast_to(np.eye(d), (len(models), d, d)), np.zeros((len(models), d, d))
+    samples = [(phi, q)]
+    # A diverged model is carried as inf and NaN, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, CHUNK_STEPS):
+            count = min(CHUNK_STEPS, n_steps - first)
+            times = ((2 * first + np.arange(2 * count + 1)) * (h / 2)).tolist()
+            drifts = np.array([[m.drift_at(t) for m in models] for t in times])
+            noises = np.array([[m.diffusion_at(t) for m in models] for t in times])
+            stages = _stages(count, 1)
+            maps = _rk4_maps(drifts[stages].swapaxes(1, 2), h)
+            s4, w = stages[:, [0, 1, 1, 2]], h * np.array([0.5, 0.5, 1, 1 / 6])[:, None, None, None]
+            for step, (m, a, n) in enumerate(zip(maps, w * drifts[s4], w * noises[s4]), first + 1):
+                phi = m @ phi
+                q = _lyapunov_rk4(q, a, n)
+                if step % stride == 0 or step == n_steps:
+                    samples.append((phi, q))
+        finite = np.all(np.isfinite(phi) & np.isfinite(q), axis=(1, 2))
+        eig = np.linalg.eigvals(np.where(finite[:, None, None], phi, 0.0))
+    radii = np.max(np.abs(eig), axis=-1) ** 2
+    out: list = [None if ok else NumericalError("period map diverged; reduce dt") for ok in finite]
+    for i in np.flatnonzero(finite & (radii >= 1.0)):
+        out[i] = UnstableModelError(
+            f"Floquet multiplier modulus {radii[i]:.6g} >= 1; no periodic steady state"
+        )
+    live = [i for i, error in enumerate(out) if error is None]
+    phis, qs = (np.array(x)[:, live] for x in zip(*samples))
+    # Row-major vec(Phi V Phi^T) is kron(Phi, Phi) vec(V).
+    kron = (phi[live, :, None, :, None] * phi[live, None, :, None, :]).reshape(-1, d * d, d * d)
+    rhs = q[live].reshape(-1, d * d, 1)
+    vecs = _stacked_solve(np.eye(d * d) - kron, rhs, live, out, "period-map")
+    v0s = _symmetrized(vecs.reshape(-1, d, d))
+    cycles = phis @ v0s @ np.swapaxes(phis, -1, -2) + qs
+    times = _frozen(np.multiply([*range(0, n_steps, stride), n_steps], h))
+    for i, v0, cycle in zip(live, v0s, np.swapaxes(cycles, 0, 1)):
+        if out[i] is not None:
+            continue
+        try:
+            if not np.all(np.isfinite(v0)):
+                raise NumericalError("non-finite periodic steady state")
+            covs = _sample_covariances(times, cycle.reshape(len(times), d * d))
+        except (NumericalError, CovarianceError) as error:
+            out[i] = error
+            continue
+        res = float(np.max(np.abs(covs[-1] - v0)) / max(1.0, np.max(np.abs(v0))))
+        out[i] = PeriodicSteadyState(period, times, covs, models[i].basis, float(radii[i]), res)
+    return out
+
+
 def periodic_steady_state(model: LinearGaussianModel, period: float) -> PeriodicSteadyState:
     """Quasistationary cycle of a model with period-periodic coefficients.
 
-    The Lyapunov flow over one period is an affine map on vec(V); its fixed
-    point is the covariance the transient settles onto, without integrating
-    through the slow relaxation.  The map is the product of the RK4 step maps
-    of evolve's default step (the Floquet map of the covariance flow), so the
-    result matches a long evolve run up to the integration tolerance; the
-    cycle samples, CYCLE_SAMPLES of them, come from its partial products.  For
-    time-independent models this reduces to steady_state for any choice of
-    period.
+    The fixed point of the period map V -> Phi V Phi^T + Q (_periodic_states)
+    is what a long evolve run settles onto, and for a constant model, at any
+    period, its steady_state, both up to the integration error.
     """
-    if period <= 0.0:
-        raise ParameterError(f"period must be positive, got {period}")
-    n_steps, h = _step_grid(period, _default_dt(model))
-    d = model.basis.dim
-
-    # The period map on (vec V, 1) is [[homogeneous map, offset], [0, 1]];
-    # keeping its partial products at the stored steps resolves the cycle
-    # once V0 is known.
-    stride = max(1, math.ceil(n_steps / (CYCLE_SAMPLES - 1)))
-    period_map = np.eye(d * d + 1)
-    sample_t = [0.0]
-    snapshots = [period_map]
-    for first, maps in _chunked_maps(model, h, n_steps, 2, _single_maps):
-        for step, m in zip(range(first + 1, n_steps + 1), maps):
-            period_map = m @ period_map
-            if step % stride == 0 or step == n_steps:
-                sample_t.append(step * h)
-                snapshots.append(period_map)
-    if not np.all(np.isfinite(period_map)):
-        raise NumericalError("period map diverged; reduce dt")
-    hom = period_map[:-1, :-1]
-    offset = period_map[:-1, -1]
-
-    radius = float(np.max(np.abs(np.linalg.eigvals(hom))))
-    if radius >= 1.0:
-        raise UnstableModelError(
-            f"Floquet multiplier modulus {radius:.6g} >= 1; no periodic steady state"
-        )
-    try:
-        vec = np.linalg.solve(np.eye(d * d) - hom, offset)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular period-map system: {exc}") from exc
-    v0 = _symmetrized(vec.reshape(d, d))
-    if not np.all(np.isfinite(v0)):
-        raise NumericalError("non-finite periodic steady state")
-
-    times = _frozen(sample_t)
-    covs = _sample_covariances(times, np.stack(snapshots)[:, :-1] @ np.append(v0.ravel(), 1.0))
-    residual = float(np.max(np.abs(covs[-1] - v0))) / max(1.0, float(np.max(np.abs(v0))))
-
-    return PeriodicSteadyState(
-        period=period,
-        times=times,
-        covariances=covs,
-        basis=model.basis,
-        spectral_radius=radius,
-        residual_norm=residual,
-    )
+    (cycle,) = _periodic_states([model], period)
+    if isinstance(cycle, Exception):
+        raise cycle
+    return cycle
 
 
 def _bisect_brackets(

@@ -19,10 +19,10 @@ from numpy.typing import NDArray
 
 from .dynamics import (
     _bisect_brackets,
+    _periodic_states,
     _spectra,
     _steady_states,
     evolve,
-    periodic_steady_state,
 )
 from .errors import ConfigError, ParameterError, UnstableModelError
 from .gaussian import CAVITY_MECH
@@ -101,20 +101,19 @@ class ModulationOptimum:
     at_edge: bool
 
 
-def _cycle_min_vsq(params: SystemParams) -> float | None:
-    """Quasistationary squeezed variance of the lab-frame resonant scheme.
+def _cycle_min_vsqs(rows: Sequence[SystemParams], period: float) -> list[float | None]:
+    """Quasistationary squeezed variance of the lab-frame resonant scheme of each row.
 
     The rotating-frame steady state hides the micromotion that mixes part of
     the antisqueezed quadrature back in; the observable squeezing is the
-    minimum over one modulation cycle of the time-periodic lab dynamics.
-    None when that dynamics has no periodic steady state.
+    minimum over one cycle, period = pi / omega_x, of the lab dynamics, all
+    rows in one stack.  None where there is no periodic steady state.
     """
-    model = build_full_modulated(params)
-    try:
-        cycle = periodic_steady_state(model, math.pi / params.omega_x)
-    except UnstableModelError:
-        return None
-    return float(vsq_trajectory(cycle).min())
+    cycles = _periodic_states([build_full_modulated(p) for p in rows], period)
+    for cycle in cycles:
+        if isinstance(cycle, Exception) and not isinstance(cycle, UnstableModelError):
+            raise cycle
+    return [None if isinstance(c, Exception) else float(vsq_trajectory(c).min()) for c in cycles]
 
 
 def modulation_instabilities(
@@ -430,29 +429,20 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
     points = _points(ov, 40)
     series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
     alpha_crits, grids = _depth_axes([p for _, p in series], points)
-    rows: list[tuple] = []
+    named: list[tuple[str, SweepPoint]] = []
     meta: dict = {"params": base}
     for (name, p), alpha_crit, grid in zip(series, alpha_crits, grids.tolist()):
         meta[f"alpha_crit_{name}"] = alpha_crit
-        axis = SweepAxis("alpha", tuple(grid))
-        rows += [
-            (
-                name,
-                pt.value,
-                pt.report.v_sq,
-                pt.report.v_asq,
-                pt.report.eta,
-                bogoliubov_ground_variance(pt.value),
-                _cycle_min_vsq(pt.params),
-            )
-            for pt in _ok_points(sweep(axis, build_bogoliubov_dissipative, p, "steady"))
-        ]
-    return FigureData(
-        "fig4a",
-        ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full"),
-        tuple(rows),
-        meta,
+        swept = sweep(SweepAxis("alpha", tuple(grid)), build_bogoliubov_dissipative, p, "steady")
+        named += [(name, pt) for pt in _ok_points(swept)]
+    v_full = _cycle_min_vsqs([pt.params for _, pt in named], math.pi / base.omega_x)
+    rows = tuple(
+        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta,
+         bogoliubov_ground_variance(pt.value), v)
+        for (name, pt), v in zip(named, v_full)
     )
+    columns = ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")
+    return FigureData("fig4a", columns, rows, meta)
 
 
 def _fig4b(ov: Mapping[str, float]) -> FigureData:
@@ -488,20 +478,20 @@ def _figs5(ov: Mapping[str, float]) -> FigureData:
     """Phase independence of the steady cooling-scheme squeezing."""
     base = _apply_overrides(resonant_params(), ov)
     axis = SweepAxis.linear("phi", 0.0, 2.0 * math.pi, _points(ov, 25))
-    rows = [
-        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta,
-         _cycle_min_vsq(pt.params))
+    named = [
+        (name, pt)
         for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01))
         for pt in _ok_points(
             sweep(axis, build_bogoliubov_dissipative, base.with_value("alpha", alpha), "steady")
         )
     ]
-    return FigureData(
-        "figS5",
-        ("series", "phi", "v_sq", "v_asq", "eta", "v_sq_full"),
-        tuple(rows),
-        {"params": base},
+    v_full = _cycle_min_vsqs([pt.params for _, pt in named], math.pi / base.omega_x)
+    rows = tuple(
+        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta, v)
+        for (name, pt), v in zip(named, v_full)
     )
+    columns = ("series", "phi", "v_sq", "v_asq", "eta", "v_sq_full")
+    return FigureData("figS5", columns, rows, {"params": base})
 
 
 FIGURES: dict[str, Callable[[Mapping[str, float]], FigureData]] = {

@@ -74,8 +74,7 @@ class EnsembleSpec:
             raise ParameterError(f"need at least 100 trajectories, got {self.n_traj}")
         if self.n_traj > MAX_TRAJ:
             raise ParameterError(f"need at most {MAX_TRAJ} trajectories, got {self.n_traj}")
-        if self.t_end <= 0.0 or self.dt <= 0.0:
-            raise ParameterError("t_end and dt must be positive")
+        _step_grid(self.t_end, self.dt)  # refuses a non-positive or non-finite t_end or dt
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if not 2 <= self.n_checkpoints <= MAX_STORED:

@@ -21,7 +21,7 @@ from levisqueeze.figures import (
     optimize_modulation,
     resonant_params,
     run_figure,
-    _cycle_min_vsq,
+    _cycle_min_vsqs,
 )
 from levisqueeze.gaussian import LinearGaussianModel
 from levisqueeze.metrics import (
@@ -116,7 +116,7 @@ def test_c04_dissipative_parametric_optimum():
     )
     i = int(np.argmin(v_sq))
     ideal = bogoliubov_ground_variance(alpha_crit)
-    observable = _cycle_min_vsq(p.with_value("alpha", float(grid[-1])))
+    (observable,) = _cycle_min_vsqs([p.with_value("alpha", float(grid[-1]))], math.pi / p.omega_x)
     ok = (
         i == len(grid) - 1
         and v_sq[i] < ideal

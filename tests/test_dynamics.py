@@ -17,7 +17,7 @@ from levisqueeze.dynamics import (
     _constant_parts,
     _constant_steps,
     _generator,
-    _halved_maps,
+    _periodic_states,
     _stable_points,
     _steady_states,
     _step_grid,
@@ -46,6 +46,7 @@ from levisqueeze.gaussian import (
 )
 from levisqueeze.figures import detuned_params
 from levisqueeze.metrics import vsq_trajectory
+from levisqueeze.montecarlo import EnsembleSpec
 from levisqueeze.models import (
     SystemParams,
     build_eliminated_detuned,
@@ -165,7 +166,7 @@ def test_powered_samples_match_an_extended_precision_iteration():
     model = build_full_cs(p)
     v0 = initial_covariance(p, model.basis).entries
     result = evolve(model, v0, 100.0)
-    step_map, _ = _constant_maps(model, result.stats.dt, 4, _halved_maps)
+    step_map, _ = _constant_maps(model, result.stats.dt)
     step_map = step_map.astype(np.longdouble)
     vec = np.append(v0.ravel(), 1.0).astype(np.longdouble)
     exact = [vec]
@@ -192,7 +193,7 @@ def extended_iteration(model, v0s, dt, steps) -> np.ndarray:
     Every start is carried step by step through the step map in long double;
     the first row holds the starts.
     """
-    step_map, _ = _constant_maps(model, dt, 4, _halved_maps)
+    step_map, _ = _constant_maps(model, dt)
     step_map = step_map.astype(np.longdouble)
     vecs = np.array([np.append(np.ravel(v0), 1.0) for v0 in v0s], dtype=np.longdouble).T
     states, wanted = [vecs], set(steps)
@@ -210,7 +211,7 @@ def per_sample_states(model, v0, stats) -> np.ndarray:
     sample to one step before the next stored step, and one float64 step
     lands on it.
     """
-    step_map, _ = _constant_maps(model, stats.dt, 4, _halved_maps)
+    step_map, _ = _constant_maps(model, stats.dt)
     stored = stored_steps(stats)
     powers = {
         k: np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
@@ -271,7 +272,7 @@ def test_short_last_interval_matches_an_extended_precision_iteration(rng, n_step
     states = np.empty((len(stored), v0.size + 1))
     states[0] = np.append(v0.ravel(), 1.0)
     defects = _constant_steps(model, h, stored, states)[1:]
-    _, defect = _constant_maps(model, h, 4, _halved_maps)
+    _, defect = _constant_maps(model, h)
     before = extended_iteration(model, [v0], h, [step - 1 for step in stored[1:]])[1:, :, 0]
     want = before @ defect.T
     assert np.all(np.max(np.abs(defects - want), axis=1) <= 1e-10 * np.max(np.abs(want), axis=1))
@@ -340,7 +341,8 @@ def counted(model: LinearGaussianModel) -> tuple[LinearGaussianModel, list[float
 def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     # evolve samples every quarter step (two half steps plus the full step),
     # periodic_steady_state every half step; each chunk of CHUNK_STEPS steps
-    # samples its own endpoints.
+    # samples its own endpoints.  A constant model's evolve samples once, but
+    # its periodic_steady_state samples it as a time-dependent one.
     model, calls = counted(build_full_modulated(dataclasses.replace(resonant, alpha=0.4)))
     result = evolve(model, np.eye(4), 1.0)
     n = result.stats.n_steps
@@ -352,8 +354,10 @@ def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     assert len(calls) == 2 * n + math.ceil(n / CHUNK_STEPS)
     constant, calls = counted(build_full_cs(resonant))
     evolve(constant, np.eye(4), 1.0)
+    assert len(calls) == 1
     periodic_steady_state(constant, period)
-    assert len(calls) == 2
+    n = math.ceil(period * constant.fastest_rate / DT_RESOLUTION)
+    assert len(calls) == 1 + 2 * n + math.ceil(n / CHUNK_STEPS)
 
 
 def test_evolve_is_fourth_order():
@@ -386,6 +390,25 @@ def test_evolve_rejects_bad_horizon():
         evolve(model, vac(np.eye(2)), 0.0)
     with pytest.raises(ParameterError):
         evolve(model, vac(np.eye(2)), 1.0, dt=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: evolve(damped_cavity(), vac(np.eye(2)), bad),
+        lambda bad: evolve(damped_cavity(), vac(np.eye(2)), 1.0, dt=bad),
+        lambda bad: periodic_steady_state(damped_cavity(), bad),
+        lambda bad: EnsembleSpec(n_traj=100, t_end=bad, dt=0.01, seed=0),
+        lambda bad: EnsembleSpec(n_traj=100, t_end=1.0, dt=bad, seed=0),
+    ],
+    ids=["evolve-t_end", "evolve-dt", "periodic-period", "ensemble-t_end", "ensemble-dt"],
+)
+def test_non_finite_span_or_step_is_refused(call, bad):
+    # One check on the shared step grid; NaN and inf used to escape as
+    # ValueError, OverflowError or a late IntegrationError.
+    with pytest.raises(ParameterError, match="positive and finite"):
+        call(bad)
 
 
 def test_evolve_rejects_basis_mismatch(detuned):
@@ -766,3 +789,53 @@ def test_periodic_steady_state_rejects_bad_arguments():
     model = damped_cavity()
     with pytest.raises(ParameterError):
         periodic_steady_state(model, 0.0)
+
+
+def dop853_orbit_start(model, period: float) -> np.ndarray:
+    """V0 from a DOP853 monodromy: Phi' = A Phi and Q' = A Q + Q A^T + N over one period."""
+    d = model.basis.dim
+
+    def joint(t, y):
+        a, phi, q = model.drift_at(t), y[: d * d].reshape(d, d), y[d * d :].reshape(d, d)
+        return np.concatenate([(a @ phi).ravel(), (a @ q + q @ a.T + model.diffusion_at(t)).ravel()])
+
+    y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    sol = scipy.integrate.solve_ivp(
+        joint, (0.0, period), y0, method="DOP853", rtol=1e-12, atol=1e-13
+    )
+    phi, q = sol.y[: d * d, -1].reshape(d, d), sol.y[d * d :, -1].reshape(d, d)
+    return scipy.linalg.solve_discrete_lyapunov(phi, 0.5 * (q + q.T))
+
+
+def test_periodic_steady_state_matches_a_dop853_monodromy(resonant):
+    p = dataclasses.replace(resonant, alpha=0.4)
+    model = build_full_modulated(p)
+    period = math.pi / p.omega_x
+    want = dop853_orbit_start(model, period)
+    got = periodic_steady_state(model, period).covariances[0]
+    assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(want))
+
+
+def test_stacked_periodic_states_equal_one_model_calls(resonant):
+    # The middle model is parametrically unstable; the stack carries its
+    # error and solves its neighbours exactly as one-model calls do.
+    models = [build_full_modulated(resonant.with_value("alpha", a)) for a in (0.4, 0.6, 0.1)]
+    period = math.pi / resonant.omega_x
+    stack = _periodic_states(models, period)
+    with pytest.raises(UnstableModelError) as single_error:
+        periodic_steady_state(models[1], period)
+    assert isinstance(stack[1], UnstableModelError)
+    assert str(stack[1]) == str(single_error.value)
+    for model, got in zip(models[::2], stack[::2]):
+        want = periodic_steady_state(model, period)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.covariances, want.covariances)
+        assert got.spectral_radius == want.spectral_radius
+        assert got.residual_norm == want.residual_norm
+
+
+def test_stacked_periodic_states_refuse_mismatched_default_steps(resonant):
+    fast = build_full_modulated(resonant.with_value("alpha", 0.4))
+    slow = dataclasses.replace(fast, fastest_rate=0.5 * fast.fastest_rate)
+    with pytest.raises(ParameterError, match="default step"):
+        _periodic_states([fast, slow], math.pi / resonant.omega_x)

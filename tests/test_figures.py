@@ -11,13 +11,14 @@ from levisqueeze.dynamics import (
     stability,
     steady_state,
 )
-from levisqueeze.errors import ConfigError, IntegrationError
+from levisqueeze.errors import ConfigError, IntegrationError, UnstableModelError
 from levisqueeze.figures import (
     FIGURES,
     ALPHA_MAX,
     ONSET_MARGIN,
     ONSET_TOL,
     FigureJob,
+    _depth_axes,
     detuned_params,
     modulation_instabilities,
     modulation_instability,
@@ -398,16 +399,38 @@ def test_fig3d_counts_optima_on_the_window_edge():
     assert data.meta["t_opt_at_edge"] == 3
 
 
-def test_figs5_rows_equal_a_direct_loop():
-    data = run_figure(FigureJob("figS5", {"points": 3}))
+def lab_frame_points(figure: str) -> list[tuple]:
+    """(series, swept value, params) of each row of a lab-frame figure at points=3."""
     base = resonant_params()
+    if figure == "figS5":
+        return [
+            (name, phi, base.with_value("alpha", alpha).with_value("phi", phi))
+            for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01))
+            for phi in (0.0, math.pi, 2.0 * math.pi)
+        ]
+    series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
+    _, grids = _depth_axes([p for _, p in series], 3)
+    return [
+        (name, alpha, p.with_value("alpha", alpha))
+        for (name, p), grid in zip(series, grids.tolist())
+        for alpha in grid
+    ]
+
+
+@pytest.mark.parametrize("figure", ["figS5", "fig4a"])
+def test_lab_frame_rows_equal_a_direct_loop(figure):
+    # The figure solves all its lab-frame cycles in one stack; each row
+    # equals the one-model solvers bit for bit.
+    data = run_figure(FigureJob(figure, {"points": 3}))
     expected = []
-    for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01)):
-        for phi in (0.0, math.pi, 2.0 * math.pi):
-            p = base.with_value("alpha", alpha).with_value("phi", phi)
-            cov = steady_state(build_bogoliubov_dissipative(p)).covariance
-            rep = squeezing_metrics(mechanical_block(cov.entries, cov.basis))
+    for name, value, p in lab_frame_points(figure):
+        cov = steady_state(build_bogoliubov_dissipative(p)).covariance
+        rep = squeezing_metrics(mechanical_block(cov.entries, cov.basis))
+        try:
             cycle = periodic_steady_state(build_full_modulated(p), math.pi / p.omega_x)
             v_full = float(vsq_trajectory(cycle).min())
-            expected.append((name, phi, rep.v_sq, rep.v_asq, rep.eta, v_full))
+        except UnstableModelError:
+            v_full = None
+        v_alpha = (bogoliubov_ground_variance(value),) if figure == "fig4a" else ()
+        expected.append((name, value, rep.v_sq, rep.v_asq, rep.eta, *v_alpha, v_full))
     assert data.rows == tuple(expected)
