@@ -390,14 +390,9 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
     return 0
 
 
-def cmd_figure(cfg: RunConfig, out: OutputSpec | None, figure_id: str | None) -> int:
-    fig = figure_id or cfg.get("figure")
-    if fig is None:
-        raise ConfigError(f"no figure id given; known ids: {sorted(FIGURES)}")
+def cmd_figure(cfg: RunConfig, out: OutputSpec, fig: str) -> int:
     overrides = {k: cfg.raw[k] for k in cfg.raw if k in PARAM_KEYS or k in FIGURE_RUN_KEYS}
     data = run_figure(FigureJob(fig, overrides))
-    if out is None:
-        out = OutputSpec(Path(f"{fig}.csv"), "csv")
     merged = RunConfig({**cfg.raw, "figure": fig})
     write_table(out, data.columns, data.rows, merged, {"command": "figure", "meta": data.meta})
     return 0
@@ -492,11 +487,19 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or cfg.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
+        name = args.command
+        if name == "figure":
+            name = args.figure_id or cfg.get("figure")
+            if name is None:
+                raise ConfigError(f"no figure id given; known ids: {sorted(FIGURES)}")
         out_path = args.out or cfg.get("out")
+        if out_path is None and args.command in ("evolve", "sweep", "figure"):
+            # A table command writes <figure id or command>.<format> by default.
+            out_path = f"{name}.{fmt}"
         out = None if out_path is None else OutputSpec(Path(out_path), fmt)
 
         if args.command == "evolve":
-            return cmd_evolve(cfg, out or OutputSpec(Path("evolve.csv"), fmt))
+            return cmd_evolve(cfg, out)
         if args.command == "steady":
             return cmd_steady(cfg, out)
         if args.command == "stability":
@@ -504,9 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "threshold":
             return cmd_threshold(cfg, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out or OutputSpec(Path("sweep.csv"), fmt))
+            return cmd_sweep(cfg, out)
         if args.command == "figure":
-            return cmd_figure(cfg, out, args.figure_id)
+            return cmd_figure(cfg, out, name)
         if args.command == "mc-validate":
             return cmd_mc_validate(cfg, out)
         raise ConfigError(f"unknown command {args.command!r}")

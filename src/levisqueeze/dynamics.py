@@ -175,8 +175,10 @@ def _default_dt(model: LinearGaussianModel, resolution: float = DT_RESOLUTION) -
 
 def _step_grid(span: float, dt: float) -> tuple[int, float]:
     """Fewest equal steps of at most dt that land exactly on span: their count and length."""
-    if not (0.0 < span < math.inf and 0.0 < dt < math.inf):
-        raise ParameterError(f"time span and step must be positive and finite, got {span}, {dt}")
+    if not (0.0 < span < math.inf and 0.0 < dt < math.inf and span / dt < math.inf):
+        raise ParameterError(
+            f"time span and step must be positive and finite, as must their ratio, got {span}, {dt}"
+        )
     n_steps = max(1, math.ceil(span / dt - 1e-12))
     return n_steps, span / n_steps
 

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (
-    _bisect_brackets,
-    _periodic_states,
-    _spectra,
-    _steady_states,
-    evolve,
-)
+from .dynamics import _bisect_brackets, _periodic_states, _spectra, evolve
 from .errors import ConfigError, ParameterError, UnstableModelError
 from .gaussian import CAVITY_MECH
 from .metrics import (
@@ -33,8 +27,7 @@ from .metrics import (
     SweepPoint,
     SweepTable,
     _parabolic_vertex,
-    _squeezing_reports,
-    mechanical_block,
+    _steady_reports,
     mechanical_trajectory,
     sweep,
     vsq_trajectory,
@@ -43,7 +36,6 @@ from .models import (
     SystemParams,
     bogoliubov_ground_variance,
     bogoliubov_stack,
-    build_bogoliubov_dissipative,
     build_eliminated_modulated,
     build_full_cs,
     build_full_modulated,
@@ -116,18 +108,16 @@ def _cycle_min_vsqs(rows: Sequence[SystemParams], period: float) -> list[float |
     return [None if isinstance(c, Exception) else float(vsq_trajectory(c).min()) for c in cycles]
 
 
-def modulation_instabilities(
-    rows: Sequence[SystemParams], alpha_max: float = ALPHA_MAX
-) -> list[float | None]:
+def modulation_instabilities(rows: Sequence[SystemParams]) -> list[float | None]:
     """Smallest unstable modulation depth of the cooling model of each row, if any.
 
-    Each row is judged on 40 depths in [0, alpha_max], all rows with one
+    Each row is judged on 40 depths in [0, ALPHA_MAX], all rows with one
     eigvals, and the first stable-to-unstable step of each is bisected, all
     brackets in lockstep.  A bracket stops at ONSET_TOL, or at a relative
     ONSET_MARGIN of its upper end where that is tighter, so that an onset
     below ONSET_TOL is resolved too.
     """
-    grid = np.linspace(0.0, alpha_max, 40)
+    grid = np.linspace(0.0, ALPHA_MAX, 40)
     drifts, _, _ = bogoliubov_stack(rows, np.broadcast_to(grid, (len(rows), len(grid))))
     verdicts = _spectra(drifts)[2]
     if not verdicts[:, 0].all():
@@ -151,11 +141,6 @@ def modulation_instabilities(
     return [found.get(i) for i in range(len(rows))]
 
 
-def modulation_instability(params: SystemParams, alpha_max: float = ALPHA_MAX) -> float | None:
-    """Smallest unstable modulation depth of the cooling model, if any."""
-    return modulation_instabilities([params], alpha_max)[0]
-
-
 def _grid_top(alpha_crit: float | None) -> float:
     """Top of the depth grid below an instability onset, or ALPHA_MAX without one.
 
@@ -171,27 +156,29 @@ def _grid_top(alpha_crit: float | None) -> float:
     return top if top >= 0.5 * alpha_crit else alpha_crit * (1.0 - ONSET_MARGIN)
 
 
-def _depth_axes(
-    rows: Sequence[SystemParams], points: int
-) -> tuple[list[float | None], NDArray[np.float64]]:
-    """Instability onset of each row's cooling model and its depth grid just below it.
+def _ok_reports(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> list[SqueezingReport]:
+    """Steady squeezing reports of stacked cooling-model points; the first error is raised."""
+    reports = _steady_reports(drifts, noises, CAVITY_MECH)
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+    return reports
 
-    Returns the onsets and the grids, one row of points depths each.
+
+def _depth_scan(
+    rows: Sequence[SystemParams], points: int
+) -> tuple[list[float | None], NDArray[np.float64], Iterator[list[SqueezingReport]]]:
+    """Steady squeezing of each row's cooling model on a depth grid just below its onset.
+
+    Returns the instability onsets, the grids of points depths each, and
+    each row's reports along its grid, one stacked steady solve per row as
+    it is read, so that only one row's solve is held at a time.
     """
     alpha_crits = modulation_instabilities(rows)
-    tops = [_grid_top(crit) for crit in alpha_crits]
-    return alpha_crits, np.linspace(0.0, tops, points, axis=-1)
-
-
-def _steady_reports(
-    drifts: NDArray[np.float64], noises: NDArray[np.float64]
-) -> list[SqueezingReport]:
-    """Squeezing reports of stacked steady states; the first point's error is raised."""
-    stack = _steady_states(drifts, noises)
-    for error in stack.errors:
-        if error is not None:
-            raise error
-    return _squeezing_reports(mechanical_block(stack.covariances, CAVITY_MECH))
+    grids = np.linspace(0.0, [_grid_top(crit) for crit in alpha_crits], points, axis=-1)
+    drifts, noises, _ = bogoliubov_stack(rows, grids)
+    scans = (_ok_reports(d, np.broadcast_to(n, d.shape)) for d, n in zip(drifts, noises))
+    return alpha_crits, grids, scans
 
 
 def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum]:
@@ -204,13 +191,11 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
     one solve.  A minimum on the first or last depth is reported with
     at_edge set.
     """
-    alpha_crits, grids = _depth_axes(rows, 60)
-    drifts, noises, _ = bogoliubov_stack(rows, grids)
+    alpha_crits, grids, scans = _depth_scan(rows, 60)
     best: list[tuple[float, SqueezingReport]] = []
     polish: list[tuple[int, float]] = []
     edges = []
-    for i, (grid, row_drifts, noise) in enumerate(zip(grids.tolist(), drifts, noises)):
-        reports = _steady_reports(row_drifts, np.broadcast_to(noise, row_drifts.shape))
+    for i, (grid, reports) in enumerate(zip(grids.tolist(), scans)):
         v_sq = [rep.v_sq for rep in reports]
         j = int(np.argmin(v_sq))
         best.append((grid[j], reports[j]))
@@ -222,7 +207,7 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
     if polish:
         polished_rows = [rows[i] for i, _ in polish]
         p_drifts, p_noises, _ = bogoliubov_stack(polished_rows, [[alpha] for _, alpha in polish])
-        reports = _steady_reports(p_drifts[:, 0], p_noises)
+        reports = _ok_reports(p_drifts[:, 0], p_noises)
         for (i, alpha), report in zip(polish, reports):
             if report.v_sq < best[i][1].v_sq:
                 best[i] = (alpha, report)
@@ -236,14 +221,6 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
         )
         for crit, (alpha, report), edge in zip(alpha_crits, best, edges)
     ]
-
-
-def optimize_modulation(params: SystemParams) -> ModulationOptimum:
-    """Minimize the steady squeezed variance over the modulation depth.
-
-    The one-row case of :func:`optimize_modulations`.
-    """
-    return optimize_modulations([params])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +405,16 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
     base = _apply_overrides(resonant_params(), ov)
     points = _points(ov, 40)
     series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
-    alpha_crits, grids = _depth_axes([p for _, p in series], points)
-    named: list[tuple[str, SweepPoint]] = []
+    alpha_crits, grids, scans = _depth_scan([p for _, p in series], points)
     meta: dict = {"params": base}
-    for (name, p), alpha_crit, grid in zip(series, alpha_crits, grids.tolist()):
+    named = []
+    for (name, p), alpha_crit, grid, reports in zip(series, alpha_crits, grids.tolist(), scans):
         meta[f"alpha_crit_{name}"] = alpha_crit
-        swept = sweep(SweepAxis("alpha", tuple(grid)), build_bogoliubov_dissipative, p, "steady")
-        named += [(name, pt) for pt in _ok_points(swept)]
-    v_full = _cycle_min_vsqs([pt.params for _, pt in named], math.pi / base.omega_x)
+        named += [(name, p.with_value("alpha", a), rep) for a, rep in zip(grid, reports)]
+    v_full = _cycle_min_vsqs([p for _, p, _ in named], math.pi / base.omega_x)
     rows = tuple(
-        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta,
-         bogoliubov_ground_variance(pt.value), v)
-        for (name, pt), v in zip(named, v_full)
+        (name, p.alpha, rep.v_sq, rep.v_asq, rep.eta, bogoliubov_ground_variance(p.alpha), v)
+        for (name, p, rep), v in zip(named, v_full)
     )
     columns = ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")
     return FigureData("fig4a", columns, rows, meta)
@@ -477,18 +452,19 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
 def _figs5(ov: Mapping[str, float]) -> FigureData:
     """Phase independence of the steady cooling-scheme squeezing."""
     base = _apply_overrides(resonant_params(), ov)
-    axis = SweepAxis.linear("phi", 0.0, 2.0 * math.pi, _points(ov, 25))
+    phis = np.linspace(0.0, 2.0 * math.pi, _points(ov, 25)).tolist()
     named = [
-        (name, pt)
+        (name, base.with_value("alpha", alpha).with_value("phi", phi))
         for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01))
-        for pt in _ok_points(
-            sweep(axis, build_bogoliubov_dissipative, base.with_value("alpha", alpha), "steady")
-        )
+        for phi in phis
     ]
-    v_full = _cycle_min_vsqs([pt.params for _, pt in named], math.pi / base.omega_x)
+    params = [p for _, p in named]
+    drifts, noises, _ = bogoliubov_stack(params, [[p.alpha] for p in params])
+    reports = _ok_reports(drifts[:, 0], noises)
+    v_full = _cycle_min_vsqs(params, math.pi / base.omega_x)
     rows = tuple(
-        (name, pt.value, pt.report.v_sq, pt.report.v_asq, pt.report.eta, v)
-        for (name, pt), v in zip(named, v_full)
+        (name, p.phi, rep.v_sq, rep.v_asq, rep.eta, v)
+        for (name, p), rep, v in zip(named, reports, v_full)
     )
     columns = ("series", "phi", "v_sq", "v_asq", "eta", "v_sq_full")
     return FigureData("figS5", columns, rows, {"params": base})

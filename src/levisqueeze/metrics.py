@@ -200,15 +200,16 @@ class SweepTable:
     points: tuple[SweepPoint, ...]
 
 
-def _steady_points(build, params: list[SystemParams], values: Sequence[float]) -> list[SweepPoint]:
-    """Steady points of a sweep, solved as one stack and reduced with one batched eigh."""
-    models = [build(p) for p in params]
-    stack = _steady_states(*_constant_parts(models))
-    reports = iter(_squeezing_reports(mechanical_block(stack.covariances, models[0].basis)))
-    return [
-        SweepPoint(value, p, next(reports) if error is None else None, error)
-        for value, p, error in zip(values, params, stack.errors)
-    ]
+def _steady_reports(
+    drifts: NDArray[np.float64], noises: NDArray[np.float64], basis: QuadratureBasis
+) -> list[SqueezingReport | Exception]:
+    """Each stacked point's steady squeezing report, or the exception steady_state raises for it.
+
+    The points are solved as one stack and reduced with one batched eigh.
+    """
+    stack = _steady_states(drifts, noises)
+    reports = iter(_squeezing_reports(mechanical_block(stack.covariances, basis)))
+    return [next(reports) if error is None else error for error in stack.errors]
 
 
 def _transient_point(
@@ -244,7 +245,14 @@ def sweep(
 
     if evaluation == "steady":
         point_params = [params.with_value(axis.name, value) for value in axis.values]
-        points = _steady_points(build, point_params, axis.values)
+        models = [build(p) for p in point_params]
+        outcomes = _steady_reports(*_constant_parts(models), models[0].basis)
+        points = [
+            SweepPoint(value, p, None, out)
+            if isinstance(out, Exception)
+            else SweepPoint(value, p, out)
+            for value, p, out in zip(axis.values, point_params, outcomes)
+        ]
     else:
         points = [
             _transient_point(build, params.with_value(axis.name, value), value, float(t_end), dt)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, fields, replace
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -374,34 +373,6 @@ def _require_resonant(params: SystemParams) -> None:
         )
 
 
-def _bogoliubov_parts(p, c, s, alpha, alpha_sq):
-    """Drift and diffusion of the cooling model, from its Hamiltonian.
-
-    p holds the parameters, as floats (a SystemParams) or as (r, 1) columns;
-    c and s are cos(phi) and sin(phi) in the same form, and alpha and
-    alpha_sq = alpha**2 a float or an (r, k) array.  The drift has shape
-    alpha.shape + (4, 4), the diffusion that of a column + (4, 4).  Floats
-    and arrays go through the same expressions, so both give the same bits.
-    """
-    g = p.lam / SQRT2
-    w = p.omega_x
-    h = np.zeros(np.shape(alpha) + (4, 4))
-    h[..., 2, 2] = w * alpha / 2.0 * c + w * alpha_sq / 4.0
-    h[..., 3, 3] = -w * alpha / 2.0 * c + w * alpha_sq / 4.0
-    h[..., 2, 3] = h[..., 3, 2] = -w * alpha / 2.0 * s
-    h[..., 0, 2] = h[..., 2, 0] = -g * (1.0 + alpha / 2.0 * c)
-    h[..., 1, 3] = h[..., 3, 1] = -g * (1.0 - alpha / 2.0 * c)
-    h[..., 1, 2] = h[..., 2, 1] = g * alpha / 2.0 * s
-    h[..., 0, 3] = h[..., 3, 0] = g * alpha / 2.0 * s
-    decay = np.array([p.kappa, p.kappa, p.gamma / 2.0, p.gamma / 2.0])
-    decay = decay.transpose(tuple(range(1, decay.ndim)) + (0,))
-    thermal = p.gamma * (2.0 * p.nbar + 1.0)
-    noise = np.zeros(np.shape(thermal) + (4, 4))
-    noise[..., 0, 0] = noise[..., 1, 1] = 2.0 * p.kappa
-    noise[..., 2, 2] = noise[..., 3, 3] = thermal
-    return drift_from_quadratic(h, decay), noise
-
-
 def bogoliubov_stack(
     rows: Sequence[SystemParams], alphas: ArrayLike
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
@@ -409,9 +380,9 @@ def bogoliubov_stack(
 
     alphas[i] are the depths of rows[i], whose own alpha is not read.
     Returns the drifts (r, k, 4, 4), the depth-independent diffusions
-    (r, 4, 4) and the fastest rates (r, k), each equal bit for bit to the
-    one-point build_bogoliubov_dissipative at that row and depth.  A row
-    without delta = omega_x or a depth outside [0, 2) raises ParameterError.
+    (r, 4, 4) and the fastest rates (r, k) of the model described in
+    build_bogoliubov_dissipative, which is its one-point case.  A row without
+    delta = omega_x or a depth outside [0, 2) raises ParameterError.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 2 or len(alphas) != len(rows):
@@ -422,20 +393,29 @@ def bogoliubov_stack(
     if outside.any():
         _check_depth(float(alphas[outside][0]))
 
-    def column(values) -> NDArray[np.float64]:
-        return np.array(values, dtype=float)[:, None]
-
-    names = ("omega_x", "lam", "kappa", "gamma", "nbar")
-    columns = SimpleNamespace(**{name: column([getattr(p, name) for p in rows]) for name in names})
-    c, s = column([math.cos(p.phi) for p in rows]), column([math.sin(p.phi) for p in rows])
+    columns = np.array(
+        [(p.omega_x, p.lam, p.kappa, p.gamma, p.nbar, math.cos(p.phi), math.sin(p.phi))
+         for p in rows]
+    )
+    w, lam, kappa, gamma, nbar, c, s = columns.reshape(-1, 7).T.copy()[..., None]
+    g = lam / SQRT2
     # numpy squares by multiplication, which rounds differently from the libm
     # pow of a float's ** 2 in about one case in a thousand.
     alpha_sq = np.array([a**2 for a in alphas.ravel().tolist()]).reshape(alphas.shape)
-    drifts, noises = _bogoliubov_parts(columns, c, s, alphas, alpha_sq)
-    rates = np.maximum(
-        np.maximum(columns.kappa, columns.lam), np.maximum(columns.omega_x * alphas, columns.gamma)
-    )
-    return drifts, noises[:, 0], rates
+    h = np.zeros(alphas.shape + (4, 4))
+    h[..., 2, 2] = w * alphas / 2.0 * c + w * alpha_sq / 4.0
+    h[..., 3, 3] = -w * alphas / 2.0 * c + w * alpha_sq / 4.0
+    h[..., 2, 3] = h[..., 3, 2] = -w * alphas / 2.0 * s
+    h[..., 0, 2] = h[..., 2, 0] = -g * (1.0 + alphas / 2.0 * c)
+    h[..., 1, 3] = h[..., 3, 1] = -g * (1.0 - alphas / 2.0 * c)
+    h[..., 1, 2] = h[..., 2, 1] = g * alphas / 2.0 * s
+    h[..., 0, 3] = h[..., 3, 0] = g * alphas / 2.0 * s
+    decay = np.concatenate([kappa, kappa, gamma / 2.0, gamma / 2.0], axis=-1)[:, None]
+    noises = np.zeros((len(rows), 4, 4))
+    noises[:, 0, 0] = noises[:, 1, 1] = 2.0 * kappa[:, 0]
+    noises[:, 2, 2] = noises[:, 3, 3] = (gamma * (2.0 * nbar + 1.0))[:, 0]
+    rates = np.maximum(np.maximum(kappa, lam), np.maximum(w * alphas, gamma))
+    return drift_from_quadratic(h, decay), noises, rates
 
 
 def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
@@ -453,14 +433,10 @@ def build_bogoliubov_dissipative(params: SystemParams) -> LinearGaussianModel:
     with rotating-frame decay (kappa, kappa, gamma/2, gamma/2) and diffusion
     diag(2 kappa, 2 kappa, gamma(2 nbar + 1), gamma(2 nbar + 1)), whose
     drive-free fixed point is the thermal state.  This is the one-point case
-    of :func:`bogoliubov_stack`, evaluated on floats.
+    of :func:`bogoliubov_stack`.
     """
-    p = params
-    _require_resonant(p)
-    _check_depth(p.alpha)
-    drift, noise = _bogoliubov_parts(p, math.cos(p.phi), math.sin(p.phi), p.alpha, p.alpha**2)
-    rate = max(p.kappa, p.lam, p.omega_x * p.alpha, p.gamma)
-    return LinearGaussianModel.constant(CAVITY_MECH, drift, noise, rate)
+    drifts, noises, rates = bogoliubov_stack([params], [[params.alpha]])
+    return LinearGaussianModel.constant(CAVITY_MECH, drifts[0, 0], noises[0], float(rates[0, 0]))
 
 
 MODEL_BUILDERS = {

@@ -17,8 +17,8 @@ from levisqueeze.dynamics import evolve, find_threshold, stability, steady_state
 from levisqueeze.figures import (
     FigureJob,
     detuned_params,
-    modulation_instability,
-    optimize_modulation,
+    modulation_instabilities,
+    optimize_modulations,
     resonant_params,
     run_figure,
     _cycle_min_vsqs,
@@ -104,7 +104,7 @@ def test_c03_always_unstable_window():
 
 def test_c04_dissipative_parametric_optimum():
     p = resonant_params()
-    alpha_crit = modulation_instability(p)
+    alpha_crit = modulation_instabilities([p])[0]
     grid = np.linspace(0.0, alpha_crit * (1.0 - 1e-3), 40)
     v_sq = np.array(
         [
@@ -139,7 +139,7 @@ def quality_factor_sweep():
     rows = []
     for q_m in np.geomspace(1e7, 1e12, 26):
         p = base.with_value("q_m", float(q_m))
-        opt = optimize_modulation(p)
+        opt = optimize_modulations([p])[0]
         rows.append((float(q_m), p.gamma * p.nbar / p.omega_x, opt.alpha_opt, opt.v_sq))
     return rows
 

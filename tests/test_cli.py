@@ -257,10 +257,18 @@ def test_figure_reports_a_failed_grid_point(tmp_path, monkeypatch, capsys):
 def test_json_output_format(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "run.json", {**DETUNED, "t_end": 5.0})
-    assert main(["evolve", "--config", cfg, "--out", "traj.json", "--format", "json"]) == 0
-    payload = json.loads((tmp_path / "traj.json").read_text())
-    assert payload["columns"][:4] == ["t", "Vxx", "Vxp", "Vpp"]
-    assert payload["rows"][0][0] == 0.0
+    # Without --out a table command writes <figure id or command>.<format>.
+    for argv, path in (
+        (["evolve", "--config", cfg, "--out", "traj.json"], "traj.json"),
+        (["evolve", "--config", cfg], "evolve.json"),
+    ):
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads((tmp_path / path).read_text())
+        assert payload["columns"][:4] == ["t", "Vxx", "Vxp", "Vpp"]
+        assert payload["rows"][0][0] == 0.0
+    assert main(["figure", "fig3a", "--set", "points=2", "--format", "json"]) == 0
+    assert json.loads((tmp_path / "fig3a.json").read_text())["columns"][0] == "alpha"
+    assert not (tmp_path / "evolve.csv").exists() and not (tmp_path / "fig3a.csv").exists()
 
 
 def test_sweep_leaves_unstable_cells_empty(tmp_path, monkeypatch):
@@ -307,6 +315,7 @@ LAM_AXIS = MODEL + ["--set", "axis=lam"]
         ["mc-validate", *MODEL, "--set", "n_traj=abc"],
         ["steady", *MODEL, "--set", "kappa=NaN"],
         ["figure", "fig3d", "--set", "points=2.5"],
+        ["evolve", *MODEL, "--set", "t_end=1e300", "--set", "dt=1e-300"],
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):

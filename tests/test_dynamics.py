@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -392,23 +393,36 @@ def test_evolve_rejects_bad_horizon():
         evolve(model, vac(np.eye(2)), 1.0, dt=-0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+STEP_GRID_CALLS = {
+    "evolve-t_end": lambda bad: evolve(damped_cavity(), vac(np.eye(2)), bad),
+    "evolve-dt": lambda bad: evolve(damped_cavity(), vac(np.eye(2)), 1.0, dt=bad),
+    "periodic-period": lambda bad: periodic_steady_state(damped_cavity(), bad),
+    "ensemble-t_end": lambda bad: EnsembleSpec(n_traj=100, t_end=bad, dt=0.01, seed=0),
+    "ensemble-dt": lambda bad: EnsembleSpec(n_traj=100, t_end=1.0, dt=bad, seed=0),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda bad: evolve(damped_cavity(), vac(np.eye(2)), bad),
-        lambda bad: evolve(damped_cavity(), vac(np.eye(2)), 1.0, dt=bad),
-        lambda bad: periodic_steady_state(damped_cavity(), bad),
-        lambda bad: EnsembleSpec(n_traj=100, t_end=bad, dt=0.01, seed=0),
-        lambda bad: EnsembleSpec(n_traj=100, t_end=1.0, dt=bad, seed=0),
+        pytest.param(functools.partial(call, bad), id=f"{name}-{bad}")
+        for name, call in STEP_GRID_CALLS.items()
+        for bad in (math.nan, math.inf, -math.inf)
+    ]
+    + [
+        # Finite spans and steps whose ratio, the step count, overflows.
+        pytest.param(
+            lambda: evolve(damped_cavity(), vac(np.eye(2)), 1e300, 1e-300), id="evolve-ratio"
+        ),
+        pytest.param(lambda: EnsembleSpec(100, 1e300, 1e-300, 0), id="ensemble-ratio"),
     ],
-    ids=["evolve-t_end", "evolve-dt", "periodic-period", "ensemble-t_end", "ensemble-dt"],
 )
-def test_non_finite_span_or_step_is_refused(call, bad):
-    # One check on the shared step grid; NaN and inf used to escape as
-    # ValueError, OverflowError or a late IntegrationError.
+def test_non_finite_span_or_step_is_refused(call):
+    # One check on the shared step grid; NaN, inf and an overflowing step
+    # count used to escape as ValueError, OverflowError or a late
+    # IntegrationError.
     with pytest.raises(ParameterError, match="positive and finite"):
-        call(bad)
+        call()
 
 
 def test_evolve_rejects_basis_mismatch(detuned):

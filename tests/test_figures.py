@@ -18,11 +18,9 @@ from levisqueeze.figures import (
     ONSET_MARGIN,
     ONSET_TOL,
     FigureJob,
-    _depth_axes,
+    _depth_scan,
     detuned_params,
     modulation_instabilities,
-    modulation_instability,
-    optimize_modulation,
     optimize_modulations,
     resonant_params,
     run_figure,
@@ -113,7 +111,7 @@ def test_fig3d_optimal_phase_is_quadrature():
 
 
 def test_modulation_instability_frozen_onset():
-    alpha_crit = modulation_instability(resonant_params())
+    alpha_crit = modulation_instabilities([resonant_params()])[0]
     assert alpha_crit == pytest.approx(0.40861942768096926, abs=1e-4)
 
 
@@ -144,11 +142,13 @@ def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
 
 
 def test_modulation_instability_none_when_range_is_stable():
-    assert modulation_instability(resonant_params(), alpha_max=0.3) is None
+    # The no-onset row of test_lockstep_optimization_equals_a_per_row_reference.
+    params = resonant_params().with_value("lam", 5.0).with_value("kappa", 1.0)
+    assert modulation_instabilities([params])[0] is None
 
 
 def test_optimize_modulation_pushes_to_the_onset():
-    opt = optimize_modulation(resonant_params())
+    opt = optimize_modulations([resonant_params()])[0]
     assert opt.alpha_crit == pytest.approx(0.40861942768096926, abs=1e-4)
     assert 0.4 < opt.alpha_opt < opt.alpha_crit
     assert opt.v_sq == pytest.approx(0.333898, abs=1e-3)
@@ -157,7 +157,7 @@ def test_optimize_modulation_pushes_to_the_onset():
 
 def _reference_optimum(params):
     """The depth scan as a plain steady_state loop with the original polish step."""
-    alpha_crit = modulation_instability(params)
+    alpha_crit = modulation_instabilities([params])[0]
     top = 1.95 if alpha_crit is None else alpha_crit * (1.0 - 1e-3)
     grid = np.linspace(0.0, top, 60)
 
@@ -197,15 +197,16 @@ def test_optimize_modulation_equals_a_direct_loop(point):
     p = resonant_params()
     for key, value in point.items():
         p = p.with_value(key, value)
-    opt = optimize_modulation(p)
+    opt = optimize_modulations([p])[0]
     assert (opt.alpha_crit, opt.alpha_opt, opt.v_sq, opt.v_asq) == _reference_optimum(p)
 
 
 def test_optimize_modulation_flags_an_edge_optimum():
     # At the paper's working point v_sq keeps falling up to the onset, so the
     # optimum is the top of the depth grid; at lam = kappa = 2 it is interior.
-    assert optimize_modulation(resonant_params()).at_edge
-    interior = optimize_modulation(resonant_params().with_value("lam", 2.0).with_value("kappa", 2.0))
+    interior_row = resonant_params().with_value("lam", 2.0).with_value("kappa", 2.0)
+    edge, interior = optimize_modulations([resonant_params(), interior_row])
+    assert edge.at_edge
     assert not interior.at_edge
     assert interior.alpha_opt < interior.alpha_crit * (1.0 - 1e-3)
 
@@ -216,9 +217,9 @@ def test_depth_grid_of_a_small_onset_stays_stable(kappa):
     # it lay above the stable end of the final bracket at these linewidths,
     # and fig4b exited 3 on an unstable grid point.
     params = resonant_params().with_value("kappa", kappa)
-    alpha_crit = modulation_instability(params)
+    alpha_crit = modulation_instabilities([params])[0]
     assert alpha_crit < 5e-3
-    opt = optimize_modulation(params)
+    opt = optimize_modulations([params])[0]
     assert opt.alpha_crit == alpha_crit
     assert 0.0 < opt.alpha_opt < alpha_crit - 0.5 * ONSET_TOL
     for fig in ("fig4a", "fig4b"):
@@ -237,7 +238,7 @@ def test_an_onset_below_onset_tol_is_resolved():
 
     exact = find_threshold(family, (0.0, 0.05), tol=1e-12)
     assert exact < ONSET_TOL
-    assert modulation_instability(params) == pytest.approx(exact, rel=ONSET_MARGIN)
+    assert modulation_instabilities([params])[0] == pytest.approx(exact, rel=ONSET_MARGIN)
     data = run_figure(FigureJob("fig4a", {"points": 3, "kappa": 1e-6}))
     for name in ("qm-1e9", "qm-1e8"):
         alphas = [row[1] for row in data.rows if row[0] == name]
@@ -409,7 +410,7 @@ def lab_frame_points(figure: str) -> list[tuple]:
             for phi in (0.0, math.pi, 2.0 * math.pi)
         ]
     series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
-    _, grids = _depth_axes([p for _, p in series], 3)
+    _, grids, _ = _depth_scan([p for _, p in series], 3)
     return [
         (name, alpha, p.with_value("alpha", alpha))
         for (name, p), grid in zip(series, grids.tolist())
