@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     UnstableModelError,
 )
-from .figures import FIGURES, FigureJob, run_figure
+from .figures import FIGURES, run_figure
 from .figures import RUN_KEYS as FIGURE_RUN_KEYS
 from .metrics import (
     TRAJECTORY_COLUMNS,
@@ -57,18 +57,8 @@ from .models import (
 )
 from .montecarlo import _CHUNK, EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
 
-PARAM_KEYS = (
-    "omega_x",
-    "kappa",
-    "gamma",
-    "q_m",
-    "delta",
-    "lam",
-    "nbar",
-    "nbar0",
-    "alpha",
-    "phi",
-)
+#: The SystemParams fields, with the quality factor q_m accepted alongside gamma.
+PARAM_KEYS = tuple(f.name for f in fields(SystemParams)) + ("q_m",)
 #: Run controls by value type: integers, other finite numbers, strings, and
 #: the axis_values list of numbers.
 INTEGER_KEYS = ("points", "axis_points", "seed", "n_traj", "n_checkpoints")
@@ -115,7 +105,7 @@ class OutputSpec:
 
     @property
     def sidecar(self) -> Path:
-        return self.path.with_name(self.path.stem + ".sidecar.json")
+        return self.path.with_name(self.path.name + ".sidecar.json")
 
 
 def load_config(path: str | None) -> dict:
@@ -185,7 +175,7 @@ def _cell(x) -> str:
 def _jsonable(obj):
     if isinstance(obj, SystemParams):
         return asdict(obj)
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -233,33 +223,25 @@ def write_table(
 
 
 def write_report(out: OutputSpec | None, report: dict, cfg: RunConfig, provenance: dict) -> None:
+    """Print a report as JSON, or write it as a key,value table or a JSON object, and the sidecar."""
     if out is None:
         json.dump(_jsonable(report), sys.stdout, indent=2)
         sys.stdout.write("\n")
-        return
-    if out.fmt == "csv":
-        flat = _flatten(report)
-        with open(out.path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("key,value\n")
-            for key, val in flat:
-                fh.write(f"{key},{_cell(val)}\n")
+    elif out.fmt == "csv":
+        write_table(out, ("key", "value"), _flatten(report), cfg, provenance)
     else:
         _dump_json(out.path, report)
-    write_sidecar(out, cfg, provenance)
+        write_sidecar(out, cfg, provenance)
 
 
-def _flatten(report: dict, prefix: str = "") -> list[tuple[str, object]]:
-    items: list[tuple[str, object]] = []
-    for key, val in report.items():
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            items.extend(_flatten(val, name + "."))
-        elif isinstance(val, (list, tuple)):
-            for i, x in enumerate(val):
-                items.append((f"{name}[{i}]", x))
-        else:
-            items.append((name, val))
-    return items
+def _flatten(val, name: str = "") -> list[tuple[str, object]]:
+    """The (key, value) rows of a report: dict entries as name.key, list items as name[i]."""
+    if isinstance(val, dict):
+        sep = "." if name else ""
+        return [row for key, v in val.items() for row in _flatten(v, f"{name}{sep}{key}")]
+    if isinstance(val, (list, tuple)):
+        return [row for i, v in enumerate(val) for row in _flatten(v, f"{name}[{i}]")]
+    return [(name, val)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +264,8 @@ def cmd_evolve(cfg: RunConfig, out: OutputSpec) -> int:
     return 0
 
 
-def _steady_report(cfg: RunConfig) -> dict:
-    params = cfg.params()
-    result = steady_state(cfg.builder()(params))
+def cmd_steady(cfg: RunConfig, out: OutputSpec | None) -> int:
+    result = steady_state(cfg.builder()(cfg.params()))
     v, labels = result.covariance.entries, result.covariance.basis.labels
     rep = squeezing_metrics(mechanical_block(v, result.covariance.basis))
     entries = {
@@ -292,7 +273,7 @@ def _steady_report(cfg: RunConfig) -> dict:
         for i in range(len(labels))
         for j in range(i, len(labels))
     }
-    return {
+    report = {
         "stable": True,
         "max_real_part": result.stability.max_real_part,
         "residual_norm": result.residual_norm,
@@ -303,10 +284,7 @@ def _steady_report(cfg: RunConfig) -> dict:
         "angle": rep.angle,
         "nonclassical": rep.nonclassical,
     }
-
-
-def cmd_steady(cfg: RunConfig, out: OutputSpec | None) -> int:
-    write_report(out, _steady_report(cfg), cfg, {"command": "steady"})
+    write_report(out, report, cfg, {"command": "steady"})
     return 0
 
 
@@ -390,11 +368,10 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
     return 0
 
 
-def cmd_figure(cfg: RunConfig, out: OutputSpec, fig: str) -> int:
+def cmd_figure(cfg: RunConfig, out: OutputSpec) -> int:
     overrides = {k: cfg.raw[k] for k in cfg.raw if k in PARAM_KEYS or k in FIGURE_RUN_KEYS}
-    data = run_figure(FigureJob(fig, overrides))
-    merged = RunConfig({**cfg.raw, "figure": fig})
-    write_table(out, data.columns, data.rows, merged, {"command": "figure", "meta": data.meta})
+    data = run_figure(cfg.raw["figure"], overrides)
+    write_table(out, data.columns, data.rows, cfg, {"command": "figure", "meta": data.meta})
     return 0
 
 
@@ -446,6 +423,17 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
     return 0
 
 
+COMMANDS = {
+    "evolve": cmd_evolve,
+    "steady": cmd_steady,
+    "stability": cmd_stability,
+    "threshold": cmd_threshold,
+    "sweep": cmd_sweep,
+    "figure": cmd_figure,
+    "mc-validate": cmd_mc_validate,
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -472,10 +460,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"levisqueeze {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("evolve", "steady", "stability", "threshold", "sweep", "mc-validate"):
-        subs.add_parser(name, parents=[common])
-    fig = subs.add_parser("figure", parents=[common])
-    fig.add_argument("figure_id", nargs="?", help=f"one of {sorted(FIGURES)}")
+    commands = {name: subs.add_parser(name, parents=[common]) for name in COMMANDS}
+    commands["figure"].add_argument("figure_id", nargs="?", help=f"one of {sorted(FIGURES)}")
     return parser
 
 
@@ -483,36 +469,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         raw = validate_keys(apply_sets(load_config(args.config), args.assignments))
-        cfg = RunConfig(raw)
-        fmt = args.format or cfg.get("format", "csv")
+        fmt = args.format or raw.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         name = args.command
         if name == "figure":
-            name = args.figure_id or cfg.get("figure")
+            name = args.figure_id or raw.get("figure")
             if name is None:
                 raise ConfigError(f"no figure id given; known ids: {sorted(FIGURES)}")
-        out_path = args.out or cfg.get("out")
+            raw = {**raw, "figure": name}
+        out_path = args.out or raw.get("out")
         if out_path is None and args.command in ("evolve", "sweep", "figure"):
             # A table command writes <figure id or command>.<format> by default.
             out_path = f"{name}.{fmt}"
         out = None if out_path is None else OutputSpec(Path(out_path), fmt)
-
-        if args.command == "evolve":
-            return cmd_evolve(cfg, out)
-        if args.command == "steady":
-            return cmd_steady(cfg, out)
-        if args.command == "stability":
-            return cmd_stability(cfg, out)
-        if args.command == "threshold":
-            return cmd_threshold(cfg, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        if args.command == "figure":
-            return cmd_figure(cfg, out, name)
-        if args.command == "mc-validate":
-            return cmd_mc_validate(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](RunConfig(raw), out)
     except (
         ConfigError,
         ParameterError,

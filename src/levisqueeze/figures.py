@@ -11,7 +11,7 @@ scheme (delta = 5 omega_x) and the resonant rotating-frame scheme
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,14 +62,6 @@ def detuned_params() -> SystemParams:
 
 def resonant_params() -> SystemParams:
     return SystemParams(omega_x=1.0, kappa=0.2, delta=1.0, lam=0.3, q_m=1e9, nbar=2e7)
-
-
-@dataclass(frozen=True)
-class FigureJob:
-    """A figure id plus overrides for parameters or run controls."""
-
-    figure_id: str
-    overrides: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -251,10 +243,6 @@ def _points(overrides: Mapping[str, float], default: int) -> int:
     return points
 
 
-def _traj_rows(result, prefix: tuple = ()) -> list[tuple]:
-    return [prefix + tuple(row) for row in mechanical_trajectory(result).tolist()]
-
-
 def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
     """The points of a sweep; the error of the first failed point is raised again."""
     for point in table.points:
@@ -277,9 +265,25 @@ def _fig2a(ov: Mapping[str, float]) -> FigureData:
     return FigureData(
         "fig2a",
         TRAJECTORY_COLUMNS,
-        tuple(_traj_rows(result)),
+        tuple(map(tuple, mechanical_trajectory(result).tolist())),
         {"params": p, "t_end": t_end, "model": "full"},
     )
+
+
+def _trajectory_series(
+    ov: Mapping[str, float], build, base: SystemParams, key: str, series, t_end: float
+) -> tuple[tuple, ...]:
+    """Mechanical trajectories from the initial state, one evolve per (name, value of key).
+
+    Returns the rows (series, *TRAJECTORY_COLUMNS) of every series in turn.
+    """
+    rows: list[tuple] = []
+    for name, value in series:
+        p = base.with_value(key, value)
+        model = build(p)
+        result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
+        rows += [(name, *row) for row in mechanical_trajectory(result).tolist()]
+    return tuple(rows)
 
 
 def _fig2b(ov: Mapping[str, float]) -> FigureData:
@@ -287,16 +291,11 @@ def _fig2b(ov: Mapping[str, float]) -> FigureData:
     base = _apply_overrides(detuned_params(), ov)
     t_end = _run(ov, "t_end", 100.0)
     lam_th = threshold_coupling(base)
-    rows: list[tuple] = []
-    for name, lam in (("at-threshold", lam_th), ("below-threshold", 1.58)):
-        p = base.with_value("lam", lam)
-        model = build_full_cs(p)
-        result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
-        rows.extend(_traj_rows(result, (name,)))
+    series = (("at-threshold", lam_th), ("below-threshold", 1.58))
     return FigureData(
         "fig2b",
         ("series",) + TRAJECTORY_COLUMNS,
-        tuple(rows),
+        _trajectory_series(ov, build_full_cs, base, "lam", series, t_end),
         {"params": base, "t_end": t_end, "lam_threshold": lam_th},
     )
 
@@ -359,14 +358,10 @@ def _fig3b(ov: Mapping[str, float]) -> FigureData:
     """Rotating-frame transients of the weakly modulated scheme."""
     base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
     t_end = _run(ov, "t_end", 600.0)
-    rows: list[tuple] = []
-    for name, phi in (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0)):
-        p = base.with_value("phi", phi)
-        model = build_eliminated_modulated(p)
-        result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
-        rows.extend(_traj_rows(result, (name,)))
+    series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
+    rows = _trajectory_series(ov, build_eliminated_modulated, base, "phi", series, t_end)
     return FigureData(
-        "fig3b", ("series",) + TRAJECTORY_COLUMNS, tuple(rows), {"params": base, "t_end": t_end}
+        "fig3b", ("series",) + TRAJECTORY_COLUMNS, rows, {"params": base, "t_end": t_end}
     )
 
 
@@ -485,12 +480,12 @@ FIGURES: dict[str, Callable[[Mapping[str, float]], FigureData]] = {
 }
 
 
-def run_figure(job: FigureJob) -> FigureData:
-    """Evaluate one bundled recipe."""
+def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> FigureData:
+    """Evaluate one bundled recipe, with overrides for parameters or run controls."""
     try:
-        recipe = FIGURES[job.figure_id]
+        recipe = FIGURES[figure_id]
     except KeyError:
         raise ConfigError(
-            f"unknown figure id {job.figure_id!r}, expected one of {sorted(FIGURES)}"
+            f"unknown figure id {figure_id!r}, expected one of {sorted(FIGURES)}"
         ) from None
-    return recipe(job.overrides)
+    return recipe({} if overrides is None else overrides)

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 
 from levisqueeze.dynamics import evolve, find_threshold, stability, steady_state
 from levisqueeze.figures import (
-    FigureJob,
     detuned_params,
     modulation_instabilities,
     optimize_modulations,
@@ -214,7 +213,7 @@ def test_c09_optimal_phase_of_parametric_scheme():
     # squeezing and its time are the same at every phase.  The lab-frame model
     # agrees to about 1% (best v_sq 0.978 at phi = pi/2, 0.990 at phi = 0), so
     # the pi/2 optimum of the paper's weak-modulation scheme is not reproduced.
-    data = run_figure(FigureJob("fig3d", {"points": 13}))
+    data = run_figure("fig3d", {"points": 13})
     phis = [row[0] for row in data.rows]
     v_opt = [row[1] for row in data.rows]
     t_opt = [row[2] for row in data.rows]
@@ -224,7 +223,7 @@ def test_c09_optimal_phase_of_parametric_scheme():
         math.isclose(v, v_opt[0], rel_tol=1e-9) and math.isclose(t, t_opt[0], rel_tol=1e-9)
         for v, t in zip(v_opt, t_opt)
     )
-    fig3b = run_figure(FigureJob("fig3b"))
+    fig3b = run_figure("fig3b")
     k = fig3b.columns.index("v_sq")
     series = {
         name: [row[k] for row in fig3b.rows if row[0] == name]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -40,7 +41,7 @@ def test_evolve_mechanical_header_and_sidecar(tmp_path, monkeypatch):
     assert header == ["t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta"]
     assert float(rows[0][0]) == 0.0
     assert float(rows[-1][0]) == pytest.approx(20.0)
-    sidecar = json.loads((tmp_path / "traj.sidecar.json").read_text())
+    sidecar = json.loads((tmp_path / "traj.csv.sidecar.json").read_text())
     assert 0.0 <= sidecar["_provenance"]["stats"]["max_step_error"] < STEP_ERROR_LIMIT
 
 
@@ -69,10 +70,18 @@ def test_evolve_uncoupled_oscillator_keeps_its_variance(tmp_path, monkeypatch):
 def test_sidecar_reproduces_the_run_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "run.json", {**DETUNED, "t_end": 10.0})
-    assert main(["evolve", "--config", cfg, "--out", "first.csv"]) == 0
-    first = (tmp_path / "first.csv").read_bytes()
-    assert main(["evolve", "--config", str(tmp_path / "first.sidecar.json")]) == 0
-    assert (tmp_path / "first.csv").read_bytes() == first
+    # A CSV and a JSON run of one figure in one directory keep a sidecar each.
+    for argv, names in (
+        (["evolve", "--config", cfg], ["first.csv"]),
+        (["figure", "fig3a", "--set", "points=2"], ["fig3a.csv", "fig3a.json"]),
+    ):
+        for name in names:
+            assert main([*argv, "--out", name, "--format", name.rpartition(".")[2]]) == 0
+        written = {name: (tmp_path / name).read_bytes() for name in names}
+        for name, data in written.items():
+            (tmp_path / name).unlink()
+            assert main([argv[0], "--config", f"{name}.sidecar.json"]) == 0
+            assert (tmp_path / name).read_bytes() == data
 
 
 def test_evolve_csv_cells_are_float_reprs(tmp_path, monkeypatch):
@@ -122,6 +131,17 @@ def test_stability_report(tmp_path, capsys):
     assert payload["stable"] is True
     assert payload["max_real_part"] < 0.0
     assert len(payload["eigenvalues"]) == 2
+    # As CSV, every nested list item is a key,value row of its own.
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows)
+    table = dict(rows[1:])
+    for i, (re, im) in enumerate(payload["eigenvalues"]):
+        assert float(table[f"eigenvalues[{i}][0]"]) == re
+        assert float(table[f"eigenvalues[{i}][1]"]) == im
+    assert table["max_real_part"] == repr(payload["max_real_part"])
+    assert table["stable"] == "true"
 
 
 def test_stability_refuses_a_periodic_model(capsys):
@@ -243,7 +263,7 @@ def test_figure_rejects_an_empty_grid(tmp_path, monkeypatch, capsys, figure):
 def test_figure_counts_depth_optima_on_the_grid_edge(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["figure", "fig4b", "--set", "points=2", "--out", "fig4b.csv"]) == 0
-    sidecar = json.loads((tmp_path / "fig4b.sidecar.json").read_text())
+    sidecar = json.loads((tmp_path / "fig4b.csv.sidecar.json").read_text())
     assert sidecar["_provenance"]["meta"]["alpha_opt_at_edge"] == 2
 
 
@@ -268,28 +288,32 @@ def test_json_output_format(tmp_path, monkeypatch):
         assert payload["rows"][0][0] == 0.0
     assert main(["figure", "fig3a", "--set", "points=2", "--format", "json"]) == 0
     assert json.loads((tmp_path / "fig3a.json").read_text())["columns"][0] == "alpha"
+    # A transient sweep's nonclassical cells are numpy booleans.
+    sweep_cfg = {**DETUNED, "t_end": 5.0, "axis": "nbar0", "axis_values": [0.0],
+                 "evaluation": "transient"}
+    assert main(["sweep", "--config", write_config(tmp_path, "grid.json", sweep_cfg),
+                 "--format", "json"]) == 0
+    assert type(json.loads((tmp_path / "sweep.json").read_text())["rows"][0][6]) is bool
     assert not (tmp_path / "evolve.csv").exists() and not (tmp_path / "fig3a.csv").exists()
 
 
 def test_sweep_leaves_unstable_cells_empty(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(
-        tmp_path,
-        "run.json",
-        {
-            **DETUNED,
-            "q_m": 1e4,
-            "nbar": 10.0,
-            "axis": "lam",
-            "axis_values": [0.5, 1.7],
-            "evaluation": "steady",
-        },
-    )
-    assert main(["sweep", "--config", cfg, "--out", "sweep.csv"]) == 0
-    header, rows = read_rows(tmp_path / "sweep.csv")
-    assert header[:2] == ["lam", "status"]
-    assert rows[0][1] == "ok" and rows[0][2] != ""
-    assert rows[1][1] == "unstable" and rows[1][2] == ""
+    base = {**DETUNED, "q_m": 1e4, "nbar": 10.0, "axis": "lam", "evaluation": "steady"}
+    # The listed values, and the same two points as a linear and a log axis.
+    grid = {"axis_start": 0.5, "axis_stop": 1.7, "axis_points": 2}
+    for axis in (
+        {"axis_values": [0.5, 1.7]},
+        {**grid, "axis_scale": "linear"},
+        {**grid, "axis_scale": "log"},
+    ):
+        cfg = write_config(tmp_path, "run.json", {**base, **axis})
+        assert main(["sweep", "--config", cfg, "--out", "sweep.csv"]) == 0
+        header, rows = read_rows(tmp_path / "sweep.csv")
+        assert header[:2] == ["lam", "status"]
+        assert [float(row[0]) for row in rows] == pytest.approx([0.5, 1.7], rel=1e-15)
+        assert rows[0][1] == "ok" and rows[0][2] != ""
+        assert rows[1][1] == "unstable" and rows[1][2] == ""
 
 
 def test_sweep_rejects_the_workers_key(tmp_path, monkeypatch, capsys):
@@ -316,6 +340,9 @@ LAM_AXIS = MODEL + ["--set", "axis=lam"]
         ["steady", *MODEL, "--set", "kappa=NaN"],
         ["figure", "fig3d", "--set", "points=2.5"],
         ["evolve", *MODEL, "--set", "t_end=1e300", "--set", "dt=1e-300"],
+        ["stability", *MODEL, "--set", "format=xml"],
+        ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
+         "--set", "axis_points=2", "--set", "axis_scale=cubic"],
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -369,14 +396,14 @@ def test_mc_validate_rejects_more_trajectories_than_the_cap(tmp_path, monkeypatc
     assert "trajectories" in capsys.readouterr().err
 
 
-def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkeypatch):
+def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["mc-validate", *MODEL, "--set", "n_traj=200", "--set", "t_end=2.0"]
     assert main([*args, "--out", "mc.json", "--format", "json"]) == 0
     report = json.loads((tmp_path / "mc.json").read_text())
     assert report["worst_time"] in report["checkpoints"]
     assert report["worst_entry"] in [[i, j] for i in ("x", "p") for j in ("x", "p")]
-    prov = json.loads((tmp_path / "mc.sidecar.json").read_text())["_provenance"]
+    prov = json.loads((tmp_path / "mc.json.sidecar.json").read_text())["_provenance"]
     n_steps = round(2.0 / report["dt"])
     assert prov["n_steps"] == n_steps
     assert prov["dt"] == 2.0 / n_steps
@@ -384,14 +411,20 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     assert prov["normals_drawn"] == 200 * 2 * (n_steps + 1)
     assert prov["reference_stats"]["n_steps"] > 0
     first = (tmp_path / "mc.json").read_bytes()
-    assert main(["mc-validate", "--config", "mc.sidecar.json"]) == 0
+    assert main(["mc-validate", "--config", "mc.json.sidecar.json"]) == 0
     assert (tmp_path / "mc.json").read_bytes() == first
     # 250 trajectories are drawn by three streams of 100, the last one cut.
     args = ["mc-validate", *MODEL, "--set", "n_traj=250", "--set", "t_end=0.1"]
     assert main([*args, "--out", "padded.json", "--format", "json"]) == 0
-    prov = json.loads((tmp_path / "padded.sidecar.json").read_text())["_provenance"]
+    prov = json.loads((tmp_path / "padded.json.sidecar.json").read_text())["_provenance"]
     assert prov["streams"] == 3
     assert prov["normals_drawn"] == 300 * 2 * (prov["n_steps"] + 1)
+    # A failed comparison exits 3 with its report and sidecar written.
+    monkeypatch.setattr(montecarlo, "Z_LIMIT", 0.0)
+    assert main([*args, "--out", "failed.json", "--format", "json"]) == 3
+    assert "ensemble disagrees" in capsys.readouterr().err
+    assert json.loads((tmp_path / "failed.json").read_text())["passed"] is False
+    assert (tmp_path / "failed.json.sidecar.json").exists()
 
 
 def test_mc_validate_gives_its_step_to_the_reference_of_a_model_without_a_rate(
@@ -406,7 +439,7 @@ def test_mc_validate_gives_its_step_to_the_reference_of_a_model_without_a_rate(
     assert main(argv) == 0, capsys.readouterr().err
     report = json.loads((tmp_path / "mc.json").read_text())
     assert report["passed"] is True
-    prov = json.loads((tmp_path / "mc.sidecar.json").read_text())["_provenance"]
+    prov = json.loads((tmp_path / "mc.json.sidecar.json").read_text())["_provenance"]
     assert prov["n_steps"] == prov["reference_stats"]["n_steps"] == 100
 
 

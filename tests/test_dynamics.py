@@ -42,7 +42,6 @@ from levisqueeze.gaussian import (
     MECH,
     CovarianceMatrix,
     LinearGaussianModel,
-    QuadratureBasis,
     validate_covariance,
 )
 from levisqueeze.figures import detuned_params

@@ -17,7 +17,6 @@ from levisqueeze.figures import (
     ALPHA_MAX,
     ONSET_MARGIN,
     ONSET_TOL,
-    FigureJob,
     _depth_scan,
     detuned_params,
     modulation_instabilities,
@@ -61,11 +60,11 @@ def test_registry_contents():
 
 def test_unknown_figure_id():
     with pytest.raises(ConfigError):
-        run_figure(FigureJob("fig99"))
+        run_figure("fig99")
 
 
 def test_fig2a_transient_dips_below_vacuum():
-    data = run_figure(FigureJob("fig2a", {"t_end": 20.0}))
+    data = run_figure("fig2a", {"t_end": 20.0})
     assert data.columns == ("t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta")
     assert data.rows[-1][0] == pytest.approx(20.0)
     t = np.array([r[0] for r in data.rows])
@@ -76,14 +75,14 @@ def test_fig2a_transient_dips_below_vacuum():
 
 
 def test_fig2b_has_both_series():
-    data = run_figure(FigureJob("fig2b", {"t_end": 10.0}))
+    data = run_figure("fig2b", {"t_end": 10.0})
     names = {r[0] for r in data.rows}
     assert names == {"at-threshold", "below-threshold"}
     assert data.meta["lam_threshold"] == pytest.approx(1.5824032355881985)
 
 
 def test_fig3a_matches_effective_parameters():
-    data = run_figure(FigureJob("fig3a"))
+    data = run_figure("fig3a")
     assert len(data.rows) == 101
     assert data.columns == ("alpha", "omega_eff", "omega_eff_bare_frame", "zeta_eff")
     base = detuned_params()
@@ -101,7 +100,7 @@ def test_fig3a_matches_effective_parameters():
 def test_fig3d_optimal_phase_is_quadrature():
     # The averaged bath is isotropic in the rotating frame, so the phase only
     # rotates the squeezing axis: the optimum is the same at every phase.
-    data = run_figure(FigureJob("fig3d", {"points": 5}))
+    data = run_figure("fig3d", {"points": 5})
     assert data.columns == ("phi", "v_sq_opt", "t_opt")
     phis = [r[0] for r in data.rows]
     assert phis[-1] == pytest.approx(math.pi)
@@ -223,7 +222,7 @@ def test_depth_grid_of_a_small_onset_stays_stable(kappa):
     assert opt.alpha_crit == alpha_crit
     assert 0.0 < opt.alpha_opt < alpha_crit - 0.5 * ONSET_TOL
     for fig in ("fig4a", "fig4b"):
-        data = run_figure(FigureJob(fig, {"points": 3, "kappa": kappa}))
+        data = run_figure(fig, {"points": 3, "kappa": kappa})
         assert data.rows
 
 
@@ -239,13 +238,13 @@ def test_an_onset_below_onset_tol_is_resolved():
     exact = find_threshold(family, (0.0, 0.05), tol=1e-12)
     assert exact < ONSET_TOL
     assert modulation_instabilities([params])[0] == pytest.approx(exact, rel=ONSET_MARGIN)
-    data = run_figure(FigureJob("fig4a", {"points": 3, "kappa": 1e-6}))
+    data = run_figure("fig4a", {"points": 3, "kappa": 1e-6})
     for name in ("qm-1e9", "qm-1e8"):
         alphas = [row[1] for row in data.rows if row[0] == name]
         assert 0.0 == alphas[0] < alphas[1] < alphas[2] < data.meta[f"alpha_crit_{name}"]
         row = params.with_value("q_m", float(name.removeprefix("qm-")))
         assert stability(build_bogoliubov_dissipative(row.with_value("alpha", alphas[2]))).stable
-    fig4b = run_figure(FigureJob("fig4b", {"points": 3, "kappa": 1e-6}))
+    fig4b = run_figure("fig4b", {"points": 3, "kappa": 1e-6})
     assert all(row[2] > 0.0 for row in fig4b.rows)
 
 
@@ -319,7 +318,7 @@ def test_lockstep_optimization_equals_a_per_row_reference():
 
 
 def test_fig4a_tracks_the_ideal_variance():
-    data = run_figure(FigureJob("fig4a", {"points": 4}))
+    data = run_figure("fig4a", {"points": 4})
     assert data.columns == ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")
     names = {r[0] for r in data.rows}
     assert names == {"qm-1e9", "qm-1e8"}
@@ -334,7 +333,7 @@ def test_fig4a_tracks_the_ideal_variance():
 
 
 def test_fig4b_quality_factor_trend():
-    data = run_figure(FigureJob("fig4b", {"points": 3}))
+    data = run_figure("fig4b", {"points": 3})
     assert data.columns == ("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt")
     q = [r[0] for r in data.rows]
     v = [r[3] for r in data.rows]
@@ -347,7 +346,7 @@ def test_fig4b_quality_factor_trend():
 
 
 def test_figs5_steady_squeezing_ignores_phase():
-    data = run_figure(FigureJob("figS5", {"points": 5}))
+    data = run_figure("figS5", {"points": 5})
     for name in ("alpha-0.4", "alpha-0.1", "alpha-0.01"):
         v = [r[2] for r in data.rows if r[0] == name]
         assert len(v) == 5
@@ -365,7 +364,7 @@ def _best_transient(build, p, t_end):
 
 
 def test_fig2c_rows_equal_a_direct_loop():
-    data = run_figure(FigureJob("fig2c", {"points": 3, "t_end": 20.0}))
+    data = run_figure("fig2c", {"points": 3, "t_end": 20.0})
     base = detuned_params()
     expected = []
     for name, lam in (("base-coupling", base.lam), ("at-threshold", threshold_coupling(base))):
@@ -377,7 +376,7 @@ def test_fig2c_rows_equal_a_direct_loop():
 
 
 def test_fig3d_rows_equal_a_direct_loop():
-    data = run_figure(FigureJob("fig3d", {"points": 3}))
+    data = run_figure("fig3d", {"points": 3})
     base = detuned_params().with_value("alpha", 0.01)
     expected = []
     for phi in (0.0, math.pi / 2.0, math.pi):
@@ -390,12 +389,12 @@ def test_fig3d_raises_the_error_of_its_failed_point():
     # Two steps of 50 fail the step-halving check; the figure raises that
     # IntegrationError itself, not another exception made from its message.
     with pytest.raises(IntegrationError, match="step-halving error"):
-        run_figure(FigureJob("fig3d", {"points": 2, "t_end": 100.0, "dt": 50.0}))
+        run_figure("fig3d", {"points": 2, "t_end": 100.0, "dt": 50.0})
 
 
 def test_fig3d_counts_optima_on_the_window_edge():
     # A warm start keeps relaxing until t_end, so every optimum is the last sample.
-    data = run_figure(FigureJob("fig3d", {"points": 3, "nbar0": 5.0}))
+    data = run_figure("fig3d", {"points": 3, "nbar0": 5.0})
     assert [r[2] for r in data.rows] == [600.0] * 3
     assert data.meta["t_opt_at_edge"] == 3
 
@@ -422,7 +421,7 @@ def lab_frame_points(figure: str) -> list[tuple]:
 def test_lab_frame_rows_equal_a_direct_loop(figure):
     # The figure solves all its lab-frame cycles in one stack; each row
     # equals the one-model solvers bit for bit.
-    data = run_figure(FigureJob(figure, {"points": 3}))
+    data = run_figure(figure, {"points": 3})
     expected = []
     for name, value, p in lab_frame_points(figure):
         cov = steady_state(build_bogoliubov_dissipative(p)).covariance

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from levisqueeze.errors import (
 from levisqueeze.gaussian import (
     CAVITY_MECH,
     MECH,
-    CovarianceMatrix,
     LinearGaussianModel,
     QuadratureBasis,
 )

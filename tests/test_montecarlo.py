@@ -16,7 +16,6 @@ from levisqueeze.gaussian import (
     QuadratureBasis,
 )
 from levisqueeze.models import (
-    SystemParams,
     build_eliminated_detuned,
     build_eliminated_modulated,
     build_full_cs,

@@ -15,12 +15,12 @@ def run_figures():
 
 
 def test_renders_the_requested_figures(run_figures, tmp_path, capsys):
-    argv = ["fig2c", "fig4a", "--points", "2", "--out-dir", str(tmp_path)]
-    assert run_figures.main(argv) == 0
-    for fig in ("fig2c", "fig4a"):
+    figures = ["fig2c", "fig3c", "fig4a", "fig4c"]
+    assert run_figures.main([*figures, "--points", "2", "--out-dir", str(tmp_path)]) == 0
+    for fig in figures:
         lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
         assert len(lines) > 1
-        assert (tmp_path / f"{fig}.sidecar.json").exists()
+        assert (tmp_path / f"{fig}.csv.sidecar.json").exists()
     assert "fig2c: wrote" in capsys.readouterr().out
 
 
