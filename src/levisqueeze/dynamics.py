@@ -40,6 +40,7 @@ from .gaussian import (
     QuadratureBasis,
     _entries_in,
     _frozen,
+    _symmetrized,
     lyapunov_residual,
 )
 
@@ -107,7 +108,6 @@ class PeriodicSteadyState:
     covariance flow; the orbit exists iff it is below one.
     """
 
-    period: float
     times: NDArray[np.float64]
     covariances: NDArray[np.float64]
     basis: QuadratureBasis
@@ -181,11 +181,6 @@ def _step_grid(span: float, dt: float) -> tuple[int, float]:
         )
     n_steps = max(1, math.ceil(span / dt - 1e-12))
     return n_steps, span / n_steps
-
-
-def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Covariances (..., d, d) made symmetric, halved first: only a diverged one is non-finite."""
-    return 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
 
 
 def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -598,7 +593,7 @@ def _periodic_states(
             out[i] = error
             continue
         res = float(np.max(np.abs(covs[-1] - v0)) / max(1.0, np.max(np.abs(v0))))
-        out[i] = PeriodicSteadyState(period, times, covs, models[i].basis, float(radii[i]), res)
+        out[i] = PeriodicSteadyState(times, covs, models[i].basis, float(radii[i]), res)
     return out
 
 

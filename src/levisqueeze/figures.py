@@ -26,7 +26,8 @@ from .metrics import (
     SweepAxis,
     SweepPoint,
     SweepTable,
-    _parabolic_vertex,
+    _grid_minimum,
+    _grid_size,
     _steady_reports,
     mechanical_trajectory,
     sweep,
@@ -66,7 +67,6 @@ def resonant_params() -> SystemParams:
 
 @dataclass(frozen=True)
 class FigureData:
-    figure_id: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     meta: dict
@@ -188,14 +188,11 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
     polish: list[tuple[int, float]] = []
     edges = []
     for i, (grid, reports) in enumerate(zip(grids.tolist(), scans)):
-        v_sq = [rep.v_sq for rep in reports]
-        j = int(np.argmin(v_sq))
+        j, edge, vertex = _grid_minimum(grid, [rep.v_sq for rep in reports])
         best.append((grid[j], reports[j]))
-        edges.append(j in (0, len(v_sq) - 1))
-        if 0 < j < len(v_sq) - 1:
-            vertex = _parabolic_vertex(grid[j - 1 : j + 2], v_sq[j - 1 : j + 2])
-            if vertex is not None:
-                polish.append((i, vertex[0]))
+        edges.append(edge)
+        if vertex is not None:
+            polish.append((i, vertex[0]))
     if polish:
         polished_rows = [rows[i] for i, _ in polish]
         p_drifts, p_noises, _ = bogoliubov_stack(polished_rows, [[alpha] for _, alpha in polish])
@@ -236,11 +233,8 @@ def _run(overrides: Mapping[str, float], key: str, default: float | None) -> flo
 
 
 def _points(overrides: Mapping[str, float], default: int) -> int:
-    """The grid size of a recipe; fewer than one point is refused."""
-    points = int(_run(overrides, "points", default))
-    if points < 1:
-        raise ParameterError(f"points must be at least 1, got {points}")
-    return points
+    """The grid size of a recipe; fewer than one point or more than MAX_STORED is refused."""
+    return _grid_size(int(_run(overrides, "points", default)))
 
 
 def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
@@ -263,7 +257,6 @@ def _fig2a(ov: Mapping[str, float]) -> FigureData:
     model = build_full_cs(p)
     result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
     return FigureData(
-        "fig2a",
         TRAJECTORY_COLUMNS,
         tuple(map(tuple, mechanical_trajectory(result).tolist())),
         {"params": p, "t_end": t_end, "model": "full"},
@@ -293,7 +286,6 @@ def _fig2b(ov: Mapping[str, float]) -> FigureData:
     lam_th = threshold_coupling(base)
     series = (("at-threshold", lam_th), ("below-threshold", 1.58))
     return FigureData(
-        "fig2b",
         ("series",) + TRAJECTORY_COLUMNS,
         _trajectory_series(ov, build_full_cs, base, "lam", series, t_end),
         {"params": base, "t_end": t_end, "lam_threshold": lam_th},
@@ -328,7 +320,6 @@ def _fig2c(ov: Mapping[str, float]) -> FigureData:
     series = (("base-coupling", base.lam), ("at-threshold", lam_th))
     rows, at_edge = _occupation_scan(ov, build_full_cs, base, "lam", series, t_end)
     return FigureData(
-        "fig2c",
         ("series", "nbar0", "v_sq_opt", "t_opt"),
         rows,
         {"params": base, "t_end": t_end, "lam_threshold": lam_th, "t_opt_at_edge": at_edge},
@@ -346,12 +337,8 @@ def _fig3a(ov: Mapping[str, float]) -> FigureData:
         rows.append(
             (float(alpha), shifted.omega_eff, bare.omega_eff, shifted.zeta_eff)
         )
-    return FigureData(
-        "fig3a",
-        ("alpha", "omega_eff", "omega_eff_bare_frame", "zeta_eff"),
-        tuple(rows),
-        {"params": base},
-    )
+    columns = ("alpha", "omega_eff", "omega_eff_bare_frame", "zeta_eff")
+    return FigureData(columns, tuple(rows), {"params": base})
 
 
 def _fig3b(ov: Mapping[str, float]) -> FigureData:
@@ -360,9 +347,7 @@ def _fig3b(ov: Mapping[str, float]) -> FigureData:
     t_end = _run(ov, "t_end", 600.0)
     series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
     rows = _trajectory_series(ov, build_eliminated_modulated, base, "phi", series, t_end)
-    return FigureData(
-        "fig3b", ("series",) + TRAJECTORY_COLUMNS, rows, {"params": base, "t_end": t_end}
-    )
+    return FigureData(("series",) + TRAJECTORY_COLUMNS, rows, {"params": base, "t_end": t_end})
 
 
 def _fig3c(ov: Mapping[str, float]) -> FigureData:
@@ -372,7 +357,6 @@ def _fig3c(ov: Mapping[str, float]) -> FigureData:
     series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
     rows, at_edge = _occupation_scan(ov, build_eliminated_modulated, base, "phi", series, t_end)
     return FigureData(
-        "fig3c",
         ("series", "nbar0", "v_sq_opt", "t_opt"),
         rows,
         {"params": base, "t_end": t_end, "t_opt_at_edge": at_edge},
@@ -388,7 +372,6 @@ def _fig3d(ov: Mapping[str, float]) -> FigureData:
         sweep(axis, build_eliminated_modulated, base, "transient", t_end, _run(ov, "dt", None))
     )
     return FigureData(
-        "fig3d",
         ("phi", "v_sq_opt", "t_opt"),
         tuple((pt.value, pt.report.v_sq, pt.report.time) for pt in points),
         {"params": base, "t_end": t_end, "t_opt_at_edge": _edge_count(points)},
@@ -412,7 +395,7 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
         for (name, p, rep), v in zip(named, v_full)
     )
     columns = ("series", "alpha", "v_sq", "v_asq", "eta", "v_alpha", "v_sq_full")
-    return FigureData("fig4a", columns, rows, meta)
+    return FigureData(columns, rows, meta)
 
 
 def _fig4b(ov: Mapping[str, float]) -> FigureData:
@@ -426,7 +409,7 @@ def _fig4b(ov: Mapping[str, float]) -> FigureData:
         for q_m, p, opt in zip(q_ms, grid, opts)
     ]
     meta = {"params": base, "alpha_opt_at_edge": sum(opt.at_edge for opt in opts)}
-    return FigureData("fig4b", ("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
+    return FigureData(("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
 def _fig4c(ov: Mapping[str, float]) -> FigureData:
@@ -441,7 +424,7 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
     opts = optimize_modulations([p for _, p in grid])
     rows = [(name, p.kappa, opt.alpha_opt, opt.v_sq) for (name, p), opt in zip(grid, opts)]
     meta = {"params": base, "alpha_opt_at_edge": sum(opt.at_edge for opt in opts)}
-    return FigureData("fig4c", ("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
+    return FigureData(("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
 def _figs5(ov: Mapping[str, float]) -> FigureData:
@@ -462,7 +445,7 @@ def _figs5(ov: Mapping[str, float]) -> FigureData:
         for (name, p), rep, v in zip(named, reports, v_full)
     )
     columns = ("series", "phi", "v_sq", "v_asq", "eta", "v_sq_full")
-    return FigureData("figS5", columns, rows, {"params": base})
+    return FigureData(columns, rows, {"params": base})
 
 
 FIGURES: dict[str, Callable[[Mapping[str, float]], FigureData]] = {

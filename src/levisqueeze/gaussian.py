@@ -40,6 +40,11 @@ def _frozen(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
+def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Covariances (..., d, d) made symmetric, halved first: only a diverged one is non-finite."""
+    return 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
+
+
 @dataclass(frozen=True)
 class QuadratureBasis:
     """Ordered quadrature labels, two per mode."""
@@ -109,7 +114,7 @@ class CovarianceMatrix:
             raise CovarianceError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}")
         if np.any(np.diag(v) <= 0.0):
             raise CovarianceError(f"non-positive diagonal entries {np.diag(v)}")
-        object.__setattr__(self, "entries", _frozen(0.5 * (v + v.T)))
+        object.__setattr__(self, "entries", _frozen(_symmetrized(v)))
 
 
 def _entries_in(

@@ -1,25 +1,30 @@
 """Squeezing figures of merit and parameter sweeps.
 
-The mechanical 2x2 covariance block is reduced to its eigen-variances: v_sq
-(smallest), v_asq (largest), their ratio eta, and the angle of the squeezed
-axis measured from x toward p in [0, pi).  In the vacuum = identity
-convention a state is nonclassical exactly when v_sq < 1.  Eigenvalues are
-invariant under frame rotations, so rotating-frame and lab-frame models can
-be compared without undoing the rotation; only the angle is frame-dependent.
+Every mechanical 2x2 covariance block [[a, b], [b, c]] goes through one
+closed form: v_asq = (a + c)/2 + sqrt(((a - c)/2)^2 + b^2), v_sq =
+(a c - b^2) / v_asq, eta = v_sq / v_asq, and the angle of the squeezed axis,
+from x toward p in [0, pi), is atan2(-2 b, c - a) / 2.  The difference
+(a + c)/2 - sqrt(...) would lose digits in proportion to v_asq / v_sq (1.3e8
+at the instability threshold); the determinant loses them in proportion to
+b^2 / (a c - b^2) only, which stays small while the squeezed axis lies near
+x or p.  In the vacuum = identity convention a state is nonclassical exactly
+when v_sq < 1.  Eigenvalues are invariant under frame rotations, so
+rotating-frame and lab-frame models can be compared without undoing the
+rotation; only the angle is frame-dependent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EvolutionResult, _constant_parts, _steady_states, evolve
+from .dynamics import MAX_STORED, EvolutionResult, _constant_parts, _steady_states, evolve
 from .errors import (
     BasisError,
+    CovarianceError,
     IntegrationError,
     NumericalError,
     ParameterError,
@@ -37,13 +42,19 @@ class SqueezingReport:
 
     v_sq: float
     v_asq: float
-    eta: float
     angle: float
-    nonclassical: bool
     time: float | None = None
     #: True when a time optimum is the first or last stored sample, so the
     #: window rather than the dynamics may have set it.
     at_edge: bool = False
+
+    @property
+    def eta(self) -> float:
+        return self.v_sq / self.v_asq
+
+    @property
+    def nonclassical(self) -> bool:
+        return self.v_sq < 1.0
 
 
 def mechanical_block(covs: NDArray[np.float64], basis: QuadratureBasis) -> NDArray[np.float64]:
@@ -58,30 +69,27 @@ def mechanical_block(covs: NDArray[np.float64], basis: QuadratureBasis) -> NDArr
     return covs[..., idx, :][..., idx]
 
 
-def _squeezing_reports(
-    blocks: NDArray[np.float64], time: float | None = None
-) -> list[SqueezingReport]:
-    """Reduce stacked (k, 2, 2) covariances with one batched eigh."""
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
-    return [
-        SqueezingReport(
-            v_sq=v_sq,
-            v_asq=v_asq,
-            eta=v_sq / v_asq,
-            angle=math.atan2(vec[1][0], vec[0][0]) % math.pi,
-            nonclassical=v_sq < 1.0,
-            time=time,
-        )
-        for (v_sq, v_asq), vec in zip(eigvals.tolist(), eigvecs.tolist())
-    ]
+def _eigen_variances(blocks: NDArray[np.float64]) -> tuple[NDArray[np.float64], ...]:
+    """v_sq, v_asq and angle of blocks (..., 2, 2); b is the off-diagonals' mean, halved first."""
+    a, c = blocks[..., 0, 0], blocks[..., 1, 1]
+    b = 0.5 * blocks[..., 0, 1] + 0.5 * blocks[..., 1, 0]
+    v_asq = 0.5 * (a + c) + np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    return (a * c - b**2) / v_asq, v_asq, np.mod(0.5 * np.arctan2(-2.0 * b, c - a), np.pi)
 
 
-def squeezing_metrics(v: NDArray[np.float64], time: float | None = None) -> SqueezingReport:
+def _squeezing_reports(blocks: NDArray[np.float64]) -> list[SqueezingReport]:
+    """Reduce stacked (k, 2, 2) covariances to one report each."""
+    return [SqueezingReport(*row) for row in zip(*(x.tolist() for x in _eigen_variances(blocks)))]
+
+
+def squeezing_metrics(v: NDArray[np.float64]) -> SqueezingReport:
     """Reduce a 2x2 covariance to its squeezing figures of merit."""
     m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
-    return _squeezing_reports(m[None], time)[0]
+    if not np.all(np.diag(m) > 0.0):
+        raise CovarianceError(f"non-positive diagonal entries {np.diag(m)}")
+    return _squeezing_reports(m[None])[0]
 
 
 #: Columns of :func:`mechanical_trajectory`.
@@ -94,62 +102,64 @@ def mechanical_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
     One row per stored time, with the columns TRAJECTORY_COLUMNS.
     """
     mech = mechanical_block(result.covariances, result.basis)
-    a, b, c = mech[:, 0, 0], mech[:, 0, 1], mech[:, 1, 1]
-    mean, rad = 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2 + b**2)
-    v_sq, v_asq = mean - rad, mean + rad
-    return np.column_stack((result.times, a, b, c, v_sq, v_asq, v_sq / v_asq))
+    v_sq, v_asq, _ = _eigen_variances(mech)
+    entries = (mech[:, 0, 0], mech[:, 0, 1], mech[:, 1, 1])
+    return np.column_stack((result.times, *entries, v_sq, v_asq, v_sq / v_asq))
 
 
 def vsq_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
     """Smallest mechanical eigen-variance at every stored time."""
-    return mechanical_trajectory(result)[:, TRAJECTORY_COLUMNS.index("v_sq")]
+    return _eigen_variances(mechanical_block(result.covariances, result.basis))[0]
 
 
-def _parabolic_vertex(
-    t: Sequence[float], v: Sequence[float]
-) -> tuple[float, float] | None:
-    """Vertex of the parabola through three points, None if not convex."""
-    t0, t1, t2 = t
-    v0, v1, v2 = v
-    d0 = (v1 - v0) / (t1 - t0)
-    d1 = (v2 - v1) / (t2 - t1)
-    curv = (d1 - d0) / (t2 - t0)
+def _grid_minimum(x: Sequence[float], v: Sequence[float]) -> tuple[int, bool, tuple | None]:
+    """Index of the smallest v on the grid x, whether it is the first or last, and the
+    vertex (x, v) of the parabola through it and the samples beside it: None on an edge, where
+    the parabola is not convex or where the vertex falls outside the three points.
+    """
+    i = int(np.argmin(v))
+    if i in (0, len(v) - 1):
+        return i, True, None
+    x0, x1, x2 = x[i - 1 : i + 2]
+    v0, v1, v2 = v[i - 1 : i + 2]
+    d0 = (v1 - v0) / (x1 - x0)
+    d1 = (v2 - v1) / (x2 - x1)
+    curv = (d1 - d0) / (x2 - x0)
     if curv <= 0.0:
-        return None
-    # Vertex of the Newton-form parabola v0 + d0 (t - t0) + curv (t - t0)(t - t1).
-    t_star = 0.5 * (t0 + t1) - d0 / (2.0 * curv)
-    if not t0 <= t_star <= t2:
-        return None
-    v_star = v0 + d0 * (t_star - t0) + curv * (t_star - t0) * (t_star - t1)
-    return t_star, v_star
+        return i, False, None
+    # Vertex of the Newton-form parabola v0 + d0 (x - x0) + curv (x - x0)(x - x1).
+    x_star = 0.5 * (x0 + x1) - d0 / (2.0 * curv)
+    if not x0 <= x_star <= x2:
+        return i, False, None
+    return i, False, (x_star, v0 + d0 * (x_star - x0) + curv * (x_star - x0) * (x_star - x1))
 
 
 def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
     """Best (smallest) v_sq over a stored trajectory.
 
-    The discrete minimum is refined by a parabola through its neighbors when
-    it falls in the interior of the grid; v_asq, eta and angle are reported
-    at the unrefined grid point.  A minimum on the first or last stored
-    sample is reported with at_edge set.
+    The trajectory is reduced once and reported at its smallest sample, which
+    is refined by a parabola through the samples beside it when it is in the
+    interior of the grid; v_asq and angle stay those of the sample.  A
+    minimum on the first or last stored sample is reported with at_edge set.
     """
-    traj = vsq_trajectory(result)
-    i = int(np.argmin(traj))
-    block = mechanical_block(result.covariances[i], result.basis)
-    base = squeezing_metrics(block, time=float(result.times[i]))
-    if i in (0, len(traj) - 1):
-        return replace(base, at_edge=True)
-    refined = _parabolic_vertex(result.times[i - 1 : i + 2], traj[i - 1 : i + 2])
-    if refined is not None and 0.0 < refined[1] <= base.v_sq:
-        t_star, v_star = refined
-        return replace(
-            base, v_sq=v_star, eta=v_star / base.v_asq, nonclassical=v_star < 1.0, time=t_star
-        )
-    return base
+    v_sq, v_asq, angle = _eigen_variances(mechanical_block(result.covariances, result.basis))
+    i, at_edge, vertex = _grid_minimum(result.times, v_sq)
+    best = SqueezingReport(v_sq[i], v_asq[i], angle[i], result.times[i], at_edge)
+    if vertex is not None and 0.0 < vertex[1] <= best.v_sq:
+        return replace(best, v_sq=vertex[1], time=vertex[0])
+    return best
 
 
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
+
+
+def _grid_size(points: int) -> int:
+    """A grid size, refused with ParameterError outside 1 to MAX_STORED, as stored samples are."""
+    if not 1 <= points <= MAX_STORED:
+        raise ParameterError(f"need 1 to {MAX_STORED} grid points, got {points}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -161,18 +171,16 @@ class SweepAxis:
 
     @staticmethod
     def linear(name: str, start: float, stop: float, points: int) -> "SweepAxis":
-        if points < 1:
-            raise ParameterError(f"need at least one grid point, got {points}")
-        return SweepAxis(name, tuple(float(x) for x in np.linspace(start, stop, points)))
+        return SweepAxis(
+            name, tuple(float(x) for x in np.linspace(start, stop, _grid_size(points)))
+        )
 
     @staticmethod
     def log(name: str, start: float, stop: float, points: int) -> "SweepAxis":
         if start <= 0.0 or stop <= 0.0:
             raise ParameterError("log axis needs positive endpoints")
-        if points < 1:
-            raise ParameterError(f"need at least one grid point, got {points}")
         return SweepAxis(
-            name, tuple(float(x) for x in np.geomspace(start, stop, points))
+            name, tuple(float(x) for x in np.geomspace(start, stop, _grid_size(points)))
         )
 
 
@@ -181,7 +189,6 @@ class SweepPoint:
     """One point of a sweep: its report, or the exception its solve raised."""
 
     value: float
-    params: SystemParams
     report: SqueezingReport | None
     error: Exception | None = None
 
@@ -195,8 +202,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepTable:
-    axis: SweepAxis
-    evaluation: str
     points: tuple[SweepPoint, ...]
 
 
@@ -205,7 +210,7 @@ def _steady_reports(
 ) -> list[SqueezingReport | Exception]:
     """Each stacked point's steady squeezing report, or the exception steady_state raises for it.
 
-    The points are solved as one stack and reduced with one batched eigh.
+    The points are solved as one stack and reduced by one closed form.
     """
     stack = _steady_states(drifts, noises)
     reports = iter(_squeezing_reports(mechanical_block(stack.covariances, basis)))
@@ -218,9 +223,9 @@ def _transient_point(
     model = build(params)
     try:
         result = evolve(model, initial_covariance(params, model.basis), t_end, dt)
-        return SweepPoint(value, params, optimize_over_time(result))
+        return SweepPoint(value, optimize_over_time(result))
     except (NumericalError, IntegrationError) as exc:
-        return SweepPoint(value, params, None, exc)
+        return SweepPoint(value, None, exc)
 
 
 def sweep(
@@ -244,18 +249,17 @@ def sweep(
         raise ParameterError("transient sweeps need t_end")
 
     if evaluation == "steady":
-        point_params = [params.with_value(axis.name, value) for value in axis.values]
-        models = [build(p) for p in point_params]
+        models = [build(params.with_value(axis.name, value)) for value in axis.values]
         outcomes = _steady_reports(*_constant_parts(models), models[0].basis)
         points = [
-            SweepPoint(value, p, None, out)
+            SweepPoint(value, None, out)
             if isinstance(out, Exception)
-            else SweepPoint(value, p, out)
-            for value, p, out in zip(axis.values, point_params, outcomes)
+            else SweepPoint(value, out)
+            for value, out in zip(axis.values, outcomes)
         ]
     else:
         points = [
             _transient_point(build, params.with_value(axis.name, value), value, float(t_end), dt)
             for value in axis.values
         ]
-    return SweepTable(axis=axis, evaluation=evaluation, points=tuple(points))
+    return SweepTable(tuple(points))

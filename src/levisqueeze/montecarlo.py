@@ -105,7 +105,6 @@ class EnsembleResult:
     times: NDArray[np.float64]
     covariances: NDArray[np.float64]
     stderr: NDArray[np.float64]
-    spec: EnsembleSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +268,7 @@ def simulate_ensemble(
     err = np.stack([_stderr(v, spec.n_traj) for v in v_arr])
     for arr in (t_arr, v_arr, err):
         arr.flags.writeable = False
-    return EnsembleResult(times=t_arr, covariances=v_arr, stderr=err, spec=spec)
+    return EnsembleResult(times=t_arr, covariances=v_arr, stderr=err)
 
 
 def compare(ensemble: EnsembleResult, reference: EvolutionResult) -> ComparisonReport:

@@ -7,7 +7,7 @@ import pytest
 
 from levisqueeze import montecarlo
 from levisqueeze.cli import main
-from levisqueeze.dynamics import STEP_ERROR_LIMIT, evolve
+from levisqueeze.dynamics import MAX_STORED, STEP_ERROR_LIMIT, evolve
 from levisqueeze.metrics import TRAJECTORY_COLUMNS, mechanical_trajectory
 from levisqueeze.models import SystemParams, build_eliminated_detuned, initial_covariance
 
@@ -260,6 +260,14 @@ def test_figure_rejects_an_empty_grid(tmp_path, monkeypatch, capsys, figure):
     assert "points" in capsys.readouterr().err
 
 
+def test_figure_rejects_a_grid_above_the_cap(tmp_path, monkeypatch, capsys):
+    # A grid is held in memory at once, so it is capped as stored samples are.
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "fig3a", "--set", f"points={MAX_STORED + 1}"]) == 2
+    assert "points" in capsys.readouterr().err
+    assert not (tmp_path / "fig3a.csv").exists()
+
+
 def test_figure_counts_depth_optima_on_the_grid_edge(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["figure", "fig4b", "--set", "points=2", "--out", "fig4b.csv"]) == 0
@@ -343,6 +351,8 @@ LAM_AXIS = MODEL + ["--set", "axis=lam"]
         ["stability", *MODEL, "--set", "format=xml"],
         ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
          "--set", "axis_points=2", "--set", "axis_scale=cubic"],
+        ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
+         "--set", f"axis_points={MAX_STORED + 1}"],
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):

@@ -72,6 +72,19 @@ def test_rotated_state_reports_rotation_angle():
     assert report.angle == pytest.approx(theta, abs=1e-12)
 
 
+def test_angle_convention():
+    # The squeezed axis is measured from x toward p in [0, pi): p squeezed
+    # lies at pi/2, and an isotropic block, with no axis, reads 0.
+    assert squeezing_metrics(mech(np.diag([2.0, 0.5]))).angle == math.pi / 2
+    isotropic = squeezing_metrics(mech(2.0 * np.eye(2))).angle
+    assert isotropic == 0.0 and math.copysign(1.0, isotropic) == 1.0
+
+
+def test_asymmetric_block_averages_its_off_diagonals():
+    lopsided = squeezing_metrics(mech([[1.0, 0.25], [0.75, 2.0]]))
+    assert lopsided == squeezing_metrics(mech([[1.0, 0.5], [0.5, 2.0]]))
+
+
 def test_squeezing_metrics_accepts_full_basis_and_rejects_raw_4x4():
     # A full-basis covariance is read through its mechanical block; the
     # metrics take 2x2 arrays only.
@@ -80,6 +93,9 @@ def test_squeezing_metrics_accepts_full_basis_and_rejects_raw_4x4():
     assert report.v_sq == 0.5 and report.v_asq == 2.0
     with pytest.raises(ParameterError):
         squeezing_metrics(np.eye(4))
+    # A zero block has no eigen-variance ratio; it is refused, not reduced to nan.
+    with pytest.raises(CovarianceError, match="non-positive diagonal"):
+        squeezing_metrics(np.zeros((2, 2)))
 
 
 def test_mechanical_block_extracts_and_passes_through():
@@ -126,7 +142,7 @@ def test_vsq_trajectory_matches_pointwise_metrics(detuned):
     traj = vsq_trajectory(result)
     for i in (0, len(traj) // 2, len(traj) - 1):
         direct = squeezing_metrics(result.covariances[i][2:, 2:])
-        assert traj[i] == pytest.approx(direct.v_sq, rel=1e-12)
+        assert traj[i] == direct.v_sq
 
 
 def test_mechanical_trajectory_columns(detuned):
@@ -140,8 +156,40 @@ def test_mechanical_trajectory_columns(detuned):
         t, vxx, vxp, vpp, v_sq, v_asq, eta = table[i]
         assert t == result.times[i]
         assert (vxx, vxp, vpp) == (block[0, 0], block[0, 1], block[1, 1])
-        assert (v_sq, v_asq, eta) == pytest.approx((direct.v_sq, direct.v_asq, direct.eta))
+        assert (v_sq, v_asq, eta) == (direct.v_sq, direct.v_asq, direct.eta)
     assert np.array_equal(vsq_trajectory(result), table[:, 4])
+
+
+def at_threshold_hot_run(detuned):
+    """fig2c's at-threshold series at its hottest start, the worst-conditioned blocks."""
+    p = detuned.with_value("lam", threshold_coupling(detuned)).with_value("nbar0", 1e6)
+    model = build_full_cs(p)
+    return evolve(model, initial_covariance(p, model.basis), 100.0)
+
+
+def test_ill_conditioned_vsq_matches_an_extended_precision_reduction(detuned):
+    # v_asq / v_sq reaches 1.3e8 on these blocks, so the difference
+    # mean - radius was off by 2.3e-8 from the exact reduction of the same
+    # stored entries; the determinant over v_asq keeps them to 1e-11.
+    mpmath = pytest.importorskip("mpmath")
+    result = at_threshold_hot_run(detuned)
+    table = mechanical_trajectory(result)
+    got = table[:, TRAJECTORY_COLUMNS.index("v_sq")]
+    with mpmath.workdps(50):
+        exact = [
+            (a + c) / 2 - mpmath.sqrt(((a - c) / 2) ** 2 + b**2)
+            for a, b, c in (map(mpmath.mpf, row) for row in table[:, 1:4].tolist())
+        ]
+        worst = max(abs(g - e) / e for g, e in zip(got.tolist(), exact))
+    assert worst <= 1e-11
+
+
+def test_edge_optimum_is_a_sample_of_the_trajectory(detuned):
+    # The optimum is reported from the same reduction it was found on.
+    result = at_threshold_hot_run(detuned)
+    best = optimize_over_time(result)
+    assert best.at_edge and best.time == result.times[-1]
+    assert best.v_sq == vsq_trajectory(result)[-1]
 
 
 def test_vsq_samples_vary_smoothly(detuned):
@@ -259,8 +307,8 @@ def test_steady_sweep_equals_a_point_by_point_loop(case, detuned, resonant):
         (IntegrationError("step too coarse"), "failed"),
     ],
 )
-def test_sweep_point_status_follows_its_error(error, status, detuned):
-    point = SweepPoint(0.3, detuned, None, error)
+def test_sweep_point_status_follows_its_error(error, status):
+    point = SweepPoint(0.3, None, error)
     assert point.status == status
     assert point.error is error
 
