@@ -14,7 +14,10 @@ steps are matrices built in small batches from the generators at the stage
 times, taken through every step of a time-dependent model and raised to a
 ladder of powers for a constant one.  periodic_steady_state steps a stack of
 models in d x d arithmetic: the monodromy Phi and the covariance Q grown from
-zero over one period give the orbit start V0 = Phi V0 Phi^T + Q.
+zero over one period give the orbit start V0 = Phi V0 Phi^T + Q.  Both
+solvers sample a time-dependent model on the stage times of CHUNK_STEPS
+steps at a time, with one drift_at and one diffusion_at call per model and
+chunk on the whole array of times.
 """
 
 from __future__ import annotations
@@ -250,14 +253,18 @@ def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return gen.reshape(a.shape[:-2] + (d * d, d * d))
 
 
-def _affine_generators(model: LinearGaussianModel, times: list[float]) -> NDArray[np.float64]:
-    """Generators [[L, vec N], [0, 0]] of the flow on (vec V, 1) at the given times."""
+def _affine_generators(
+    model: LinearGaussianModel, times: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Generators [[L, vec N], [0, 0]] of the flow on (vec V, 1) at the given times.
+
+    The model is sampled with one drift_at and one diffusion_at call on the
+    whole array of times.
+    """
     dd = model.basis.dim ** 2
-    drifts = np.stack([model.drift_at(t) for t in times])
-    noises = np.stack([model.diffusion_at(t) for t in times])
     gens = np.zeros((len(times), dd + 1, dd + 1))
-    gens[:, :dd, :dd] = _generator(drifts)
-    gens[:, :dd, dd] = noises.reshape(len(times), dd)
+    gens[:, :dd, :dd] = _generator(model.drift_at(times))
+    gens[:, :dd, dd] = model.diffusion_at(times).reshape(len(times), dd)
     return gens
 
 
@@ -299,7 +306,7 @@ def _halved_maps(
 
 def _constant_maps(model: LinearGaussianModel, h: float):
     """A constant model's one step map and its defect, as _halved_maps, sampled once."""
-    gens = _affine_generators(model, [0.0])
+    gens = _affine_generators(model, np.zeros(1))
     step, defect = _halved_maps(np.broadcast_to(gens, (5,) + gens.shape[1:]), h)
     return step[0], defect[0]
 
@@ -361,7 +368,7 @@ def _varying_steps(
     j = 1
     for first in range(0, n_steps, CHUNK_STEPS):
         times = np.arange(4 * first, 4 * min(first + CHUNK_STEPS, n_steps) + 1) * (h / 4)
-        steps, step_defects = _halved_maps(_affine_generators(model, times.tolist()), h)
+        steps, step_defects = _halved_maps(_affine_generators(model, times), h)
         chunk_start = j
         for step, m, defect in zip(range(first + 1, n_steps + 1), steps, step_defects):
             new = m @ vec
@@ -554,9 +561,10 @@ def _periodic_states(
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_steps, CHUNK_STEPS):
             count = min(CHUNK_STEPS, n_steps - first)
-            times = ((2 * first + np.arange(2 * count + 1)) * (h / 2)).tolist()
-            drifts = np.array([[m.drift_at(t) for m in models] for t in times])
-            noises = np.array([[m.diffusion_at(t) for m in models] for t in times])
+            times = (2 * first + np.arange(2 * count + 1)) * (h / 2)
+            # One call per model samples its chunk; axis 1 runs over the models.
+            drifts = np.stack([m.drift_at(times) for m in models], axis=1)
+            noises = np.stack([m.diffusion_at(times) for m in models], axis=1)
             stages = _stages(count, 1)
             maps = _rk4_maps(drifts[stages].swapaxes(1, 2), h)
             s4, w = stages[:, [0, 1, 1, 2]], h * np.array([0.5, 0.5, 1, 1 / 6])[:, None, None, None]

@@ -139,15 +139,17 @@ def _entries_in(
 class LinearGaussianModel:
     """Drift/diffusion pair generating dV/dt = A V + V A^T + N.
 
-    drift_at / diffusion_at return dense arrays for any time; models built
-    from time-independent physics set is_time_independent so solvers can take
-    the cheap path.  fastest_rate is the largest rate appearing in the
-    generator and fixes the default integration step.
+    drift_at / diffusion_at return dense arrays for any time: a float gives
+    one (d, d) matrix, an array of times of shape s a stack of shape
+    s + (d, d), so a solver samples a whole grid of times in one call.  Models
+    built from time-independent physics set is_time_independent so solvers
+    can take the cheap path.  fastest_rate is the largest rate appearing in
+    the generator and fixes the default integration step.
     """
 
     basis: QuadratureBasis
-    drift_at: Callable[[float], NDArray[np.float64]]
-    diffusion_at: Callable[[float], NDArray[np.float64]]
+    drift_at: Callable[[float | NDArray[np.float64]], NDArray[np.float64]]
+    diffusion_at: Callable[[float | NDArray[np.float64]], NDArray[np.float64]]
     is_time_independent: bool
     fastest_rate: float = field(default=1.0)
 
@@ -162,10 +164,11 @@ class LinearGaussianModel:
         n = _frozen(diffusion)
         if a.shape != (basis.dim, basis.dim) or n.shape != (basis.dim, basis.dim):
             raise BasisError(f"drift/diffusion shapes {a.shape}, {n.shape} do not fit {basis!r}")
+        # Read-only views of the frozen arrays, one per requested time.
         return LinearGaussianModel(
             basis=basis,
-            drift_at=lambda t: a,
-            diffusion_at=lambda t: n,
+            drift_at=lambda t: np.broadcast_to(a, np.shape(t) + a.shape),
+            diffusion_at=lambda t: np.broadcast_to(n, np.shape(t) + n.shape),
             is_time_independent=True,
             fastest_rate=fastest_rate,
         )

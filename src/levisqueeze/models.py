@@ -176,7 +176,6 @@ def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
         return build_full_cs(p)
     decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
     n = _full_diffusion(p)
-    n.flags.writeable = False
 
     # H(M) is quadratic in M, so A(t) = A0 + M A1 + M^2 A2 with the parts
     # built and validated once.  Every entry of H is a single monomial in M
@@ -187,14 +186,17 @@ def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
     a1 = drift_from_quadratic(0.5 * (h_plus - h_minus), np.zeros(4))
     a2 = drift_from_quadratic(0.5 * (h_plus + h_minus) - h0, np.zeros(4))
 
-    def drift_at(t: float) -> NDArray[np.float64]:
-        m = 1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi)
-        return a0 + m * a1 + m**2 * a2
+    def drift_at(t: float | NDArray[np.float64]) -> NDArray[np.float64]:
+        m = 1.0 + p.alpha * np.cos(2.0 * p.omega_x * np.asarray(t, dtype=float) + p.phi)
+        # numpy squares by multiplication, which rounds differently from the
+        # libm pow of the rebuild's M ** 2 in about one case in a thousand.
+        m_sq = np.array([x**2 for x in m.ravel().tolist()]).reshape(m.shape)
+        return a0 + m[..., None, None] * a1 + m_sq[..., None, None] * a2
 
     return LinearGaussianModel(
         basis=CAVITY_MECH,
         drift_at=drift_at,
-        diffusion_at=lambda t: n,
+        diffusion_at=lambda t: np.broadcast_to(n, np.shape(t) + n.shape),
         is_time_independent=False,
         fastest_rate=_full_rate(p),
     )

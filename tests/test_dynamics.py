@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from numpy.typing import NDArray
 
 from levisqueeze.dynamics import (
     CHUNK_STEPS,
@@ -328,36 +329,58 @@ def test_time_dependent_evolve_matches_an_adaptive_solver(detuned):
     assert np.max(np.abs(got - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
-def counted(model: LinearGaussianModel) -> tuple[LinearGaussianModel, list[float]]:
-    calls: list[float] = []
+def counted(
+    model: LinearGaussianModel,
+) -> tuple[LinearGaussianModel, list[NDArray[np.float64]]]:
+    """The model with each drift_at call's times recorded, one array per call."""
+    calls: list[NDArray[np.float64]] = []
 
     def drift_at(t):
-        calls.append(t)
+        calls.append(np.atleast_1d(t))
         return model.drift_at(t)
 
     return dataclasses.replace(model, drift_at=drift_at), calls
 
 
+def stage_grid(n: int, per_step: int, h: float) -> NDArray[np.float64]:
+    """Stage times of n steps sampled per_step times a step, each chunk with its endpoints."""
+    return np.concatenate(
+        [
+            np.arange(per_step * first, per_step * min(first + CHUNK_STEPS, n) + 1)
+            * (h / per_step)
+            for first in range(0, n, CHUNK_STEPS)
+        ]
+    )
+
+
 def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     # evolve samples every quarter step (two half steps plus the full step),
     # periodic_steady_state every half step; each chunk of CHUNK_STEPS steps
-    # samples its own endpoints.  A constant model's evolve samples once, but
-    # its periodic_steady_state samples it as a time-dependent one.
+    # samples its own endpoints, in one drift_at call.  A constant model's
+    # evolve samples once, but its periodic_steady_state samples it as a
+    # time-dependent one.
     model, calls = counted(build_full_modulated(dataclasses.replace(resonant, alpha=0.4)))
     result = evolve(model, np.eye(4), 1.0)
     n = result.stats.n_steps
-    assert len(calls) == 4 * n + math.ceil(n / CHUNK_STEPS)
+    sampled = np.concatenate(calls)
+    assert len(sampled) == 4 * n + math.ceil(n / CHUNK_STEPS)
+    assert np.array_equal(sampled, stage_grid(n, 4, result.stats.dt))
+    assert len(calls) == math.ceil(n / CHUNK_STEPS)
     calls.clear()
     period = math.pi / resonant.omega_x
     periodic_steady_state(model, period)
     n = math.ceil(period * model.fastest_rate / DT_RESOLUTION)
-    assert len(calls) == 2 * n + math.ceil(n / CHUNK_STEPS)
+    sampled = np.concatenate(calls)
+    assert len(sampled) == 2 * n + math.ceil(n / CHUNK_STEPS)
+    assert np.array_equal(sampled, stage_grid(n, 2, period / n))
+    assert len(calls) == math.ceil(n / CHUNK_STEPS)
     constant, calls = counted(build_full_cs(resonant))
     evolve(constant, np.eye(4), 1.0)
-    assert len(calls) == 1
+    assert sum(map(len, calls)) == len(calls) == 1
     periodic_steady_state(constant, period)
     n = math.ceil(period * constant.fastest_rate / DT_RESOLUTION)
-    assert len(calls) == 1 + 2 * n + math.ceil(n / CHUNK_STEPS)
+    assert sum(map(len, calls)) == 1 + 2 * n + math.ceil(n / CHUNK_STEPS)
+    assert len(calls) == 1 + math.ceil(n / CHUNK_STEPS)
 
 
 def test_evolve_is_fourth_order():
@@ -509,7 +532,7 @@ def test_varying_steps_stop_after_a_step_error():
     calls = []
 
     def counted(t):
-        calls.append(t)
+        calls.append(np.size(t))
         return model.drift_at(t)
 
     generic = dataclasses.replace(model, drift_at=counted, is_time_independent=False)
@@ -522,8 +545,8 @@ def test_varying_steps_stop_after_a_step_error():
     assert messages[0] == messages[1]
     assert "at t = 2.72;" in messages[1]
     steps_to_error = round(2.72 / 0.02)
-    # Four samples per step, and one closing sample per chunk of CHUNK_STEPS.
-    assert len(calls) <= 4 * (steps_to_error + CHUNK_STEPS) + 4
+    # Four sampled times per step, and one closing time per chunk of CHUNK_STEPS.
+    assert sum(calls) <= 4 * (steps_to_error + CHUNK_STEPS) + 4
 
 
 @pytest.mark.parametrize(
@@ -830,16 +853,18 @@ def test_periodic_steady_state_matches_a_dop853_monodromy(resonant):
 
 
 def test_stacked_periodic_states_equal_one_model_calls(resonant):
-    # The middle model is parametrically unstable; the stack carries its
-    # error and solves its neighbours exactly as one-model calls do.
-    models = [build_full_modulated(resonant.with_value("alpha", a)) for a in (0.4, 0.6, 0.1)]
+    # The second model is parametrically unstable; the stack carries its
+    # error and solves the figS5 depths around it exactly as one-model calls
+    # do, so each model's sampled drifts land in its own row of the stack.
+    alphas = (0.4, 0.6, 0.1, 0.01)
+    models = [build_full_modulated(resonant.with_value("alpha", a)) for a in alphas]
     period = math.pi / resonant.omega_x
     stack = _periodic_states(models, period)
     with pytest.raises(UnstableModelError) as single_error:
         periodic_steady_state(models[1], period)
     assert isinstance(stack[1], UnstableModelError)
     assert str(stack[1]) == str(single_error.value)
-    for model, got in zip(models[::2], stack[::2]):
+    for model, got in zip(models[:1] + models[2:], stack[:1] + stack[2:]):
         want = periodic_steady_state(model, period)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.covariances, want.covariances)

@@ -137,6 +137,37 @@ def test_full_modulated_structured_drift_is_the_rebuild(resonant):
         assert np.array_equal(model.drift_at(float(t)), expected)
 
 
+def test_full_modulated_samples_an_array_of_times_as_single_times(resonant):
+    # drift_at on an array of times gives the stack of single-time drifts,
+    # each equal to the H(M) rebuild bit for bit.  The grid holds times whose
+    # M has M * M != M ** 2, where a numpy square would break the equality.
+    p = dataclasses.replace(resonant, alpha=0.4, phi=1.1)
+    model = build_full_modulated(p)
+    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
+    ts = np.linspace(0.0, 7.3, 4001)
+    ms = [1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi) for t in ts.tolist()]
+    assert any(m * m != m**2 for m in ms)
+    drifts = model.drift_at(ts)
+    assert drifts.shape == (len(ts), 4, 4)
+    for t, m, drift in zip(ts.tolist(), ms, drifts):
+        assert np.array_equal(drift, model.drift_at(t))
+        assert np.array_equal(drift, drift_from_quadratic(_full_h_mat(p, m), decay))
+    assert model.drift_at(ts.reshape(1, -1, 1)).shape == (1, len(ts), 1, 4, 4)
+    noises = model.diffusion_at(ts)
+    assert all(np.array_equal(n, model.diffusion_at(0.3)) for n in noises)
+
+
+def test_constant_models_sample_read_only_stacks(resonant):
+    model = build_full_cs(resonant)
+    ts = np.array([0.0, 0.3, 2.7])
+    for sample in (model.drift_at, model.diffusion_at):
+        single, stack = sample(0.3), sample(ts)
+        assert single.shape == (4, 4)
+        assert stack.shape == (3, 4, 4)
+        assert not single.flags.writeable and not stack.flags.writeable
+        assert all(np.array_equal(s, single) for s in stack)
+
+
 def test_full_modulated_period_averaged_spring(detuned):
     p = dataclasses.replace(detuned, alpha=0.3)
     model = build_full_modulated(p)
