@@ -11,13 +11,13 @@ the run when the step is too coarse for the requested dynamics.
 On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A,
 which steady_state solves with.  On (vec V, 1) it is linear, so evolve's RK4
 steps are matrices built in small batches from the generators at the stage
-times, taken through every step of a time-dependent model and raised to a
-ladder of powers for a constant one.  periodic_steady_state steps a stack of
-models in d x d arithmetic: the monodromy Phi and the covariance Q grown from
-zero over one period give the orbit start V0 = Phi V0 Phi^T + Q.  Both
-solvers sample a time-dependent model on the stage times of CHUNK_STEPS
-steps at a time, with one drift_at and one diffusion_at call per model and
-chunk on the whole array of times.
+times, taken through every step of a time-dependent model and, for a constant
+one, raised to the powers that fill its stored samples by doubling.
+periodic_steady_state steps a stack of models in d x d arithmetic: the
+monodromy Phi and the covariance Q grown from zero over one period give the
+orbit start V0 = Phi V0 Phi^T + Q.  Both solvers sample a time-dependent
+model on the stage times of CHUNK_STEPS steps at a time, with one drift_at
+and one diffusion_at call per model and chunk on the whole array of times.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
-#: Stride-map powers in the ladder that fills a constant model's stored samples.
-LADDER = 64
 #: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
 
@@ -316,15 +314,15 @@ def _constant_steps(
 ) -> NDArray[np.float64]:
     """Fill states[1:] at the stored steps of a constant model; return the defects.
 
-    The stride map S, the step map to the power of the stride, and its
-    powers S, S^2, ..., S^B (B = LADDER, at most the number of full stride
-    intervals) are taken in extended precision where the platform has it
-    and rounded once.  Each block of B stored states is then one product of
-    this ladder with the block's first state, so rounding errors add up
-    once per block instead of once per sample.  A last interval shorter
-    than the stride takes its own power.  The defect acts on the state one
-    step before each stored step, as on the time-dependent path: the
-    previous stored state advanced by one step fewer than its interval.
+    The stride map S, the step map to the power of the stride, is taken in
+    extended precision where the platform has it.  The full stride
+    intervals are filled by doubling: round m = 1, 2, 4, ... maps the first
+    m stored states through S^m, rounded once, onto the next m, and squares
+    S^m in extended precision.  Sample k is thus popcount(k) rounded
+    products from the start.  A last interval shorter than the stride takes
+    its own power.  The defect acts on the state one step before each stored
+    step, as on the time-dependent path: the previous stored state advanced
+    by one step fewer than its interval.
     """
     step_map, defect = _constant_maps(model, h)
     exact = step_map.astype(np.longdouble)
@@ -332,19 +330,13 @@ def _constant_steps(
     def power(k: int) -> NDArray[np.float64]:
         return np.linalg.matrix_power(exact, k).astype(float)
 
-    stride, last, dim = stored[1], stored[-1] - stored[-2], states.shape[1]
+    stride, last = stored[1], stored[-1] - stored[-2]
     n_full = len(stored) - 1 if last == stride else len(stored) - 2
-    n_rungs = min(LADDER, n_full)
-    ladder = np.empty((n_rungs, dim, dim))
-    ladder[0] = rung = stride_map = np.linalg.matrix_power(exact, stride)
-    for b in range(1, n_rungs):
-        ladder[b] = rung = rung @ stride_map
-    # Row block b of the stacked ladder is S^(b+1).
-    stacked = ladder.reshape(-1, dim)
-    for first in range(0, n_full, n_rungs):
-        count = min(n_rungs, n_full - first)
-        block = stacked[: count * dim] @ states[first]
-        states[first + 1 : first + 1 + count] = block.reshape(count, dim)
+    doubled, m = np.linalg.matrix_power(exact, stride), 1
+    while m <= n_full:
+        count = min(m, n_full + 1 - m)
+        states[m : m + count] = states[:count] @ doubled.astype(float).T
+        doubled, m = doubled @ doubled, 2 * m
     before = np.empty_like(states)
     np.matmul(states[:-1], power(stride - 1).T, out=before[1:])
     if last < stride:
@@ -394,9 +386,9 @@ def evolve(
 
     The nominal step is dt (default: DT_RESOLUTION over the model's fastest
     rate, trimmed so the grid lands exactly on t_end); each step is taken as
-    two half steps.  At most MAX_STORED interior samples are kept, always
-    including both endpoints.  Raises IntegrationError when the step-halving
-    estimate exceeds STEP_ERROR_LIMIT.
+    two half steps.  Every stride-th step and the last are stored: at most
+    MAX_STORED - 1 samples, both endpoints included.  Raises IntegrationError
+    when the step-halving estimate exceeds STEP_ERROR_LIMIT.
     """
     start = _entries_in(model.basis, v0)
     n_steps, h = _step_grid(t_end, _default_dt(model) if dt is None else dt)

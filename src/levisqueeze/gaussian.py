@@ -18,7 +18,7 @@ flow dV/dt = A V + V A^T + N; both may depend on time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -144,14 +144,15 @@ class LinearGaussianModel:
     s + (d, d), so a solver samples a whole grid of times in one call.  Models
     built from time-independent physics set is_time_independent so solvers
     can take the cheap path.  fastest_rate is the largest rate appearing in
-    the generator and fixes the default integration step.
+    the generator and fixes the default integration step; a model built with
+    0 needs an explicit dt.
     """
 
     basis: QuadratureBasis
     drift_at: Callable[[float | NDArray[np.float64]], NDArray[np.float64]]
     diffusion_at: Callable[[float | NDArray[np.float64]], NDArray[np.float64]]
     is_time_independent: bool
-    fastest_rate: float = field(default=1.0)
+    fastest_rate: float
 
     @staticmethod
     def constant(
@@ -242,16 +243,12 @@ class CovarianceReport:
         return self.symmetric and self.positive_diagonal and self.physical
 
 
-def validate_covariance(
-    v: CovarianceMatrix | NDArray[np.float64],
-    symmetry_tol: float = SYMMETRY_TOL,
-    physicality_tol: float = PHYSICALITY_TOL,
-) -> CovarianceReport:
+def validate_covariance(v: CovarianceMatrix | NDArray[np.float64]) -> CovarianceReport:
     """Check symmetry, diagonal positivity and the uncertainty bound.
 
     The uncertainty bound is evaluated through the eigenvalues of the
     Hermitian matrix V + i Omega; a state is physical when the smallest one
-    is above -physicality_tol.  The check only reports, it never raises.
+    is above -PHYSICALITY_TOL.  The check only reports, it never raises.
     """
     m = v.entries if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
@@ -260,9 +257,9 @@ def validate_covariance(
     herm = m + 1j * _omega(m.shape[0])
     min_eig = float(np.min(np.linalg.eigvalsh(herm)))
     return CovarianceReport(
-        symmetric=asym <= symmetry_tol * scale,
+        symmetric=asym <= SYMMETRY_TOL * scale,
         positive_diagonal=min_diag > 0.0,
-        physical=min_eig >= -physicality_tol,
+        physical=min_eig >= -PHYSICALITY_TOL,
         max_asymmetry=asym,
         min_diagonal=min_diag,
         min_uncertainty_eigenvalue=min_eig,
