@@ -6,7 +6,7 @@ scattering couples the particle motion to the cavity field.  Second moments
 evolve under a Lyapunov flow; the modules split as
 
 ``gaussian``
-    quadrature bases, covariance input validation, drift/diffusion model contracts.
+    quadrature bases, covariance checks, the uncertainty floor, model contracts.
 ``models``
     the concrete physical models: full two-mode dynamics, adiabatically
     eliminated single-mode reductions, and the resonant dissipative scheme.
@@ -48,7 +48,7 @@ from .gaussian import (
     drift_from_quadratic,
     lyapunov_residual,
     symplectic_form,
-    validate_covariance,
+    uncertainty_floor,
 )
 from .metrics import (
     SqueezingReport,
@@ -126,6 +126,6 @@ __all__ = [
     "sweep",
     "symplectic_form",
     "threshold_coupling",
-    "validate_covariance",
+    "uncertainty_floor",
     "vsq_trajectory",
 ]

@@ -10,8 +10,8 @@ config entries and --out/--format override their config counterparts.  Every
 data file is accompanied by a sidecar JSON that doubles as a config: running
 the same command with the sidecar reproduces the data file byte for byte.
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 3 numerical
-failure (diverged integration, no steady state, ensemble mismatch).
+Exit codes: 0 success, 2 invalid configuration, parameters or files, 3
+numerical failure (diverged integration, no steady state, ensemble mismatch).
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def validate_keys(cfg: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; allowed: {sorted(ALLOWED_KEYS)}")
     for key, value in cfg.items():
+        if key in TEXT_KEYS and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
         if key not in PARAM_KEYS + INTEGER_KEYS + NUMBER_KEYS or (key == "dt" and value is None):
             continue
         if not _is_number(value) or (key in INTEGER_KEYS and value != int(value)):
@@ -490,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         BasisError,
         CovarianceError,
         BracketError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

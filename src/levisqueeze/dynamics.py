@@ -41,6 +41,7 @@ from .gaussian import (
     CovarianceMatrix,
     LinearGaussianModel,
     QuadratureBasis,
+    _checked_diagonals,
     _entries_in,
     _frozen,
     _symmetrized,
@@ -184,6 +185,12 @@ def _step_grid(span: float, dt: float) -> tuple[int, float]:
     return n_steps, span / n_steps
 
 
+def _stored_steps(n_steps: int, most: int) -> list[int]:
+    """Every stride-th of n_steps steps, from step 0, and the last: at most `most` of them."""
+    stride = max(1, math.ceil(n_steps / (most - 1)))
+    return [*range(0, n_steps, stride), n_steps]
+
+
 def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> NDArray[np.float64]:
     """Step-halving error of each stored (vec V, 1) state, relative to its covariance scale."""
     return np.max(np.abs(defects), axis=1) / np.fmax(1.0, np.max(np.abs(states), axis=1))
@@ -191,9 +198,7 @@ def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> N
 
 def _sample_array(covs: NDArray[np.float64]) -> NDArray[np.float64]:
     """The stacked samples made read-only; a non-positive diagonal raises."""
-    bad = np.any(np.diagonal(covs, axis1=1, axis2=2) <= 0.0, axis=1)
-    if bad.any():
-        raise CovarianceError(f"non-positive diagonal entries {np.diag(covs[bad.argmax()])}")
+    _checked_diagonals(covs)
     covs.flags.writeable = False
     return covs
 
@@ -392,11 +397,7 @@ def evolve(
     """
     start = _entries_in(model.basis, v0)
     n_steps, h = _step_grid(t_end, _default_dt(model) if dt is None else dt)
-    # Leave room for both endpoints so the stored count never exceeds the cap.
-    stride = max(1, math.ceil(n_steps / (MAX_STORED - 2)))
-
-    # Stored steps: every stride-th one and the last.
-    stored = [*range(0, n_steps, stride), n_steps]
+    stored = _stored_steps(n_steps, MAX_STORED - 1)
     # One nominal step is two RK4 half steps composed into one map on
     # (vec V, 1); the single full step's defect against it, applied to the
     # state before a stored step, gives the error.
@@ -410,7 +411,7 @@ def evolve(
         defects = fill(model, h, stored, states)
         covariances, max_err = _checked_samples(times, states, defects, h)
     stats = IntegratorStats(
-        n_steps=n_steps, dt=h, stride=stride, n_stored=len(times), max_step_error=max_err
+        n_steps=n_steps, dt=h, stride=stored[1], n_stored=len(times), max_step_error=max_err
     )
     return EvolutionResult(times=times, covariances=covariances, basis=model.basis, stats=stats)
 
@@ -546,7 +547,7 @@ def _periodic_states(
     if len({(model.basis, _default_dt(model)) for model in models}) > 1:
         raise ParameterError("stacked periodic models must share a basis and a default step")
     n_steps, h = _step_grid(period, _default_dt(models[0]))
-    d, stride = models[0].basis.dim, max(1, math.ceil(n_steps / (CYCLE_SAMPLES - 1)))
+    d, stored = models[0].basis.dim, _stored_steps(n_steps, CYCLE_SAMPLES)
     phi, q = np.broadcast_to(np.eye(d), (len(models), d, d)), np.zeros((len(models), d, d))
     samples = [(phi, q)]
     # A diverged model is carried as inf and NaN, without warnings.
@@ -563,7 +564,7 @@ def _periodic_states(
             for step, (m, a, n) in enumerate(zip(maps, w * drifts[s4], w * noises[s4]), first + 1):
                 phi = m @ phi
                 q = _lyapunov_rk4(q, a, n)
-                if step % stride == 0 or step == n_steps:
+                if step == stored[len(samples)]:
                     samples.append((phi, q))
         finite = np.all(np.isfinite(phi) & np.isfinite(q), axis=(1, 2))
         eig = np.linalg.eigvals(np.where(finite[:, None, None], phi, 0.0))
@@ -581,7 +582,7 @@ def _periodic_states(
     vecs = _stacked_solve(np.eye(d * d) - kron, rhs, live, out, "period-map")
     v0s = _symmetrized(vecs.reshape(-1, d, d))
     cycles = phis @ v0s @ np.swapaxes(phis, -1, -2) + qs
-    times = _frozen(np.multiply([*range(0, n_steps, stride), n_steps], h))
+    times = _frozen(np.multiply(stored, h))
     for i, v0, cycle in zip(live, v0s, np.swapaxes(cycles, 0, 1)):
         if out[i] is not None:
             continue

@@ -45,6 +45,16 @@ def _symmetrized(covs: NDArray[np.float64]) -> NDArray[np.float64]:
     return 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
 
 
+def _checked_diagonals(covs: NDArray[np.float64]) -> None:
+    """Raise CovarianceError for the first covariance of a (..., d, d) stack with a diagonal
+    entry not above 0, NaN included.
+    """
+    diags = np.diagonal(covs, axis1=-2, axis2=-1).reshape(-1, covs.shape[-1])
+    bad = np.any(~(diags > 0.0), axis=1)
+    if bad.any():
+        raise CovarianceError(f"non-positive diagonal entries {diags[bad.argmax()]}")
+
+
 @dataclass(frozen=True)
 class QuadratureBasis:
     """Ordered quadrature labels, two per mode."""
@@ -92,9 +102,7 @@ class CovarianceMatrix:
 
     The constructor enforces the structural invariants (symmetry within
     SYMMETRY_TOL relative to the largest entry, strictly positive diagonal)
-    and stores a read-only symmetrized copy.  Physicality against the
-    uncertainty bound is a separate, report-only check: see
-    :func:`validate_covariance`.
+    and stores a read-only symmetrized copy.
     """
 
     basis: QuadratureBasis
@@ -112,8 +120,7 @@ class CovarianceMatrix:
         asym = float(np.max(np.abs(v - v.T)))
         if asym > SYMMETRY_TOL * scale:
             raise CovarianceError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}")
-        if np.any(np.diag(v) <= 0.0):
-            raise CovarianceError(f"non-positive diagonal entries {np.diag(v)}")
+        _checked_diagonals(v)
         object.__setattr__(self, "entries", _frozen(_symmetrized(v)))
 
 
@@ -227,40 +234,13 @@ def lyapunov_residual(
     return a @ v + v @ np.swapaxes(a, -1, -2) + n
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Outcome of the structural and physicality checks on a covariance."""
+def uncertainty_floor(covs: NDArray[np.float64], basis: QuadratureBasis) -> NDArray[np.float64]:
+    """Smallest eigenvalue of V + i Omega for every covariance of a (..., d, d) stack.
 
-    symmetric: bool
-    positive_diagonal: bool
-    physical: bool
-    max_asymmetry: float
-    min_diagonal: float
-    min_uncertainty_eigenvalue: float
-
-    @property
-    def valid(self) -> bool:
-        return self.symmetric and self.positive_diagonal and self.physical
-
-
-def validate_covariance(v: CovarianceMatrix | NDArray[np.float64]) -> CovarianceReport:
-    """Check symmetry, diagonal positivity and the uncertainty bound.
-
-    The uncertainty bound is evaluated through the eigenvalues of the
-    Hermitian matrix V + i Omega; a state is physical when the smallest one
-    is above -PHYSICALITY_TOL.  The check only reports, it never raises.
+    One eigvalsh call serves the stack.  Physical states have a floor of at least
+    -PHYSICALITY_TOL, vacuum and pure states 0.  A stack that does not fit the basis
+    raises BasisError.
     """
-    m = v.entries if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    asym = float(np.max(np.abs(m - m.T)))
-    min_diag = float(np.min(np.diag(m)))
-    herm = m + 1j * _omega(m.shape[0])
-    min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-    return CovarianceReport(
-        symmetric=asym <= SYMMETRY_TOL * scale,
-        positive_diagonal=min_diag > 0.0,
-        physical=min_eig >= -PHYSICALITY_TOL,
-        max_asymmetry=asym,
-        min_diagonal=min_diag,
-        min_uncertainty_eigenvalue=min_eig,
-    )
+    if np.shape(covs)[-2:] != (basis.dim, basis.dim):
+        raise BasisError(f"covariances of shape {np.shape(covs)} do not fit {basis.labels}")
+    return np.linalg.eigvalsh(np.add(covs, 1j * _omega(basis.dim)))[..., 0]

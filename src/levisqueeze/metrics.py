@@ -24,13 +24,12 @@ from numpy.typing import NDArray
 from .dynamics import MAX_STORED, EvolutionResult, _constant_parts, _steady_states, evolve
 from .errors import (
     BasisError,
-    CovarianceError,
     IntegrationError,
     NumericalError,
     ParameterError,
     UnstableModelError,
 )
-from .gaussian import LinearGaussianModel, QuadratureBasis
+from .gaussian import LinearGaussianModel, QuadratureBasis, _checked_diagonals
 from .models import SystemParams, initial_covariance
 
 MECH_LABELS = ("x", "p")
@@ -87,8 +86,7 @@ def squeezing_metrics(v: NDArray[np.float64]) -> SqueezingReport:
     m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
-    if not np.all(np.diag(m) > 0.0):
-        raise CovarianceError(f"non-positive diagonal entries {np.diag(m)}")
+    _checked_diagonals(m)
     return _squeezing_reports(m[None])[0]
 
 
@@ -113,9 +111,12 @@ def vsq_trajectory(result: EvolutionResult) -> NDArray[np.float64]:
 
 
 def _grid_minimum(x: Sequence[float], v: Sequence[float]) -> tuple[int, bool, tuple | None]:
-    """Index of the smallest v on the grid x, whether it is the first or last, and the
-    vertex (x, v) of the parabola through it and the samples beside it: None on an edge, where
-    the parabola is not convex or where the vertex falls outside the three points.
+    """Index of the smallest v on the increasing grid x, whether it is the first or last, and
+    the vertex (x, v) of the parabola through it and the samples beside it (None on an edge).
+
+    argmin takes the first minimum, so an interior one has v0 > v1 <= v2: the parabola is
+    convex and its vertex lies in [(x0 + x1)/2, (x1 + x2)/2], for finite samples whose
+    slopes neither overflow nor underflow.
     """
     i = int(np.argmin(v))
     if i in (0, len(v) - 1):
@@ -125,12 +126,8 @@ def _grid_minimum(x: Sequence[float], v: Sequence[float]) -> tuple[int, bool, tu
     d0 = (v1 - v0) / (x1 - x0)
     d1 = (v2 - v1) / (x2 - x1)
     curv = (d1 - d0) / (x2 - x0)
-    if curv <= 0.0:
-        return i, False, None
     # Vertex of the Newton-form parabola v0 + d0 (x - x0) + curv (x - x0)(x - x1).
     x_star = 0.5 * (x0 + x1) - d0 / (2.0 * curv)
-    if not x0 <= x_star <= x2:
-        return i, False, None
     return i, False, (x_star, v0 + d0 * (x_star - x0) + curv * (x_star - x0) * (x_star - x1))
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import levisqueeze
 from levisqueeze import montecarlo
 from levisqueeze.cli import main
 from levisqueeze.dynamics import MAX_STORED, STEP_ERROR_LIMIT, evolve
@@ -173,6 +178,12 @@ def test_malformed_config_file(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert main(["stability", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def test_config_file_holding_an_array(tmp_path, capsys):
+    cfg = write_config(tmp_path, "run.json", [DETUNED])
+    assert main(["stability", "--config", cfg]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_missing_model_key(tmp_path, capsys):
@@ -353,6 +364,14 @@ LAM_AXIS = MODEL + ["--set", "axis=lam"]
          "--set", "axis_points=2", "--set", "axis_scale=cubic"],
         ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
          "--set", f"axis_points={MAX_STORED + 1}"],
+        ["steady", *MODEL, "--set", "model=[1]"],
+        ["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
+         "--set", "axis_points=2", "--set", "axis_scale=[1]"],
+        ["evolve", *MODEL, "--set", "t_end=1", "--set", "out=5"],
+        ["figure", "--set", "figure=[1]"],
+        ["stability", *MODEL, "--set", "lam"],
+        # The working directory is a directory, not a writable file.
+        ["evolve", *MODEL, "--set", "t_end=1", "--out", "."],
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -464,3 +483,29 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+NUMPY_ONLY = """
+import json, sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None  # any import of it now raises ImportError
+from levisqueeze.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # scipy, mpmath and hypothesis serve the tests; no command may import them.
+    runs = [
+        ["figure", "fig3a", "--set", "points=3"],
+        ["evolve", *MODEL, "--set", "t_end=1"],
+        ["mc-validate", *MODEL, "--set", "q_m=1e4", "--set", "nbar=10", *MC_SMALL],
+    ]
+    src = str(Path(levisqueeze.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, json.dumps(runs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0], proc.stderr

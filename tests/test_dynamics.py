@@ -22,6 +22,7 @@ from levisqueeze.dynamics import (
     _stable_points,
     _steady_states,
     _step_grid,
+    _stored_steps,
     evolve,
     find_threshold,
     periodic_steady_state,
@@ -40,9 +41,10 @@ from levisqueeze.errors import (
 from levisqueeze.gaussian import (
     CAVITY_MECH,
     MECH,
+    PHYSICALITY_TOL,
     CovarianceMatrix,
     LinearGaussianModel,
-    validate_covariance,
+    uncertainty_floor,
 )
 from levisqueeze.figures import detuned_params
 from levisqueeze.metrics import vsq_trajectory
@@ -472,8 +474,7 @@ def test_evolve_output_stays_physical(detuned):
     p = dataclasses.replace(detuned, nbar0=2.0)
     model = build_full_cs(p)
     result = evolve(model, initial_covariance(p, model.basis), 20.0)
-    for v in result.covariances[:: max(1, len(result.covariances) // 20)]:
-        assert validate_covariance(v).valid
+    assert np.all(uncertainty_floor(result.covariances, result.basis) >= -PHYSICALITY_TOL)
 
 
 def test_evolve_step_refinement_converged(detuned):
@@ -872,6 +873,36 @@ def test_stacked_periodic_states_equal_one_model_calls(resonant):
         assert np.array_equal(got.covariances, want.covariances)
         assert got.spectral_radius == want.spectral_radius
         assert got.residual_norm == want.residual_norm
+
+
+def test_stacked_periodic_states_carry_a_non_positive_diagonal_as_its_error():
+    # bad settles on V = -2 I: its samples are finite, but their diagonal is negative.
+    ok = damped_cavity()
+    bad = LinearGaussianModel.constant(MECH, -np.eye(2), -4.0 * np.eye(2), 1.0)
+    stack = _periodic_states([ok, bad, ok], 2.0)
+    with pytest.raises(CovarianceError) as single_error:
+        periodic_steady_state(bad, 2.0)
+    assert str(single_error.value) == "non-positive diagonal entries [-2. -2.]"
+    assert isinstance(stack[1], CovarianceError)
+    assert str(stack[1]) == str(single_error.value)
+    want = periodic_steady_state(ok, 2.0)
+    for got in (stack[0], stack[2]):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.covariances, want.covariances)
+        assert got.spectral_radius == want.spectral_radius
+        assert got.residual_norm == want.residual_norm
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 256, 257, 4998, 4999, 50000])
+@pytest.mark.parametrize("most", [2, 257, MAX_STORED - 1])
+def test_stored_steps_keep_both_ends_within_the_cap(n_steps, most):
+    stored = _stored_steps(n_steps, most)
+    stride = stored[1]
+    assert stored[0] == 0 and stored[-1] == n_steps
+    assert len(stored) <= most
+    assert stored[:-1] == list(range(0, n_steps, stride))
+    # The stride is the smallest that fits the cap.
+    assert stride == 1 or len(range(0, n_steps, stride - 1)) + 1 > most
 
 
 def test_stacked_periodic_states_refuse_mismatched_default_steps(resonant):

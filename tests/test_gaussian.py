@@ -8,13 +8,14 @@ from levisqueeze.errors import BasisError, CovarianceError, ParameterError
 from levisqueeze.gaussian import (
     CAVITY_MECH,
     MECH,
+    PHYSICALITY_TOL,
     CovarianceMatrix,
     LinearGaussianModel,
     QuadratureBasis,
     drift_from_quadratic,
     lyapunov_residual,
     symplectic_form,
-    validate_covariance,
+    uncertainty_floor,
 )
 
 
@@ -81,30 +82,42 @@ def test_covariance_entries_are_read_only():
 
 
 def test_vacuum_is_physical():
-    report = validate_covariance(CovarianceMatrix(CAVITY_MECH, np.eye(4)))
-    assert report.valid
-    assert report.min_uncertainty_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    floor = uncertainty_floor(CovarianceMatrix(CAVITY_MECH, np.eye(4)).entries, CAVITY_MECH)
+    assert floor >= -PHYSICALITY_TOL
+    assert floor == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pure_squeezed_state_sits_on_boundary():
     v = CovarianceMatrix(MECH, np.diag([0.5, 2.0]))
-    report = validate_covariance(v)
-    assert report.valid
-    assert abs(report.min_uncertainty_eigenvalue) < 1e-12
+    floor = uncertainty_floor(v.entries, MECH)
+    assert floor >= -PHYSICALITY_TOL
+    assert abs(floor) < 1e-12
 
 
 def test_overly_squeezed_state_is_unphysical():
     v = CovarianceMatrix(MECH, np.diag([0.4, 2.0]))
-    report = validate_covariance(v)
-    assert not report.physical
-    assert report.min_uncertainty_eigenvalue < -1e-3
+    floor = uncertainty_floor(v.entries, MECH)
+    assert not floor >= -PHYSICALITY_TOL
+    assert floor < -1e-3
 
 
 @settings(max_examples=50)
 @given(arrays(np.float64, (4, 4), elements=st.floats(-2.0, 2.0)))
 def test_shifted_gram_matrices_are_physical(m):
     v = CovarianceMatrix(CAVITY_MECH, m @ m.T + np.eye(4))
-    assert validate_covariance(v).valid
+    assert uncertainty_floor(v.entries, CAVITY_MECH) >= -PHYSICALITY_TOL
+
+
+def test_uncertainty_floor_is_batched_over_a_stack():
+    # Vacuum, a pure squeezed state, an overly squeezed one and a thermal one: the
+    # floor of diag(a, c) is (a + c)/2 - sqrt(((a - c)/2)^2 + 1).
+    covs = np.array([np.eye(2), np.diag([0.5, 2.0]), np.diag([0.4, 2.0]), 3.0 * np.eye(2)])
+    floors = uncertainty_floor(covs.reshape(2, 2, 2, 2), MECH)
+    assert floors.shape == (2, 2)
+    assert np.array_equal(floors.ravel(), [uncertainty_floor(v, MECH) for v in covs])
+    assert np.allclose(floors.ravel(), [0.0, 0.0, 1.2 - np.sqrt(0.8**2 + 1.0), 2.0])
+    with pytest.raises(BasisError):
+        uncertainty_floor(np.eye(4), MECH)
 
 
 @settings(max_examples=50)

@@ -24,6 +24,7 @@ from levisqueeze.metrics import (
     TRAJECTORY_COLUMNS,
     SweepAxis,
     SweepPoint,
+    _grid_minimum,
     mechanical_block,
     mechanical_trajectory,
     optimize_over_time,
@@ -98,6 +99,11 @@ def test_squeezing_metrics_accepts_full_basis_and_rejects_raw_4x4():
         squeezing_metrics(np.zeros((2, 2)))
 
 
+def test_squeezing_metrics_refuses_a_nan_diagonal():
+    with pytest.raises(CovarianceError, match=r"non-positive diagonal entries \[nan  1\.\]"):
+        squeezing_metrics(mech([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_mechanical_block_extracts_and_passes_through():
     m = np.diag([1.0, 2.0, 3.0, 4.0])
     m[0, 2] = m[2, 0] = 0.1
@@ -134,6 +140,26 @@ def test_uncertainty_product_is_bounded(offdiag, big):
     entries = np.array([[1.0, offdiag], [offdiag, big + offdiag**2]])
     report = squeezing_metrics(mech(entries + 0.5 * np.eye(2)))
     assert report.v_sq * report.v_asq >= 1.0 - 1e-12
+
+
+# Samples in the range the optimizers feed it: positive variances and increasing
+# times or depths, with ties.  Their slopes neither overflow nor underflow.
+VARIANCES = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(0.0, 1e3),
+    st.lists(st.tuples(st.floats(1e-3, 1e3), VARIANCES), min_size=3, max_size=12),
+)
+def test_every_interior_minimum_gets_a_vertex_in_its_bracket(start, steps):
+    gaps, v = zip(*steps)
+    x = (start + np.cumsum(gaps)).tolist()
+    i, at_edge, vertex = _grid_minimum(x, list(v))
+    assert i == v.index(min(v)) and at_edge == (i in (0, len(v) - 1))
+    assert (vertex is None) == at_edge
+    if not at_edge:
+        assert x[i - 1] <= vertex[0] <= x[i + 1] and math.isfinite(vertex[1])
 
 
 def test_vsq_trajectory_matches_pointwise_metrics(detuned):
