@@ -55,7 +55,7 @@ from .models import (
     builder_for,
     initial_covariance,
 )
-from .montecarlo import _CHUNK, EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
+from .montecarlo import EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
 
 #: The SystemParams fields, with the quality factor q_m accepted alongside gamma.
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams)) + ("q_m",)
@@ -98,10 +98,21 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    """Destination and format of one data file."""
+    """Destination and format of one data file.
+
+    A path that is a directory, or whose directory does not exist, is refused
+    here, before any command runs; other write failures surface when the file
+    is opened.
+    """
 
     path: Path
     fmt: str
+
+    def __post_init__(self) -> None:
+        if self.path.is_dir():
+            raise ConfigError(f"output path {str(self.path)!r} is a directory")
+        if not self.path.parent.is_dir():
+            raise ConfigError(f"output directory {str(self.path.parent)!r} does not exist")
 
     @property
     def sidecar(self) -> Path:
@@ -181,8 +192,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -410,9 +419,8 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
         "command": "mc-validate",
         "n_steps": spec.n_steps,
         "dt": spec.step,
-        # Each stream draws a full chunk, padding included.
         "streams": spec.n_streams,
-        "normals_drawn": spec.n_streams * _CHUNK * model.basis.dim * (spec.n_steps + 1),
+        "normals_drawn": spec.normals_drawn(model.basis.dim),
         "reference_stats": asdict(reference.stats),
     }
     write_report(out, payload, cfg, provenance)

@@ -1,8 +1,9 @@
 """Bundled experiment recipes, addressable by short figure ids.
 
-Each id maps to a fixed parameter set and grid and produces one table of
-plain columns, so the CLI can render any of them to CSV without bespoke
-plotting code.  Two parameter families appear throughout: the far-detuned
+One FIGURES table maps each id to its recipe, its preset parameter set and
+the run controls (t_end, dt, points) it reads, with their defaults; each
+recipe produces one table of plain columns, so the CLI can render any of
+them to CSV without bespoke plotting code.  Two parameter families appear throughout: the far-detuned
 scheme (delta = 5 omega_x) and the resonant rotating-frame scheme
 (delta = omega_x); both share kappa = 0.2, lam = 0.3, a bath occupation of
 2e7 and a quality factor of 1e9 unless a recipe varies them.
@@ -45,8 +46,8 @@ from .models import (
     threshold_coupling,
 )
 
-#: Overridable run controls understood by every recipe in addition to the
-#: SystemParams fields and q_m.
+#: The run controls a recipe may read, as named in its FIGURES entry; every
+#: other override sets a SystemParams field or q_m.
 RUN_KEYS = ("t_end", "dt", "points")
 #: Largest modulation depth searched for the cooling model's instability.
 ALPHA_MAX = 1.95
@@ -217,24 +218,13 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(params: SystemParams, overrides: Mapping[str, float]) -> SystemParams:
-    if "gamma" in overrides and "q_m" in overrides:
-        raise ParameterError("give gamma or q_m, not both")
-    for key, val in overrides.items():
-        if key in RUN_KEYS:
-            continue
-        params = params.with_value(key, float(val))
-    return params
+def _weakly_modulated_params() -> SystemParams:
+    """Fig. 3's preset: the far-detuned scheme with modulation depth alpha = 0.01."""
+    return detuned_params().with_value("alpha", 0.01)
 
 
-def _run(overrides: Mapping[str, float], key: str, default: float | None) -> float | None:
-    val = overrides.get(key, default)
-    return None if val is None else float(val)
-
-
-def _points(overrides: Mapping[str, float], default: int) -> int:
-    """The grid size of a recipe; fewer than one point or more than MAX_STORED is refused."""
-    return _grid_size(int(_run(overrides, "points", default)))
+#: Fig. 3's two modulation phases, (series name, phi).
+_PHASES = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
 
 
 def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
@@ -250,12 +240,10 @@ def _edge_count(points) -> int:
     return sum(point.report.at_edge for point in points)
 
 
-def _fig2a(ov: Mapping[str, float]) -> FigureData:
+def _fig2a(p: SystemParams, *, t_end: float, dt: float | None) -> FigureData:
     """Transient squeezing of the far-detuned scheme from the ground state."""
-    p = _apply_overrides(detuned_params(), ov)
-    t_end = _run(ov, "t_end", 100.0)
     model = build_full_cs(p)
-    result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
+    result = evolve(model, initial_covariance(p, model.basis), t_end, dt)
     return FigureData(
         TRAJECTORY_COLUMNS,
         tuple(map(tuple, mechanical_trajectory(result).tolist())),
@@ -264,124 +252,98 @@ def _fig2a(ov: Mapping[str, float]) -> FigureData:
 
 
 def _trajectory_series(
-    ov: Mapping[str, float], build, base: SystemParams, key: str, series, t_end: float
-) -> tuple[tuple, ...]:
+    build, base: SystemParams, key: str, series, t_end: float, dt: float | None, **meta
+) -> FigureData:
     """Mechanical trajectories from the initial state, one evolve per (name, value of key).
 
-    Returns the rows (series, *TRAJECTORY_COLUMNS) of every series in turn.
+    Its rows are (series, *TRAJECTORY_COLUMNS) of every series in turn; meta
+    follows the params and t_end.
     """
     rows: list[tuple] = []
     for name, value in series:
         p = base.with_value(key, value)
         model = build(p)
-        result = evolve(model, initial_covariance(p, model.basis), t_end, _run(ov, "dt", None))
+        result = evolve(model, initial_covariance(p, model.basis), t_end, dt)
         rows += [(name, *row) for row in mechanical_trajectory(result).tolist()]
-    return tuple(rows)
-
-
-def _fig2b(ov: Mapping[str, float]) -> FigureData:
-    """Same transient at threshold coupling and just below it."""
-    base = _apply_overrides(detuned_params(), ov)
-    t_end = _run(ov, "t_end", 100.0)
-    lam_th = threshold_coupling(base)
-    series = (("at-threshold", lam_th), ("below-threshold", 1.58))
     return FigureData(
-        ("series",) + TRAJECTORY_COLUMNS,
-        _trajectory_series(ov, build_full_cs, base, "lam", series, t_end),
-        {"params": base, "t_end": t_end, "lam_threshold": lam_th},
+        ("series",) + TRAJECTORY_COLUMNS, tuple(rows), {"params": base, "t_end": t_end, **meta}
     )
 
 
+def _fig2b(base: SystemParams, *, t_end: float, dt: float | None) -> FigureData:
+    """Same transient at threshold coupling and just below it."""
+    lam_th = threshold_coupling(base)
+    series = (("at-threshold", lam_th), ("below-threshold", 1.58))
+    return _trajectory_series(build_full_cs, base, "lam", series, t_end, dt, lam_threshold=lam_th)
+
+
 def _occupation_scan(
-    ov: Mapping[str, float], build, base: SystemParams, key: str, series, t_end: float
-) -> tuple[tuple[tuple, ...], int]:
+    build, base: SystemParams, key: str, series, t_end: float, dt: float | None, points: int,
+    **meta,
+) -> FigureData:
     """Best transient squeezing versus nbar0, one sweep per (name, value of key).
 
-    Returns the rows (series, nbar0, v_sq_opt, t_opt) and how many of their
-    optima sit on the edge of the time window.
+    Its rows are (series, nbar0, v_sq_opt, t_opt); meta follows the params
+    and t_end, and t_opt_at_edge counts the optima on the edge of the time
+    window.
     """
-    grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, _points(ov, 21) - 1)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, points - 1)])
     axis = SweepAxis("nbar0", tuple(float(x) for x in grid))
-    dt = _run(ov, "dt", None)
-    points = [
+    found = [
         (name, pt)
         for name, value in series
         for pt in _ok_points(sweep(axis, build, base.with_value(key, value), "transient", t_end, dt))
     ]
-    rows = tuple((name, pt.value, pt.report.v_sq, pt.report.time) for name, pt in points)
-    return rows, _edge_count(pt for _, pt in points)
+    rows = tuple((name, pt.value, pt.report.v_sq, pt.report.time) for name, pt in found)
+    at_edge = _edge_count(pt for _, pt in found)
+    meta = {"params": base, "t_end": t_end, **meta, "t_opt_at_edge": at_edge}
+    return FigureData(("series", "nbar0", "v_sq_opt", "t_opt"), rows, meta)
 
 
-def _fig2c(ov: Mapping[str, float]) -> FigureData:
+def _fig2c(base: SystemParams, *, t_end: float, dt: float | None, points: int) -> FigureData:
     """Best transient squeezing versus initial occupation, detuned scheme."""
-    base = _apply_overrides(detuned_params(), ov)
-    t_end = _run(ov, "t_end", 100.0)
     lam_th = threshold_coupling(base)
     series = (("base-coupling", base.lam), ("at-threshold", lam_th))
-    rows, at_edge = _occupation_scan(ov, build_full_cs, base, "lam", series, t_end)
-    return FigureData(
-        ("series", "nbar0", "v_sq_opt", "t_opt"),
-        rows,
-        {"params": base, "t_end": t_end, "lam_threshold": lam_th, "t_opt_at_edge": at_edge},
+    return _occupation_scan(
+        build_full_cs, base, "lam", series, t_end, dt, points, lam_threshold=lam_th
     )
 
 
-def _fig3a(ov: Mapping[str, float]) -> FigureData:
+def _fig3a(base: SystemParams, *, points: int) -> FigureData:
     """Effective rotating-frame rates versus modulation depth."""
-    base = _apply_overrides(detuned_params(), ov)
     rows = []
-    for alpha in np.linspace(0.0, 0.1, _points(ov, 101)):
+    for alpha in np.linspace(0.0, 0.1, points):
         p = base.with_value("alpha", float(alpha))
         shifted = effective_modulated(p, "shifted-frame")
         bare = effective_modulated(p, "bare-frame")
-        rows.append(
-            (float(alpha), shifted.omega_eff, bare.omega_eff, shifted.zeta_eff)
-        )
+        rows.append((float(alpha), shifted.omega_eff, bare.omega_eff, shifted.zeta_eff))
     columns = ("alpha", "omega_eff", "omega_eff_bare_frame", "zeta_eff")
     return FigureData(columns, tuple(rows), {"params": base})
 
 
-def _fig3b(ov: Mapping[str, float]) -> FigureData:
+def _fig3b(base: SystemParams, *, t_end: float, dt: float | None) -> FigureData:
     """Rotating-frame transients of the weakly modulated scheme."""
-    base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
-    t_end = _run(ov, "t_end", 600.0)
-    series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
-    rows = _trajectory_series(ov, build_eliminated_modulated, base, "phi", series, t_end)
-    return FigureData(("series",) + TRAJECTORY_COLUMNS, rows, {"params": base, "t_end": t_end})
+    return _trajectory_series(build_eliminated_modulated, base, "phi", _PHASES, t_end, dt)
 
 
-def _fig3c(ov: Mapping[str, float]) -> FigureData:
+def _fig3c(base: SystemParams, *, t_end: float, dt: float | None, points: int) -> FigureData:
     """Best rotating-frame squeezing versus initial occupation."""
-    base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
-    t_end = _run(ov, "t_end", 600.0)
-    series = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
-    rows, at_edge = _occupation_scan(ov, build_eliminated_modulated, base, "phi", series, t_end)
-    return FigureData(
-        ("series", "nbar0", "v_sq_opt", "t_opt"),
-        rows,
-        {"params": base, "t_end": t_end, "t_opt_at_edge": at_edge},
-    )
+    return _occupation_scan(build_eliminated_modulated, base, "phi", _PHASES, t_end, dt, points)
 
 
-def _fig3d(ov: Mapping[str, float]) -> FigureData:
+def _fig3d(base: SystemParams, *, t_end: float, dt: float | None, points: int) -> FigureData:
     """Best rotating-frame squeezing versus modulation phase."""
-    base = _apply_overrides(detuned_params().with_value("alpha", 0.01), ov)
-    t_end = _run(ov, "t_end", 600.0)
-    axis = SweepAxis.linear("phi", 0.0, math.pi, _points(ov, 13))
-    points = _ok_points(
-        sweep(axis, build_eliminated_modulated, base, "transient", t_end, _run(ov, "dt", None))
-    )
+    axis = SweepAxis.linear("phi", 0.0, math.pi, points)
+    found = _ok_points(sweep(axis, build_eliminated_modulated, base, "transient", t_end, dt))
     return FigureData(
         ("phi", "v_sq_opt", "t_opt"),
-        tuple((pt.value, pt.report.v_sq, pt.report.time) for pt in points),
-        {"params": base, "t_end": t_end, "t_opt_at_edge": _edge_count(points)},
+        tuple((pt.value, pt.report.v_sq, pt.report.time) for pt in found),
+        {"params": base, "t_end": t_end, "t_opt_at_edge": _edge_count(found)},
     )
 
 
-def _fig4a(ov: Mapping[str, float]) -> FigureData:
+def _fig4a(base: SystemParams, *, points: int) -> FigureData:
     """Steady squeezing of the cooling scheme versus modulation depth."""
-    base = _apply_overrides(resonant_params(), ov)
-    points = _points(ov, 40)
     series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
     alpha_crits, grids, scans = _depth_scan([p for _, p in series], points)
     meta: dict = {"params": base}
@@ -398,10 +360,9 @@ def _fig4a(ov: Mapping[str, float]) -> FigureData:
     return FigureData(columns, rows, meta)
 
 
-def _fig4b(ov: Mapping[str, float]) -> FigureData:
+def _fig4b(base: SystemParams, *, points: int) -> FigureData:
     """Depth-optimized steady squeezing versus mechanical quality factor."""
-    base = _apply_overrides(resonant_params(), ov)
-    q_ms = np.geomspace(1e7, 1e12, _points(ov, 26)).tolist()
+    q_ms = np.geomspace(1e7, 1e12, points).tolist()
     grid = [base.with_value("q_m", q_m) for q_m in q_ms]
     opts = optimize_modulations(grid)
     rows = [
@@ -412,10 +373,8 @@ def _fig4b(ov: Mapping[str, float]) -> FigureData:
     return FigureData(("q_m", "gamma_nbar", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
-def _fig4c(ov: Mapping[str, float]) -> FigureData:
+def _fig4c(base: SystemParams, *, points: int) -> FigureData:
     """Depth-optimized steady squeezing versus cavity linewidth."""
-    base = _apply_overrides(resonant_params(), ov)
-    points = _points(ov, 20)
     grid = [
         (name, base.with_value("lam", lam).with_value("kappa", float(kappa)))
         for name, lam in (("lam-0.3", 0.3), ("lam-0.5", 0.5))
@@ -427,10 +386,9 @@ def _fig4c(ov: Mapping[str, float]) -> FigureData:
     return FigureData(("series", "kappa", "alpha_opt", "v_sq_opt"), tuple(rows), meta)
 
 
-def _figs5(ov: Mapping[str, float]) -> FigureData:
+def _figs5(base: SystemParams, *, points: int) -> FigureData:
     """Phase independence of the steady cooling-scheme squeezing."""
-    base = _apply_overrides(resonant_params(), ov)
-    phis = np.linspace(0.0, 2.0 * math.pi, _points(ov, 25)).tolist()
+    phis = np.linspace(0.0, 2.0 * math.pi, points).tolist()
     named = [
         (name, base.with_value("alpha", alpha).with_value("phi", phi))
         for name, alpha in (("alpha-0.4", 0.4), ("alpha-0.1", 0.1), ("alpha-0.01", 0.01))
@@ -448,27 +406,47 @@ def _figs5(ov: Mapping[str, float]) -> FigureData:
     return FigureData(columns, rows, {"params": base})
 
 
-FIGURES: dict[str, Callable[[Mapping[str, float]], FigureData]] = {
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig2c": _fig2c,
-    "fig3a": _fig3a,
-    "fig3b": _fig3b,
-    "fig3c": _fig3c,
-    "fig3d": _fig3d,
-    "fig4a": _fig4a,
-    "fig4b": _fig4b,
-    "fig4c": _fig4c,
-    "figS5": _figs5,
+#: Each figure id's recipe, preset and the run controls it reads, with their
+#: defaults.  The recipe is called as recipe(params, **controls).
+FIGURES: dict[str, tuple[Callable[..., FigureData], Callable[[], SystemParams], dict]] = {
+    "fig2a": (_fig2a, detuned_params, {"t_end": 100.0, "dt": None}),
+    "fig2b": (_fig2b, detuned_params, {"t_end": 100.0, "dt": None}),
+    "fig2c": (_fig2c, detuned_params, {"t_end": 100.0, "dt": None, "points": 21}),
+    "fig3a": (_fig3a, detuned_params, {"points": 101}),
+    "fig3b": (_fig3b, _weakly_modulated_params, {"t_end": 600.0, "dt": None}),
+    "fig3c": (_fig3c, _weakly_modulated_params, {"t_end": 600.0, "dt": None, "points": 21}),
+    "fig3d": (_fig3d, _weakly_modulated_params, {"t_end": 600.0, "dt": None, "points": 13}),
+    "fig4a": (_fig4a, resonant_params, {"points": 40}),
+    "fig4b": (_fig4b, resonant_params, {"points": 26}),
+    "fig4c": (_fig4c, resonant_params, {"points": 20}),
+    "figS5": (_figs5, resonant_params, {"points": 25}),
 }
 
 
 def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> FigureData:
-    """Evaluate one bundled recipe, with overrides for parameters or run controls."""
+    """Evaluate one bundled recipe, with overrides for parameters or run controls.
+
+    Every override that is not a run control sets a parameter of the
+    figure's preset, in order; a run control the recipe does not read is
+    ignored.  points is refused outside 1 to MAX_STORED.
+    """
     try:
-        recipe = FIGURES[figure_id]
+        recipe, preset, defaults = FIGURES[figure_id]
     except KeyError:
         raise ConfigError(
             f"unknown figure id {figure_id!r}, expected one of {sorted(FIGURES)}"
         ) from None
-    return recipe({} if overrides is None else overrides)
+    overrides = {} if overrides is None else overrides
+    if "gamma" in overrides and "q_m" in overrides:
+        raise ParameterError("give gamma or q_m, not both")
+    params = preset()
+    for key, val in overrides.items():
+        if key not in RUN_KEYS:
+            params = params.with_value(key, float(val))
+    controls = {}
+    for key, default in defaults.items():
+        val = overrides.get(key, default)
+        controls[key] = None if val is None else float(val)
+    if "points" in controls:
+        controls["points"] = _grid_size(int(controls["points"]))
+    return recipe(params, **controls)

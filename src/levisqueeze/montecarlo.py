@@ -92,6 +92,10 @@ class EnsembleSpec:
         """Random streams built: one per chunk of _CHUNK trajectories, the last padded."""
         return -(-self.n_traj // _CHUNK)
 
+    def normals_drawn(self, dim: int) -> int:
+        """Normals drawn for a d = dim model: every stream draws a full chunk, padding included."""
+        return self.n_streams * _CHUNK * dim * (self.n_steps + 1)
+
     @property
     def step(self) -> float:
         """Step actually taken, trimmed so the grid lands on t_end."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import levisqueeze
-from levisqueeze import montecarlo
+from levisqueeze import cli, montecarlo
 from levisqueeze.cli import main
 from levisqueeze.dynamics import MAX_STORED, STEP_ERROR_LIMIT, evolve
 from levisqueeze.metrics import TRAJECTORY_COLUMNS, mechanical_trajectory
@@ -390,6 +390,28 @@ def test_figure_refuses_gamma_with_q_m(tmp_path, monkeypatch, capsys, order):
     argv = ["figure", "fig2a", "--set", order[0], "--set", order[1], "--set", "t_end=1"]
     assert main(argv) == 2
     assert "give gamma or q_m, not both" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran with an unwritable output")
+
+    monkeypatch.setattr(cli, "evolve", no_run)
+    monkeypatch.setattr(cli, "run_figure", no_run)
+    assert main(["evolve", *MODEL, "--set", "t_end=1", "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert main(["figure", "fig3a", "--out", str(tmp_path / "missing" / "f.csv")]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_mc_validate_csv_report_writes_flags_and_integers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["mc-validate", *MODEL, *MC_SMALL, "--out", "mc.csv", "--format", "csv"]
+    assert main(argv) == 0
+    header, rows = read_rows(tmp_path / "mc.csv")
+    assert header == ["key", "value"]
+    assert {"passed,true", "n_traj,100", "seed,0"} <= {",".join(row) for row in rows}
 
 
 def test_mc_validate_rejects_a_negative_seed(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -11,9 +12,10 @@ from levisqueeze.dynamics import (
     stability,
     steady_state,
 )
-from levisqueeze.errors import ConfigError, IntegrationError, UnstableModelError
+from levisqueeze.errors import ConfigError, IntegrationError, ParameterError, UnstableModelError
 from levisqueeze.figures import (
     FIGURES,
+    RUN_KEYS,
     ALPHA_MAX,
     ONSET_MARGIN,
     ONSET_TOL,
@@ -31,6 +33,7 @@ from levisqueeze.metrics import (
     vsq_trajectory,
 )
 from levisqueeze.models import (
+    SystemParams,
     bogoliubov_ground_variance,
     build_bogoliubov_dissipative,
     build_eliminated_modulated,
@@ -61,6 +64,27 @@ def test_registry_contents():
 def test_unknown_figure_id():
     with pytest.raises(ConfigError):
         run_figure("fig99")
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_each_figure_names_exactly_the_controls_its_recipe_reads(figure):
+    recipe, preset, controls = FIGURES[figure]
+    first, *keywords = inspect.signature(recipe).parameters.values()
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert [k.name for k in keywords] == list(controls)
+    assert all(k.kind is inspect.Parameter.KEYWORD_ONLY for k in keywords)
+    assert set(controls) <= set(RUN_KEYS)
+    assert isinstance(preset(), SystemParams)
+
+
+def test_overrides_set_the_preset_and_unread_controls_are_ignored():
+    # fig3b's preset has alpha = 0.01; an override replaces it, and points,
+    # which fig3b does not read, is ignored even where it would be refused.
+    data = run_figure("fig3b", {"alpha": 0.02, "t_end": 1.0, "points": 0})
+    assert data.meta["params"] == detuned_params().with_value("alpha", 0.02)
+    assert data.meta["t_end"] == 1.0
+    with pytest.raises(ParameterError, match="give gamma or q_m, not both"):
+        run_figure("fig3b", {"gamma": 1e-9, "q_m": 1e9})
 
 
 def test_fig2a_transient_dips_below_vacuum():
@@ -138,6 +162,11 @@ def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
     open_brackets = [shape[0] for shape in shapes[1:]]
     assert open_brackets[0] == 2 and open_brackets[-1] == 1
     assert open_brackets == sorted(open_brackets, reverse=True)
+
+
+def test_modulation_instability_refuses_a_row_unstable_without_modulation():
+    with pytest.raises(ParameterError, match="already unstable at zero modulation"):
+        modulation_instabilities([SystemParams(delta=1.0, lam=0.3)])
 
 
 def test_modulation_instability_none_when_range_is_stable():

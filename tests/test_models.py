@@ -57,6 +57,8 @@ def test_rejects_negative_fields():
 def test_rejects_nonpositive_quality_factor():
     with pytest.raises(ParameterError):
         SystemParams(omega_x=1.0, q_m=0.0)
+    with pytest.raises(ParameterError, match="quality factor must be positive"):
+        SystemParams().with_value("q_m", 0.0)
 
 
 def test_with_value_replaces_one_field(detuned):
@@ -245,6 +247,13 @@ def test_effective_modulated_frozen_values(detuned):
 def test_effective_modulated_rejects_zero_detuning(detuned):
     with pytest.raises(ParameterError):
         effective_modulated(dataclasses.replace(detuned, delta=0.0, alpha=0.01))
+    with pytest.raises(ParameterError, match="needs nonzero detuning"):
+        modulated_backaction(SystemParams(delta=0.0))
+
+
+def test_elimination_needs_a_linewidth_or_a_detuning():
+    with pytest.raises(ParameterError, match="needs kappa or delta nonzero"):
+        effective_detuned(SystemParams(kappa=0.0, delta=0.0))
 
 
 def test_effective_modulated_rejects_unknown_variant(detuned):
@@ -389,6 +398,11 @@ def test_bogoliubov_stack_refuses_what_the_one_point_build_refuses(resonant, det
     assert str(stacked.value) == "modulation depth must be in [0, 2), got 2.0"
     with pytest.raises(ParameterError, match="requires delta = omega_x"):
         bogoliubov_stack([resonant, detuned], np.zeros((2, 1)))
+
+
+def test_bogoliubov_stack_needs_one_row_of_depths_per_row():
+    with pytest.raises(ParameterError, match="need one row of depths"):
+        bogoliubov_stack([SystemParams(delta=1.0)], [0.1])
 
 
 def test_builder_registry():

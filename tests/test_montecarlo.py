@@ -117,6 +117,18 @@ def test_indefinite_diffusion_is_rejected():
     spec = EnsembleSpec(n_traj=100, t_end=0.5, dt=1e-3, seed=0)
     with pytest.raises(NumericalError):
         simulate_ensemble(model, vac(), spec)
+    # Off the diagonal fast path the Cholesky factor refuses it.
+    model = constant_model(-np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        simulate_ensemble(model, vac(), spec)
+
+
+def test_indefinite_initial_covariance_is_rejected():
+    model = constant_model(-np.eye(2), 2 * np.eye(2))
+    v0 = CovarianceMatrix(MECH, [[1.0, 2.0], [2.0, 1.0]])
+    spec = EnsembleSpec(n_traj=100, t_end=0.5, dt=1e-3, seed=0)
+    with pytest.raises(NumericalError, match="initial covariance is not positive definite"):
+        simulate_ensemble(model, v0, spec)
 
 
 def test_seed_determinism():
@@ -363,19 +375,25 @@ def test_growing_ensemble_reports_the_first_non_finite_checkpoint():
 
 
 class CountingStream:
-    """Wraps a Generator and counts its standard_normal calls."""
+    """Wraps a Generator and counts its standard_normal calls and the normals drawn."""
 
     def __init__(self, generator):
         self.generator = generator
         self.calls = 0
+        self.drawn = 0
 
     def standard_normal(self, *args, **kwargs):
         self.calls += 1
-        return self.generator.standard_normal(*args, **kwargs)
+        out = self.generator.standard_normal(*args, **kwargs)
+        self.drawn += np.size(out)
+        return out
 
 
 def count_work(monkeypatch, model, v0, spec):
-    """Run the ensemble; return its drift_at calls and each stream's draw calls."""
+    """Run the ensemble; return its drift_at calls and each stream's draw calls.
+
+    The normals drawn, padding included, must be the count the spec states.
+    """
     made = []
     build = montecarlo._streams
 
@@ -391,6 +409,7 @@ def count_work(monkeypatch, model, v0, spec):
 
     monkeypatch.setattr(montecarlo, "_streams", counting_streams)
     simulate_ensemble(dataclasses.replace(model, drift_at=drift_at), v0, spec)
+    assert sum(s.drawn for s in made) == spec.normals_drawn(model.basis.dim)
     return len(drift_calls), [s.calls for s in made]
 
 
