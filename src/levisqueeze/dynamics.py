@@ -8,20 +8,25 @@ integrated with the classical fourth-order Runge-Kutta scheme at fixed step.
 Every step is advanced as two half steps; comparing against the single full
 step at the stored samples gives a step-halving error estimate that aborts
 the run when the step is too coarse for the requested dynamics.
-On the row-major vec(V) the flow is affine with one generator, A (x) I + I (x) A,
-which steady_state solves with.  On (vec V, 1) it is linear, so evolve's RK4
-steps are matrices built in small batches from the generators at the stage
-times, taken through every step of a time-dependent model and, for a constant
-one, raised to the powers that fill its stored samples by doubling.
+V is symmetric, so the flow is carried on its m = d(d+1)/2 upper-triangle
+entries, vech V, row by row.  There it is affine with one m x m generator,
+E (A (x) I + I (x) A) D for the elimination E and duplication D (Magnus &
+Neudecker, SIAM J. Alg. Disc. Meth. 1, 422 (1980)), which steady_state
+solves with.  On (vech V, 1) it is linear, so evolve's RK4 steps are
+matrices built in small batches from the generators at the stage times,
+taken through every step of a time-dependent model and, for a constant one,
+raised to the powers that fill its stored samples by doubling.
 periodic_steady_state steps a stack of models in d x d arithmetic: the
 monodromy Phi and the covariance Q grown from zero over one period give the
-orbit start V0 = Phi V0 Phi^T + Q.  Both solvers sample a time-dependent
-model on the stage times of CHUNK_STEPS steps at a time, with one drift_at
-and one diffusion_at call per model and chunk on the whole array of times.
+orbit start V0 = Phi V0 Phi^T + Q, solved on vech V0.  Both solvers sample a
+time-dependent model on the stage times of CHUNK_STEPS steps at a time, with
+one drift_at and one diffusion_at call per model and chunk on the whole
+array of times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -192,7 +197,7 @@ def _stored_steps(n_steps: int, most: int) -> list[int]:
 
 
 def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Step-halving error of each stored (vec V, 1) state, relative to its covariance scale."""
+    """Step-halving error of each stored (vech V, 1) state, relative to its covariance scale."""
     return np.max(np.abs(defects), axis=1) / np.fmax(1.0, np.max(np.abs(states), axis=1))
 
 
@@ -204,15 +209,13 @@ def _sample_array(covs: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _sample_covariances(
-    times: NDArray[np.float64], vecs: NDArray[np.float64]
+    times: NDArray[np.float64], covs: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Stored samples from their row-major vec V rows, symmetrized and checked.
+    """Stored (n, d, d) samples, checked and made read-only.
 
     The first non-finite sample raises NumericalError at its time, then a
     non-positive diagonal raises CovarianceError.
     """
-    n, d = len(times), math.isqrt(vecs.shape[1])
-    covs = _symmetrized(vecs.reshape(n, d, d))
     diverged = np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
     if diverged.size:
         raise NumericalError(f"covariance diverged at t = {times[diverged[0]]:g}")
@@ -222,7 +225,7 @@ def _sample_covariances(
 def _checked_samples(
     times: NDArray[np.float64], states: NDArray[np.float64], defects: NDArray[np.float64], h: float
 ) -> tuple[NDArray[np.float64], float]:
-    """Covariances of evolve's stored (vec V, 1) states and the step-halving maximum.
+    """Covariances of evolve's stored (vech V, 1) states and the step-halving maximum.
 
     defects[k] is the step-halving defect of the step ending at times[k]
     (row 0 is unused).  The checks run on all samples at once, and the
@@ -240,34 +243,72 @@ def _checked_samples(
             f"step-halving error {running[k]:.3e} above {STEP_ERROR_LIMIT:.0e} "
             f"at t = {times[k]:g}; reduce dt below {h:g}"
         )
-    return _sample_covariances(times, states[:, :-1]), float(running[-1])
+    return _sample_covariances(times, _unpacked(states[:, :-1])), float(running[-1])
+
+
+@functools.cache
+def _upper(d: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Row and column indices of the upper triangle of d x d matrices, row by row."""
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@functools.cache
+def _generator_map(d: int) -> NDArray[np.float64]:
+    """The fixed (m^2, d^2) map from the row-major vec A to the flattened _generator(A).
+
+    Column p d + q is E (kron(U, I) + kron(I, U)) D, flattened, for the unit
+    matrix U with a one at (p, q): E keeps the upper-triangle rows of the
+    row-major vec, and D adds the two columns of each off-diagonal pair.
+    """
+    rows, cols = _upper(d)
+    upper, m = rows * d + cols, len(rows)
+    duplication = np.zeros((d * d, m))
+    duplication[upper, np.arange(m)] = duplication[cols * d + rows, np.arange(m)] = 1.0
+    eye, units = np.eye(d), np.eye(d * d).reshape(d * d, d, d)
+    gens = [(np.kron(u, eye) + np.kron(eye, u))[upper] @ duplication for u in units]
+    return _frozen(np.array(gens).reshape(d * d, m * m).T)
 
 
 def _generator(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Generator kron(A, I) + kron(I, A) of V -> A V + V A^T on the row-major vec(V).
+    """Generator of V -> A V + V A^T on vech V, m x m for m = d(d+1)/2.
 
-    Batched over the leading axes of a.
+    Batched over the leading axes of a; one product with _generator_map.
     """
-    d = a.shape[-1]
-    gen = np.zeros(a.shape[:-2] + (d, d, d, d))
-    for k in range(d):
-        gen[..., :, k, :, k] += a
-        gen[..., k, :, k, :] += a
-    return gen.reshape(a.shape[:-2] + (d * d, d * d))
+    d, lead = a.shape[-1], a.shape[:-2]
+    m = d * (d + 1) // 2
+    return (a.reshape(lead + (d * d,)) @ _generator_map(d).T).reshape(lead + (m, m))
+
+
+def _vech(covs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Upper-triangle entries, row by row, of stacked (..., d, d) matrices."""
+    rows, cols = _upper(covs.shape[-1])
+    return covs[..., rows, cols]
+
+
+def _unpacked(vechs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The exactly symmetric (..., d, d) matrices of stacked vech rows."""
+    d = math.isqrt(2 * vechs.shape[-1])  # 2m = d^2 + d
+    rows, cols = _upper(d)
+    covs = np.empty(vechs.shape[:-1] + (d, d))
+    covs[..., rows, cols] = covs[..., cols, rows] = vechs
+    return covs
 
 
 def _affine_generators(
     model: LinearGaussianModel, times: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Generators [[L, vec N], [0, 0]] of the flow on (vec V, 1) at the given times.
+    """Generators [[L, vech N], [0, 0]] of the flow on (vech V, 1) at the given times.
 
     The model is sampled with one drift_at and one diffusion_at call on the
     whole array of times.
     """
-    dd = model.basis.dim ** 2
-    gens = np.zeros((len(times), dd + 1, dd + 1))
-    gens[:, :dd, :dd] = _generator(model.drift_at(times))
-    gens[:, :dd, dd] = model.diffusion_at(times).reshape(len(times), dd)
+    gen = _generator(model.drift_at(times))
+    m = gen.shape[-1]
+    gens = np.zeros((len(times), m + 1, m + 1))
+    gens[:, :m, :m] = gen
+    gens[:, :m, m] = _vech(model.diffusion_at(times))
     return gens
 
 
@@ -399,10 +440,12 @@ def evolve(
     n_steps, h = _step_grid(t_end, _default_dt(model) if dt is None else dt)
     stored = _stored_steps(n_steps, MAX_STORED - 1)
     # One nominal step is two RK4 half steps composed into one map on
-    # (vec V, 1); the single full step's defect against it, applied to the
-    # state before a stored step, gives the error.
-    states = np.empty((len(stored), start.size + 1))
-    states[0] = np.append(start.ravel(), 1.0)
+    # (vech V, 1); the single full step's defect against it, applied to the
+    # state before a stored step, gives the error.  The stored states are
+    # unpacked into exactly symmetric samples.
+    start = np.append(_vech(start), 1.0)
+    states = np.empty((len(stored), start.size))
+    states[0] = start
     times = _frozen(np.multiply(stored, h))
     # A diverged state is carried as inf and NaN, without warnings; the
     # checks report it at its first stored time.
@@ -454,7 +497,6 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
     first point that passes every check but has a non-positive diagonal
     raises CovarianceError.
     """
-    d = drifts.shape[-1]
     eig, max_re, verdicts = _spectra(drifts)
     stable = np.flatnonzero(verdicts)
     errors: list[Exception | None] = [
@@ -464,10 +506,9 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
         for ok, re in zip(verdicts.tolist(), max_re.tolist())
     ]
     a, n = drifts[stable], noises[stable]
-    gens, rhs = _generator(a), -n.reshape(len(stable), d * d, 1)
-    vecs = _stacked_solve(gens, rhs, stable, errors, "Lyapunov")
-    finite = np.all(np.isfinite(vecs), axis=(1, 2))
-    v = _symmetrized(vecs.reshape(len(stable), d, d))
+    vechs = _stacked_solve(_generator(a), -_vech(n)[..., None], stable, errors, "Lyapunov")
+    finite = np.all(np.isfinite(vechs), axis=(1, 2))
+    v = _unpacked(vechs[..., 0])
     # The residual is checked against the diffusion scale, with an allowance
     # for the backward error of the direct solve.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -576,11 +617,15 @@ def _periodic_states(
         )
     live = [i for i, error in enumerate(out) if error is None]
     phis, qs = (np.array(x)[:, live] for x in zip(*samples))
-    # Row-major vec(Phi V Phi^T) is kron(Phi, Phi) vec(V).
-    kron = (phi[live, :, None, :, None] * phi[live, None, :, None, :]).reshape(-1, d * d, d * d)
-    rhs = q[live].reshape(-1, d * d, 1)
-    vecs = _stacked_solve(np.eye(d * d) - kron, rhs, live, out, "period-map")
-    v0s = _symmetrized(vecs.reshape(-1, d, d))
+    # vech(Phi V Phi^T) is C vech V: entry ((i, j), (k, l)) of C is
+    # Phi_ik Phi_jl, plus Phi_il Phi_jk for k < l.
+    rows, cols = _upper(d)
+    p = phi[live]
+    congruence = p[:, rows[:, None], rows] * p[:, cols[:, None], cols]
+    congruence += (rows < cols) * (p[:, rows[:, None], cols] * p[:, cols[:, None], rows])
+    rhs = _vech(q[live])[..., None]
+    vechs = _stacked_solve(np.eye(len(rows)) - congruence, rhs, live, out, "period-map")
+    v0s = _unpacked(vechs[..., 0])
     cycles = phis @ v0s @ np.swapaxes(phis, -1, -2) + qs
     times = _frozen(np.multiply(stored, h))
     for i, v0, cycle in zip(live, v0s, np.swapaxes(cycles, 0, 1)):
@@ -589,7 +634,7 @@ def _periodic_states(
         try:
             if not np.all(np.isfinite(v0)):
                 raise NumericalError("non-finite periodic steady state")
-            covs = _sample_covariances(times, cycle.reshape(len(times), d * d))
+            covs = _sample_covariances(times, _symmetrized(cycle))
         except (NumericalError, CovarianceError) as error:
             out[i] = error
             continue
@@ -647,11 +692,14 @@ def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6
     (max Re(eig) = 0) count as unstable, so the returned point is the lower
     edge of instability up to tol, or wherever MAX_BISECTIONS steps end.
     Time-periodic families are refused, as by stability.  This is the
-    one-bracket case of the lockstep bisection.
+    one-bracket case of the lockstep bisection.  A tol that is not positive
+    raises ParameterError.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must be increasing, got {bracket}")
+    if not tol > 0.0:
+        raise ParameterError(f"tolerance must be positive, got {tol}")
     s_lo, s_hi = _stable_points([model_family(lo), model_family(hi)]).tolist()
     if s_lo == s_hi:
         raise BracketError(

@@ -161,10 +161,16 @@ def _grid_size(points: int) -> int:
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """Named parameter grid; name must be a SystemParams field or q_m."""
+    """Named parameter grid; name must be a SystemParams field or q_m.
+
+    Its size is refused outside 1 to MAX_STORED, however it is given.
+    """
 
     name: str
     values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _grid_size(len(self.values))
 
     @staticmethod
     def linear(name: str, start: float, stop: float, points: int) -> "SweepAxis":

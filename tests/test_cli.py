@@ -381,6 +381,32 @@ def test_malformed_config_values_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_axis_values_and_axis_points_share_the_grid_size_rule(monkeypatch, capsys):
+    # MAX_STORED + 1 points are refused alike as a grid and as a list of
+    # values, before the sweep runs.
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", refused)
+    too_many = MAX_STORED + 1
+    grid = ["--set", "axis_start=0.1", "--set", "axis_stop=0.5", "--set", f"axis_points={too_many}"]
+    listed = ["--set", f"axis_values={json.dumps([0.3] * too_many)}"]
+    messages = []
+    for sets in (grid, listed):
+        assert main(["sweep", *LAM_AXIS, *sets]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert f"need 1 to {MAX_STORED} grid points, got {too_many}" in messages[0]
+
+
+def test_threshold_refuses_a_tolerance_that_is_not_positive(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "run.json", {**DETUNED, "bracket_lo": 1.0, "bracket_hi": 2.0}
+    )
+    assert main(["threshold", "--config", cfg, "--set", "tol=-1"]) == 2
+    assert "tolerance must be positive, got -1.0" in capsys.readouterr().err
+
+
 MC_SMALL = ["--set", "n_traj=100", "--set", "t_end=0.1"]
 
 

@@ -128,7 +128,8 @@ def test_ill_conditioned_transient_matches_an_extended_precision_reference():
         half_gap = mpmath.sqrt(((v[x, x] - v[y, y]) / 2) ** 2 + v[x, y] ** 2)
         exact = (v[x, x] + v[y, y]) / 2 - half_gap
     assert float(exact) == pytest.approx(36.3007008, rel=1e-8)
-    # The RK4 truncation error alone is 1.5e-6 here.
+    # The RK4 truncation error alone is 2.4e-13 here: carried exactly, the
+    # rounded float64 step map's 50000th power is 5.7e-7 off on its own.
     assert abs(got - float(exact)) <= 2e-6 * float(exact)
 
 
@@ -170,16 +171,30 @@ def test_powered_samples_match_an_extended_precision_iteration():
     result = evolve(model, v0, 100.0)
     step_map, _ = _constant_maps(model, result.stats.dt)
     step_map = step_map.astype(np.longdouble)
-    vec = np.append(v0.ravel(), 1.0).astype(np.longdouble)
+    vec = vech_state(v0).astype(np.longdouble)
     exact = [vec]
     for step in range(1, result.stats.n_steps + 1):
         vec = step_map @ vec
         if step % result.stats.stride == 0 or step == result.stats.n_steps:
             exact.append(vec)
-    exact = np.array(exact, dtype=float)[:, :-1].reshape(-1, 4, 4)
+    exact = covariances_of(np.array(exact, dtype=float))
     got = np.linalg.eigvalsh(result.covariances[:, 2:, 2:])[:, 0]
     want = np.linalg.eigvalsh(exact[:, 2:, 2:])[:, 0]
     assert np.max(np.abs(got - want) / want) <= 5e-12
+
+
+def vech_state(v0) -> np.ndarray:
+    """The (vech V, 1) state of a covariance: its upper triangle, row by row, and a one."""
+    rows, cols = np.triu_indices(len(v0))
+    return np.append(np.asarray(v0)[rows, cols], 1.0)
+
+
+def covariances_of(states: np.ndarray) -> np.ndarray:
+    """The symmetric (n, 4, 4) covariances of stacked (vech V, 1) states."""
+    rows, cols = np.triu_indices(4)
+    covs = np.empty((len(states), 4, 4))
+    covs[:, rows, cols] = covs[:, cols, rows] = states[:, :-1]
+    return covs
 
 
 def stored_steps(stats) -> list[int]:
@@ -190,14 +205,14 @@ def stored_steps(stats) -> list[int]:
 
 
 def extended_iteration(model, v0s, dt, steps) -> np.ndarray:
-    """(vec V, 1) states at the given steps of size dt, (len(steps) + 1, D, len(v0s)).
+    """(vech V, 1) states at the given steps of size dt, (len(steps) + 1, D, len(v0s)).
 
     Every start is carried step by step through the step map in long double;
     the first row holds the starts.
     """
     step_map, _ = _constant_maps(model, dt)
     step_map = step_map.astype(np.longdouble)
-    vecs = np.array([np.append(np.ravel(v0), 1.0) for v0 in v0s], dtype=np.longdouble).T
+    vecs = np.array([vech_state(v0) for v0 in v0s], dtype=np.longdouble).T
     states, wanted = [vecs], set(steps)
     for step in range(1, max(steps) + 1):
         vecs = step_map @ vecs
@@ -207,7 +222,7 @@ def extended_iteration(model, v0s, dt, steps) -> np.ndarray:
 
 
 def per_sample_states(model, v0, stats) -> np.ndarray:
-    """Stored (vec V, 1) states as a loop over the samples reaches them.
+    """Stored (vech V, 1) states as a loop over the samples reaches them.
 
     A power of the step map, taken in long double and rounded, brings each
     sample to one step before the next stored step, and one float64 step
@@ -219,7 +234,7 @@ def per_sample_states(model, v0, stats) -> np.ndarray:
         k: np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
         for k in {step - prev - 1 for prev, step in zip(stored, stored[1:])}
     }
-    vec = np.append(np.ravel(v0), 1.0)
+    vec = vech_state(v0)
     states = [vec]
     for prev, step in zip(stored, stored[1:]):
         vec = step_map @ (powers[step - prev - 1] @ vec)
@@ -239,7 +254,7 @@ def random_constant_model(rng) -> LinearGaussianModel:
 def assert_matches_extended_iteration(model, v0, result) -> None:
     stats = result.stats
     want = extended_iteration(model, [v0], stats.dt, stored_steps(stats)[1:])
-    want = want[:, :-1, 0].reshape(result.covariances.shape)
+    want = covariances_of(want[:, :, 0])
     scale = np.max(np.abs(want), axis=(1, 2))
     assert np.max(np.max(np.abs(result.covariances - want), axis=(1, 2)) / scale) <= 5e-12
 
@@ -272,8 +287,8 @@ def test_short_last_interval_matches_an_extended_precision_iteration(rng, n_step
     assert_matches_extended_iteration(model, v0, result)
 
     h = result.stats.dt
-    states = np.empty((len(stored), v0.size + 1))
-    states[0] = np.append(v0.ravel(), 1.0)
+    states = np.empty((len(stored), vech_state(v0).size))
+    states[0] = vech_state(v0)
     defects = _constant_steps(model, h, stored, states)[1:]
     _, defect = _constant_maps(model, h)
     before = extended_iteration(model, [v0], h, [step - 1 for step in stored[1:]])[1:, :, 0]
@@ -282,13 +297,8 @@ def test_short_last_interval_matches_an_extended_precision_iteration(rng, n_step
 
 
 def vsq_of_states(states: np.ndarray) -> np.ndarray:
-    """Smallest mechanical eigen-variance of stored (vec V, 1) states of the full model.
-
-    The covariances are symmetrized as evolve's samples are.
-    """
-    covs = states[:, :-1].reshape(-1, 4, 4)
-    blocks = (0.5 * covs + 0.5 * np.swapaxes(covs, 1, 2))[:, 2:, 2:]
-    return np.linalg.eigvalsh(blocks)[:, 0]
+    """Smallest mechanical eigen-variance of stored (vech V, 1) states of the full model."""
+    return np.linalg.eigvalsh(covariances_of(states)[:, 2:, 2:])[:, 0]
 
 
 def test_ladder_is_no_less_accurate_than_a_per_sample_loop():
@@ -597,6 +607,17 @@ def test_evolve_rejects_non_positive_diagonal():
         evolve(model, np.eye(2), 3.0)
 
 
+def test_evolve_samples_are_exactly_symmetric(detuned):
+    # Both paths carry the upper triangle of V and unpack it into both
+    # halves of every stored sample.
+    modulated = dataclasses.replace(detuned, gamma=1e-4, nbar0=1.5, alpha=0.3, phi=0.8)
+    runs = ((build_full_cs(detuned), detuned), (build_full_modulated(modulated), modulated))
+    for model, p in runs:
+        covs = evolve(model, initial_covariance(p, model.basis), 2.0).covariances
+        assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
+        assert np.any(covs != np.diagonal(covs, axis1=1, axis2=2)[:, :, None] * np.eye(4))
+
+
 def test_evolve_covariances_are_one_read_only_array(detuned):
     model = build_full_cs(detuned)
     result = evolve(model, initial_covariance(detuned, model.basis), 5.0)
@@ -661,6 +682,31 @@ def _tilted_cavity(shift: float) -> LinearGaussianModel:
         2.0 * np.eye(2),
         1.0,
     )
+
+
+def test_generator_is_the_eliminated_kronecker_sum(rng):
+    # E (kron(A, I) + kron(I, A)) D on vech V, the upper triangle of V row
+    # by row: the elimination E keeps those rows of the row-major vec and
+    # the duplication D maps vech V back to vec V.
+    for d in (2, 4):
+        pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        elimination, duplication = np.zeros((len(pairs), d * d)), np.zeros((d * d, len(pairs)))
+        for k, (i, j) in enumerate(pairs):
+            elimination[k, i * d + j] = duplication[i * d + j, k] = duplication[j * d + i, k] = 1.0
+        drifts, eye = rng.normal(size=(3, 5, d, d)), np.eye(d)
+        want = [
+            [elimination @ (np.kron(a, eye) + np.kron(eye, a)) @ duplication for a in row]
+            for row in drifts
+        ]
+        gens = _generator(drifts)
+        assert gens.shape == (3, 5, len(pairs), len(pairs))
+        assert np.array_equal(gens, np.array(want))
+        # It acts on a symmetric V as V -> A V + V A^T does.
+        b = rng.normal(size=(d, d))
+        v, a = b @ b.T, drifts[0, 0]
+        flow = a @ v + v @ a.T
+        got = gens[0, 0] @ np.array([v[i, j] for i, j in pairs])
+        assert np.allclose(got, [flow[i, j] for i, j in pairs], rtol=1e-13, atol=1e-13)
 
 
 def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
@@ -758,6 +804,13 @@ def test_find_threshold_needs_a_sign_change(detuned):
 def test_find_threshold_rejects_bad_bracket(detuned):
     with pytest.raises(ParameterError):
         find_threshold(family(detuned), (2.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_find_threshold_refuses_a_tolerance_that_is_not_positive(detuned, tol):
+    # Such a tolerance is never met, so every bisection step would run.
+    with pytest.raises(ParameterError, match="tolerance must be positive"):
+        find_threshold(family(detuned), (1.0, 2.0), tol=tol)
 
 
 def test_lockstep_bisection_equals_find_threshold_per_bracket(detuned):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levisqueeze.dynamics import evolve, steady_state
+from levisqueeze.dynamics import MAX_STORED, evolve, steady_state
 from levisqueeze.errors import (
     BasisError,
     CovarianceError,
@@ -266,6 +266,14 @@ def test_sweep_axis_constructors():
         SweepAxis.linear("lam", 0.0, 1.0, 0)
 
 
+def test_explicit_axis_values_obey_the_grid_size_rule():
+    # A list of values is held to the same 1 to MAX_STORED sizes as a grid.
+    assert len(SweepAxis("lam", (0.1,) * MAX_STORED).values) == MAX_STORED
+    for size in (0, MAX_STORED + 1):
+        with pytest.raises(ParameterError, match=f"grid points, got {size}"):
+            SweepAxis("lam", (0.1,) * size)
+
+
 def test_steady_sweep_marks_unstable_points(detuned):
     p = detuned.with_value("q_m", 1e4).with_value("nbar", 10.0)
     lam_th = threshold_coupling(p)
@@ -382,7 +390,7 @@ def test_steady_sweep_solves_its_points_as_one_stack(monkeypatch, detuned):
     axis = SweepAxis("lam", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
     table = sweep(axis, build_full_cs, detuned, "steady")
     assert [pt.status for pt in table.points] == ["ok"] * 6
-    assert calls == {"solve": [(6, 16, 16)], "eigvals": [(6, 4, 4)]}
+    assert calls == {"solve": [(6, 10, 10)], "eigvals": [(6, 4, 4)]}
 
 
 def test_transient_sweep_matches_direct_evaluation(detuned):
