@@ -149,28 +149,58 @@ def _constant_parts(
     return drifts, noises
 
 
-def _spectra(
-    drifts: NDArray[np.float64],
-) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.bool_]]:
-    """Eigenvalues of drifts (..., d, d) from one eigvals call, with each drift's verdict.
+def _spectra(drifts: NDArray[np.float64]) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
+    """Eigenvalues of drifts (..., d, d) from one eigvals call, and each drift's largest real part.
 
-    Returns the eigenvalues, each drift's largest real part, and whether it
-    is stable: iff all Re(eig) < 0.
+    They are reported only; every stability verdict is _hurwitz's.
     """
     eig = np.linalg.eigvals(drifts)
-    max_re = np.max(eig.real, axis=-1)
-    return eig, max_re, max_re < 0.0
+    return eig, np.max(eig.real, axis=-1)
+
+
+def _hurwitz(drifts: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Whether each drift of a stack (..., d, d) is stable: iff all Re(eig) < 0.
+
+    Routh-Hurwitz (Gantmacher, The Theory of Matrices II, ch. XV): a drift is
+    stable iff every entry of the first column of the Routh array of its
+    characteristic polynomial is positive.  Each drift is scaled by its
+    largest |entry| first, which leaves the verdict unchanged, and the
+    polynomial's coefficients come from Faddeev-LeVerrier: with M_1 = I,
+    c_k = -tr(A M_k) / k and M_(k+1) = A M_k + c_k I.  A zero pivot, as of a
+    marginal spectrum or a zero drift, gives False without a warning.
+    """
+    d = drifts.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = drifts / np.abs(drifts).max(axis=(-2, -1), keepdims=True)
+        am, coeffs = a, [1.0]
+        for k in range(1, d + 1):
+            coeffs.append(am.trace(axis1=-2, axis2=-1) / -k)
+            if k < d:
+                am = a @ (am + coeffs[k][..., None, None] * _identity(d))
+        # Rows of the Routh array, each without its trailing zeros: row i + 2
+        # is row i, shifted left, minus a multiple of row i + 1 that cancels
+        # its first entry.
+        prev, row = coeffs[0::2], coeffs[1::2]
+        column = [row[0]]
+        for _ in range(d - 1):
+            ratio = prev[0] / row[0]
+            shifted = [p - ratio * r for p, r in zip(prev[1:], row[1:])] + prev[len(row) :]
+            prev, row = row, shifted
+            column.append(row[0])
+    return np.array(column).min(axis=0) > 0.0
 
 
 def stability(model: LinearGaussianModel) -> StabilityReport:
-    """Classify a constant drift by its spectrum; periodic models are refused."""
-    eig, max_re, stable = _spectra(_constant_drifts([model])[0])
-    return StabilityReport(eigenvalues=eig, max_real_part=float(max_re), stable=bool(stable))
+    """Judge a constant drift by _hurwitz and report its spectrum; periodic models are refused."""
+    drift = _constant_drifts([model])[0]
+    eig, max_re = _spectra(drift)
+    stable = bool(_hurwitz(drift))
+    return StabilityReport(eigenvalues=eig, max_real_part=float(max_re), stable=stable)
 
 
 def _stable_points(models: list[LinearGaussianModel]) -> NDArray[np.bool_]:
-    """stability(model).stable of each model, judged by one batched eigvals."""
-    return _spectra(_constant_drifts(models))[2]
+    """stability(model).stable of each model, judged by one batched _hurwitz."""
+    return _hurwitz(_constant_drifts(models))
 
 
 def _default_dt(model: LinearGaussianModel, resolution: float = DT_RESOLUTION) -> float:
@@ -255,6 +285,12 @@ def _upper(d: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
 
 
 @functools.cache
+def _identity(d: int) -> NDArray[np.float64]:
+    """The read-only d x d identity."""
+    return _frozen(np.eye(d))
+
+
+@functools.cache
 def _generator_map(d: int) -> NDArray[np.float64]:
     """The fixed (m^2, d^2) map from the row-major vec A to the flattened _generator(A).
 
@@ -319,20 +355,23 @@ def _rk4_maps(gens: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k! up
     to k = 4.
     """
-    eye = np.eye(gens.shape[-1])
-    g0, gm, g1 = np.moveaxis(gens, -3, 0)
+    eye = _identity(gens.shape[-1])
+    g0, gm, g1 = gens[..., 0, :, :], gens[..., 1, :, :], gens[..., 2, :, :]
     k2 = gm @ (eye + (0.5 * h) * g0)
     k3 = gm @ (eye + (0.5 * h) * k2)
     k4 = g1 @ (eye + h * k3)
     return eye + (h / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.cache
 def _stages(n: int, gap: int) -> NDArray[np.intp]:
-    """Sample indices of the stage times t, t + h/2, t + h of n consecutive steps.
+    """Sample indices of the stage times t, t + h/2, t + h of n consecutive steps, read-only.
 
     The samples are gap per half step, so a step spans 2 * gap of them.
     """
-    return 2 * gap * np.arange(n)[:, None] + gap * np.arange(3)
+    stages = 2 * gap * np.arange(n)[:, None] + gap * np.arange(3)
+    stages.flags.writeable = False
+    return stages
 
 
 def _halved_maps(
@@ -467,8 +506,6 @@ class _SteadyStack:
     covariances and residuals hold the points without one, in order.
     """
 
-    eigenvalues: NDArray[np.complex128]
-    max_real_parts: NDArray[np.float64]
     errors: list[Exception | None]
     covariances: NDArray[np.float64]
     residuals: NDArray[np.float64]
@@ -492,19 +529,19 @@ def _stacked_solve(gens: NDArray[np.float64], rhs: NDArray[np.float64], points, 
 def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> _SteadyStack:
     """Solve A V + V A^T + N = 0 for stacked (k, d, d) drifts and diffusions.
 
-    One batched eigvals judges every point and one _stacked_solve takes the
+    One batched _hurwitz judges every point, one eigvals on the unstable
+    points only gives their error messages, and one _stacked_solve takes the
     stable ones; the checks of steady_state then run on the whole stack.  The
     first point that passes every check but has a non-positive diagonal
     raises CovarianceError.
     """
-    eig, max_re, verdicts = _spectra(drifts)
-    stable = np.flatnonzero(verdicts)
-    errors: list[Exception | None] = [
-        None
-        if ok
-        else UnstableModelError(f"drift has max Re(eig) = {re:.3e} >= 0; no steady state")
-        for ok, re in zip(verdicts.tolist(), max_re.tolist())
-    ]
+    verdicts = _hurwitz(drifts)
+    stable, unstable = np.flatnonzero(verdicts), np.flatnonzero(~verdicts)
+    errors: list[Exception | None] = [None] * len(drifts)
+    if unstable.size:
+        for i, re in zip(unstable.tolist(), _spectra(drifts[unstable])[1].tolist()):
+            message = f"drift has max Re(eig) = {re:.3e} >= 0; no steady state"
+            errors[i] = UnstableModelError(message)
     a, n = drifts[stable], noises[stable]
     vechs = _stacked_solve(_generator(a), -_vech(n)[..., None], stable, errors, "Lyapunov")
     finite = np.all(np.isfinite(vechs), axis=(1, 2))
@@ -526,13 +563,7 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
                 f"steady-state residual {res[j]:.3e} above tolerance {limit[j]:.3e}"
             )
     ok = [j for j, i in enumerate(stable) if errors[i] is None]
-    return _SteadyStack(
-        eigenvalues=eig,
-        max_real_parts=max_re,
-        errors=errors,
-        covariances=_sample_array(v[ok]),
-        residuals=res[ok],
-    )
+    return _SteadyStack(errors=errors, covariances=_sample_array(v[ok]), residuals=res[ok])
 
 
 def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
@@ -544,12 +575,12 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     ||A|| ||V|| and is unavoidable for large thermal covariances).  This is
     the one-point case of the stacked solve that steady sweeps use.
     """
-    stack = _steady_states(*_constant_parts([model]))
+    drifts, noises = _constant_parts([model])
+    stack = _steady_states(drifts, noises)
     if stack.errors[0] is not None:
         raise stack.errors[0]
-    report = StabilityReport(
-        eigenvalues=stack.eigenvalues[0], max_real_part=float(stack.max_real_parts[0]), stable=True
-    )
+    eig, max_re = _spectra(drifts[0])
+    report = StabilityReport(eigenvalues=eig, max_real_part=float(max_re), stable=True)
     return SteadyStateResult(
         covariance=CovarianceMatrix(model.basis, stack.covariances[0]),
         residual_norm=float(stack.residuals[0]),
@@ -688,7 +719,8 @@ def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6
     """Bisect the stability boundary of a one-parameter model family.
 
     model_family maps a scalar to a LinearGaussianModel; the bracket must
-    contain exactly one change of the stability verdict.  Marginal spectra
+    contain exactly one change of the stability verdict, which _hurwitz
+    takes for both ends in one call and for each midpoint.  Marginal spectra
     (max Re(eig) = 0) count as unstable, so the returned point is the lower
     edge of instability up to tol, or wherever MAX_BISECTIONS steps end.
     Time-periodic families are refused, as by stability.  This is the

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import _bisect_brackets, _periodic_states, _spectra, evolve
+from .dynamics import _bisect_brackets, _hurwitz, _periodic_states, evolve
 from .errors import ConfigError, ParameterError, UnstableModelError
 from .gaussian import CAVITY_MECH
 from .metrics import (
@@ -105,14 +105,15 @@ def modulation_instabilities(rows: Sequence[SystemParams]) -> list[float | None]
     """Smallest unstable modulation depth of the cooling model of each row, if any.
 
     Each row is judged on 40 depths in [0, ALPHA_MAX], all rows with one
-    eigvals, and the first stable-to-unstable step of each is bisected, all
-    brackets in lockstep.  A bracket stops at ONSET_TOL, or at a relative
-    ONSET_MARGIN of its upper end where that is tighter, so that an onset
-    below ONSET_TOL is resolved too.
+    batched Routh-Hurwitz test (dynamics._hurwitz), and the first
+    stable-to-unstable step of each is bisected, all brackets in lockstep.
+    A bracket stops at ONSET_TOL, or at a relative ONSET_MARGIN of its upper
+    end where that is tighter, so that an onset below ONSET_TOL is resolved
+    too.
     """
     grid = np.linspace(0.0, ALPHA_MAX, 40)
     drifts, _, _ = bogoliubov_stack(rows, np.broadcast_to(grid, (len(rows), len(grid))))
-    verdicts = _spectra(drifts)[2]
+    verdicts = _hurwitz(drifts)
     if not verdicts[:, 0].all():
         raise ParameterError("cooling model already unstable at zero modulation")
     onsets = verdicts[:, :-1] & ~verdicts[:, 1:]
@@ -121,7 +122,7 @@ def modulation_instabilities(rows: Sequence[SystemParams]) -> list[float | None]
 
     def stable_at(brackets, alphas):
         probed = [rows[i] for i in bracketed[brackets]]
-        return _spectra(bogoliubov_stack(probed, alphas[:, None])[0])[2][:, 0]
+        return _hurwitz(bogoliubov_stack(probed, alphas[:, None])[0])[:, 0]
 
     crits = _bisect_brackets(
         stable_at,

@@ -18,6 +18,7 @@ from levisqueeze.dynamics import (
     _constant_parts,
     _constant_steps,
     _generator,
+    _hurwitz,
     _periodic_states,
     _stable_points,
     _steady_states,
@@ -46,11 +47,12 @@ from levisqueeze.gaussian import (
     LinearGaussianModel,
     uncertainty_floor,
 )
-from levisqueeze.figures import detuned_params
+from levisqueeze.figures import detuned_params, modulation_instabilities
 from levisqueeze.metrics import vsq_trajectory
 from levisqueeze.montecarlo import EnsembleSpec
 from levisqueeze.models import (
     SystemParams,
+    bogoliubov_stack,
     build_eliminated_detuned,
     build_full_cs,
     build_full_modulated,
@@ -771,6 +773,60 @@ def test_stability_at_threshold_is_marginal(detuned):
     report = stability(build_eliminated_detuned(p))
     assert abs(report.max_real_part) < 1e-9
     assert report.stable is (report.max_real_part < 0.0)
+
+
+def _spectral_verdicts(drifts) -> NDArray[np.bool_]:
+    return np.max(np.linalg.eigvals(drifts).real, axis=-1) < 0.0
+
+
+def _same_verdicts(drifts) -> NDArray[np.bool_]:
+    """Assert that _hurwitz gives max Re(eig) < 0 on drifts, also scaled by 1e8 and 1e-8."""
+    want = _spectral_verdicts(drifts)
+    for scale in (1.0, 1e8, 1e-8):
+        assert np.array_equal(_hurwitz(scale * drifts), want)
+    return want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hurwitz_verdict_is_the_spectral_one_on_random_drifts(rng, d):
+    # Shifting by -I and -2I puts more of the drifts on the stable side.
+    shifts = np.array([0.0, 1.0, 2.0])[:, None, None, None] * np.eye(d)
+    want = _same_verdicts(rng.normal(size=(3, 4000, d, d)) - shifts)
+    assert 0 < np.count_nonzero(want) < want.size
+
+
+def test_hurwitz_verdict_is_the_spectral_one_across_model_onsets(detuned, resonant):
+    # Each family on a coarse grid through its onset and at a spacing of
+    # 1e-7 within 1e-4 of it.
+    near = np.linspace(-1e-4, 1e-4, 2001)
+    full_onset = find_threshold(
+        lambda lam: build_full_cs(detuned.with_value("lam", lam)), (1.0, 2.0), tol=1e-12
+    )
+    for build, onset in (
+        (build_full_cs, full_onset),
+        (build_eliminated_detuned, threshold_coupling(detuned)),
+    ):
+        lams = np.concatenate([np.linspace(0.01, 3.0, 300), onset + near])
+        drifts = np.array([build(detuned.with_value("lam", lam)).drift_at(0.0) for lam in lams])
+        want = _same_verdicts(drifts)
+        assert want[:300].any() and not want[:300].all()
+    rows = [resonant.with_value("q_m", q_m) for q_m in (1e4, 1e9, 1e12)]
+    onsets = modulation_instabilities(rows)
+    depths = [np.concatenate([np.linspace(0.0, 1.95, 400), onset + near]) for onset in onsets]
+    want = _same_verdicts(bogoliubov_stack(rows, depths)[0])
+    assert want[:, :400].any(axis=1).all() and not want[:, :400].all(axis=1).any()
+
+
+def test_marginal_drifts_are_unstable_without_a_warning():
+    # A zero pivot of the Routh array gives False; pytest turns a warning
+    # into an error.
+    rotation = np.diag([0.0, 0.0, -1.0, -2.0])
+    rotation[0, 1], rotation[1, 0] = 1.0, -1.0
+    drifts = [np.zeros((4, 4)), rotation, np.diag([-1.0, -2.0, -3.0, 0.0]), -np.eye(4)]
+    assert _hurwitz(np.array(drifts)).tolist() == [False, False, False, True]
+    assert _spectral_verdicts(np.array(drifts)).tolist() == [False, False, False, True]
+    for drift in (np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [0.0, 0.0]]):
+        assert not _hurwitz(np.asarray(drift))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levisqueeze import figures
 from levisqueeze.dynamics import (
     MAX_BISECTIONS,
     evolve,
@@ -138,25 +139,28 @@ def test_modulation_instability_frozen_onset():
     assert alpha_crit == pytest.approx(0.40861942768096926, abs=1e-4)
 
 
-def test_modulation_instability_judges_its_grid_with_one_eigvals(monkeypatch):
-    # The 40-depth grids of all rows are one stacked eigvals call; each
-    # bisection step is one more, stacked over the brackets still open.  The
-    # small onset is bisected to a relative width, so it takes more steps.
+def test_modulation_instability_judges_its_grid_with_one_verdict(monkeypatch):
+    # The 40-depth grids of all rows are one stacked Routh-Hurwitz verdict;
+    # each bisection step is one more, stacked over the brackets still open,
+    # and no eigenvalues are computed.  The small onset is bisected to a
+    # relative width, so it takes more steps.
     rows = [
         resonant_params(),
         resonant_params().with_value("kappa", 6.9e-4),
         resonant_params().with_value("lam", 5.0).with_value("kappa", 1.0),
     ]
-    shapes = []
-    real = np.linalg.eigvals
+    shapes, eigvals = [], []
+    real = figures._hurwitz
 
-    def counted(a):
-        shapes.append(np.shape(a))
-        return real(a)
+    def counted(drifts):
+        shapes.append(np.shape(drifts))
+        return real(drifts)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(figures, "_hurwitz", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals.append(np.shape(a)))
     crits = modulation_instabilities(rows)
     assert crits[0] is not None and crits[1] is not None and crits[2] is None
+    assert eigvals == []
     assert shapes[0] == (3, 40, 4, 4)
     assert all(shape[1:] == (1, 4, 4) for shape in shapes[1:])
     open_brackets = [shape[0] for shape in shapes[1:]]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levisqueeze import dynamics
 from levisqueeze.dynamics import MAX_STORED, evolve, steady_state
 from levisqueeze.errors import (
     BasisError,
@@ -377,20 +378,50 @@ def test_steady_sweep_refuses_a_time_dependent_builder(detuned):
 
 
 def test_steady_sweep_solves_its_points_as_one_stack(monkeypatch, detuned):
-    # One eigvals and one solve for the whole sweep, not one per point.
-    calls = {"solve": [], "eigvals": []}
-    for name in calls:
-        real = getattr(np.linalg, name)
+    # One stability verdict and one solve for the whole sweep, not one per
+    # point; a sweep without unstable points computes no eigenvalues.
+    calls = {"solve": [], "_hurwitz": [], "eigvals": []}
+    for owner, name in ((np.linalg, "solve"), (dynamics, "_hurwitz"), (np.linalg, "eigvals")):
+        real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name].append(np.shape(args[0]))
             return _real(*args)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     axis = SweepAxis("lam", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
     table = sweep(axis, build_full_cs, detuned, "steady")
     assert [pt.status for pt in table.points] == ["ok"] * 6
-    assert calls == {"solve": [(6, 10, 10)], "eigvals": [(6, 4, 4)]}
+    assert calls == {"solve": [(6, 10, 10)], "_hurwitz": [(6, 4, 4)], "eigvals": []}
+
+
+def test_steady_sweep_reads_eigenvalues_of_its_unstable_points_only(monkeypatch, detuned):
+    # The verdict needs no eigenvalues; one eigvals call on the unstable
+    # points gives their messages, the same as from the whole stack's
+    # spectra.
+    shapes = []
+    real = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    lams = (0.5, 1.7, 1.2, 1.5825, 3.0)
+    drifts = [build_full_cs(detuned.with_value("lam", lam)).drift_at(0.0) for lam in lams]
+    whole = real(np.array(drifts))
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    table = sweep(SweepAxis("lam", lams), build_full_cs, detuned, "steady")
+    assert shapes == [(3, 4, 4)]
+    assert [pt.status for pt in table.points] == ["ok", "unstable", "ok", "unstable", "unstable"]
+    unstable = [pt for pt in table.points if pt.error is not None]
+    assert [str(pt.error) for pt in unstable] == [
+        "drift has max Re(eig) = 3.754e-01 >= 0; no steady state",
+        "drift has max Re(eig) = 5.608e-03 >= 0; no steady state",
+        "drift has max Re(eig) = 1.493e+00 >= 0; no steady state",
+    ]
+    for pt, eig in zip(unstable, whole[[1, 3, 4]]):
+        re = np.max(eig.real)
+        assert str(pt.error) == f"drift has max Re(eig) = {re:.3e} >= 0; no steady state"
 
 
 def test_transient_sweep_matches_direct_evaluation(detuned):
