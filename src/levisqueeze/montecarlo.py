@@ -4,19 +4,9 @@ An ensemble of classical trajectories of dr = A r dt + L dW with
 L L^T = N / 2 reproduces, through twice its symmetrized second moments, the
 covariance V of the Lyapunov flow in the vacuum = identity convention.  The
 integrator is deliberately different from the covariance path (a weak
-order-2 scheme on trajectories versus Runge-Kutta on V), so agreement
+order-2 recursion on trajectories versus Runge-Kutta on V), so agreement
 certifies drift and diffusion normalizations rather than repeating the same
 arithmetic.
-
-Trajectories come in chunks of _CHUNK = 100, each with one counter-keyed
-Philox stream: chunk c takes child c of SeedSequence(seed) and holds
-trajectories 100 c to 100 c + 99.  A chunk draws its initial points as one
-(_CHUNK, d) array, then its step noise step-major, as (steps, _CHUNK, d)
-per noise block, so the values do not depend on the block size.  A partial
-last chunk is drawn in full and trimmed.  Trajectory i's path therefore
-depends only on (seed, i), not on the ensemble size or the blocking.
-Building one stream per chunk rather than per trajectory keeps the stream
-set-up a small share of the run.
 
 Each step is the simplified weak order-2 scheme for linear drift and
 additive noise (Kloeden & Platen 1992, ch. 14),
@@ -24,15 +14,32 @@ additive noise (Kloeden & Platen 1992, ch. 14),
     r <- (I + hA + h^2 A^2 / 2) r + (I + hA / 2) L sqrt(h) xi,
 
 with A and L sampled once per step at its midpoint, which keeps the scheme
-second order for a time-dependent drift.  It draws the same d normals per
-step as Euler-Maruyama, with a bias of order h^2 instead of h.  The scheme
-is a linear recursion in r, so the steps between two checkpoints (or
-noise-block edges) compose into one transfer matrix and one stacked noise
-gain.  The ensemble advances by those composed maps, which give the same
-estimator as stepping one step at a time.  The step map is a truncated
-Taylor series: not the matrix exponential, not exact Ornstein-Uhlenbeck
-stepping and not the Lyapunov propagator, so the check stays independent of
-the covariance solvers.
+second order for a time-dependent drift; its bias is of order h^2 instead
+of Euler's h.  The step map is a truncated Taylor series: not the matrix
+exponential, not exact Ornstein-Uhlenbeck stepping and not the Lyapunov
+propagator, so the check stays independent of the covariance solvers.
+
+The recursion is linear in r and in the noise, so the steps between two
+checkpoints compose into one transfer matrix T and noise gains G_j, and the
+state at the next checkpoint is r T + sum_j xi_j G_j.  That noise sum is
+Gaussian with covariance C = sum_j G_j^T G_j and independent across
+intervals, so the ensemble draws it as one d-vector per trajectory and
+interval, mapped through the triangular factor R of a QR decomposition of
+the stacked gains (R^T R = C, never squared, so it neither overflows before
+the states do nor needs C to be regular).  This is exact in law: the
+checkpoint states have the distribution that stepping with per-step noise
+gives them, and only the sampled values differ.  Per-step noise was never
+a quantity under test; the check still tests L L^T = N / 2, the factor 2 of
+the estimator and the Cholesky factor of V0 that draws the initial points.
+
+Trajectories come in chunks of _CHUNK = 100, each with one counter-keyed
+Philox stream: chunk c takes child c of SeedSequence(seed) and holds
+trajectories 100 c to 100 c + 99.  A chunk draws its initial points as one
+(_CHUNK, d) array, then one (_CHUNK, d) array per checkpoint interval.  A
+partial last chunk is drawn in full and trimmed.  Trajectory i's path
+therefore depends only on (seed, i) and the checkpoint grid, not on the
+ensemble size.  Building one stream per chunk rather than per trajectory
+keeps the stream set-up a small share of the run.
 """
 
 from __future__ import annotations
@@ -53,8 +60,6 @@ EM_RESOLUTION = 0.04
 Z_LIMIT = 5.0
 #: Upper bound on the ensemble size, checked before any stream is built.
 MAX_TRAJ = 100_000
-#: Steps per block of pre-drawn noise (fixes memory, not the statistics).
-_BLOCK = 200
 #: Trajectories per random stream: the smallest ensemble allowed.
 _CHUNK = 100
 
@@ -92,9 +97,20 @@ class EnsembleSpec:
         """Random streams built: one per chunk of _CHUNK trajectories, the last padded."""
         return -(-self.n_traj // _CHUNK)
 
+    @property
+    def checkpoints(self) -> tuple[int, ...]:
+        """Step indices sampled: evenly spaced from step 0 to the last, without repeats."""
+        n_steps = self.n_steps
+        # More points than steps would only repeat step indices.
+        marks = np.linspace(0, n_steps, min(self.n_checkpoints, n_steps + 1)).astype(int)
+        return tuple(np.unique(marks).tolist())
+
     def normals_drawn(self, dim: int) -> int:
-        """Normals drawn for a d = dim model: every stream draws a full chunk, padding included."""
-        return self.n_streams * _CHUNK * dim * (self.n_steps + 1)
+        """Normals drawn for a d = dim model: the initial points and one block per interval.
+
+        Every stream draws a full chunk, padding included.
+        """
+        return self.n_streams * _CHUNK * dim * len(self.checkpoints)
 
     @property
     def step(self) -> float:
@@ -180,15 +196,17 @@ def _step_map(
     return p.T, q.T
 
 
-def _interval_maps(
+def _interval_law(
     steps: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Compose the steps r -> r @ p + xi @ q of one interval.
+    """Compose the steps r -> r @ p + xi @ q of one interval into its law.
 
-    steps holds the (p, q) of _step_map for each step in order.
-    Returns the transfer p_0 ... p_{k-1} and the gains q_j p_{j+1} ... p_{k-1}
-    stacked to (k, d, d), so that the end state is
-    r @ transfer + sum_j xi_j @ gains[j].
+    steps holds the (p, q) of _step_map for each step in order.  Returns
+    the transfer p_0 ... p_{k-1} and an upper-triangular noise factor R, so
+    that the end state is r @ transfer + xi @ R with one standard normal
+    d-vector xi.  R^T R is the covariance sum_j g_j^T g_j of the per-step
+    noise sum, with gains g_j = q_j p_{j+1} ... p_{k-1}; R comes from a QR
+    decomposition of the stacked gains, so C itself is never formed.
     """
     d = steps[0][0].shape[0]
     gains = np.empty((len(steps), d, d))
@@ -197,7 +215,7 @@ def _interval_maps(
         p, q = steps[j]
         gains[j] = q @ transfer
         transfer = p @ transfer
-    return transfer, gains
+    return transfer, np.linalg.qr(gains.reshape(-1, d), mode="r")
 
 
 def simulate_ensemble(
@@ -207,15 +225,15 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Weak order-2 ensemble of the model's classical Langevin equation.
 
-    Initial points are drawn from the Gaussian with covariance v0; noise is
-    drawn in blocks of up to _BLOCK steps from one stream per chunk of
-    _CHUNK trajectories.  The padding of a partial last chunk is stepped but
-    left out of every estimate and of the finiteness check.  The steps
-    between consecutive stops (checkpoints and block edges) are composed
-    into one transfer map and one stacked noise gain, so the whole ensemble
-    advances by one transfer product per interval plus one d x d noise
-    product per step, which reads the noise block in place.  Checkpoints are
-    evenly spaced step indices including t = 0 and t_end.
+    Initial points are drawn from the Gaussian with covariance v0, from one
+    stream per chunk of _CHUNK trajectories.  The steps between consecutive
+    checkpoints (spec.checkpoints) are composed into one transfer map and
+    one noise factor, and each stream then draws one (_CHUNK, d) block of
+    standard normals for the interval, so the whole ensemble advances by
+    two d x d products per interval.  A constant model composes each
+    distinct interval length once; a time-dependent one samples its step
+    map once per step.  The padding of a partial last chunk is stepped but
+    left out of every estimate and of the finiteness check.
     """
     start = _entries_in(model.basis, v0)
     if model.fastest_rate > 0.0 and spec.dt > (limit := _default_dt(model, EM_RESOLUTION)):
@@ -223,49 +241,46 @@ def simulate_ensemble(
             f"dt = {spec.dt:g} too coarse for rate {model.fastest_rate:g}; need dt <= {limit:g}"
         )
     d = model.basis.dim
-    n_steps, h = spec.n_steps, spec.step
-    # More points than steps would only repeat step indices.
-    n_marks = min(spec.n_checkpoints, n_steps + 1)
-    checkpoints = np.unique(np.linspace(0, n_steps, n_marks).astype(int))
+    h = spec.step
+    checkpoints = spec.checkpoints
 
     streams = _streams(spec.seed, spec.n_streams)
     try:
         l0 = np.linalg.cholesky(0.5 * start)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"initial covariance is not positive definite: {exc}") from exc
-    # Stream c fills noise[c], step-major; r is (chunk, trajectory, coordinate).
-    noise = np.empty((len(streams), min(_BLOCK, n_steps), _CHUNK, d))
-    for g, out in zip(streams, noise[:, 0]):
+    # Stream c fills noise[c]; row i of flat and of r is trajectory i.
+    noise = np.empty((len(streams), _CHUNK, d))
+    for g, out in zip(streams, noise):
         g.standard_normal(out=out)
-    r = noise[:, 0] @ l0.T
+    flat = noise.reshape(-1, d)
+    r = flat @ l0.T
 
-    # A constant model samples its step once; others once per step.
+    # A constant model samples its step once and composes each interval
+    # length once; others sample once per step.
     fixed = _step_map(model, 0.5 * h, h) if model.is_time_independent else None
+    laws: dict[int, tuple[NDArray[np.float64], NDArray[np.float64]]] = {}
 
-    marks = set(checkpoints.tolist())
-    stops = sorted(marks | set(range(0, n_steps, _BLOCK)) | {n_steps})
     times = [0.0]
-    covs = [_sample_covariance(r.reshape(-1, d)[: spec.n_traj])]
-    for lo, hi in zip(stops[:-1], stops[1:]):
-        start = lo - lo % _BLOCK
-        if lo == start:
-            block = min(_BLOCK, n_steps - lo)
-            for g, out in zip(streams, noise[:, :block]):
-                g.standard_normal(out=out)
+    covs = [_sample_covariance(r[: spec.n_traj])]
+    for lo, hi in zip(checkpoints[:-1], checkpoints[1:]):
         if fixed is None:
-            steps = [_step_map(model, (n + 0.5) * h, h) for n in range(lo, hi)]
+            transfer, factor = _interval_law(
+                [_step_map(model, (n + 0.5) * h, h) for n in range(lo, hi)]
+            )
         else:
-            steps = [fixed] * (hi - lo)
-        transfer, gains = _interval_maps(steps)
+            if hi - lo not in laws:
+                laws[hi - lo] = _interval_law([fixed] * (hi - lo))
+            transfer, factor = laws[hi - lo]
+        for g, out in zip(streams, noise):
+            g.standard_normal(out=out)
         r = r @ transfer
-        for xi, gain in zip(noise[:, lo - start : hi - start].swapaxes(0, 1), gains):
-            r += xi @ gain
-        if hi in marks:
-            live = r.reshape(-1, d)[: spec.n_traj]
-            if not np.all(np.isfinite(live)):
-                raise NumericalError(f"ensemble diverged at t = {hi * h:g}")
-            times.append(hi * h)
-            covs.append(_sample_covariance(live))
+        r += flat @ factor
+        live = r[: spec.n_traj]
+        if not np.all(np.isfinite(live)):
+            raise NumericalError(f"ensemble diverged at t = {hi * h:g}")
+        times.append(hi * h)
+        covs.append(_sample_covariance(live))
 
     t_arr = np.array(times)
     v_arr = np.stack(covs)

@@ -485,7 +485,8 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     assert prov["n_steps"] == n_steps
     assert prov["dt"] == 2.0 / n_steps
     assert prov["streams"] == 2
-    assert prov["normals_drawn"] == 200 * 2 * (n_steps + 1)
+    # Each stream draws its initial points and one block per checkpoint interval.
+    assert prov["normals_drawn"] == 200 * 2 * len(report["checkpoints"])
     assert prov["reference_stats"]["n_steps"] > 0
     first = (tmp_path / "mc.json").read_bytes()
     assert main(["mc-validate", "--config", "mc.json.sidecar.json"]) == 0
@@ -493,9 +494,10 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     # 250 trajectories are drawn by three streams of 100, the last one cut.
     args = ["mc-validate", *MODEL, "--set", "n_traj=250", "--set", "t_end=0.1"]
     assert main([*args, "--out", "padded.json", "--format", "json"]) == 0
+    padded = json.loads((tmp_path / "padded.json").read_text())
     prov = json.loads((tmp_path / "padded.json.sidecar.json").read_text())["_provenance"]
     assert prov["streams"] == 3
-    assert prov["normals_drawn"] == 300 * 2 * (prov["n_steps"] + 1)
+    assert prov["normals_drawn"] == 300 * 2 * len(padded["checkpoints"])
     # A failed comparison exits 3 with its report and sidecar written.
     monkeypatch.setattr(montecarlo, "Z_LIMIT", 0.0)
     assert main([*args, "--out", "failed.json", "--format", "json"]) == 3

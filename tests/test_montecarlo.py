@@ -23,7 +23,6 @@ from levisqueeze.models import (
     initial_covariance,
 )
 from levisqueeze.montecarlo import (
-    _BLOCK,
     _CHUNK,
     EM_RESOLUTION,
     MAX_TRAJ,
@@ -167,19 +166,6 @@ def test_a_trajectory_depends_only_on_the_seed_and_its_index(monkeypatch):
     assert np.max(np.abs(large[:, :150] - small)) <= 1e-12 * np.max(np.abs(small))
 
 
-def test_ensemble_does_not_depend_on_the_noise_block_size(monkeypatch):
-    # 523 steps: 75 blocks of 7 steps against 3 of 200 split the draws at
-    # different steps.
-    model = constant_model([[-1.0, 0.5], [-0.5, -1.0]], 2 * np.eye(2))
-    spec = EnsembleSpec(n_traj=250, t_end=523 * 2e-3, dt=2e-3, seed=5, n_checkpoints=7)
-    wide = simulate_ensemble(model, vac(), spec)
-    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
-    narrow = simulate_ensemble(model, vac(), spec)
-    assert np.array_equal(narrow.times, wide.times)
-    scale = np.max(np.abs(wide.covariances))
-    assert np.max(np.abs(narrow.covariances - wide.covariances)) <= 1e-12 * scale
-
-
 def test_zero_noise_rotation_conserves_energy_per_step():
     # The order-2 map on a pure rotation, (1 - (hw)^2 / 2) I + hA, inflates
     # the trace by exactly (1 + (hw)^4 / 4) per step, independent of the
@@ -288,10 +274,12 @@ def reference_ensemble(model, v0, spec):
     """The order-2 scheme one step at a time, on the same chunked streams.
 
     Stream c, child c of SeedSequence(seed), draws the initial points of its
-    _CHUNK trajectories, then all of their step noise in one
-    (n_steps, _CHUNK, d) array, whatever the module's block size; a partial
-    last chunk is trimmed.  The noise factor L is the module's.  Returns the
-    checkpoint times and covariances.
+    _CHUNK trajectories, then one (_CHUNK, d) block per checkpoint interval;
+    a partial last chunk is trimmed.  The states step one noise-free order-2
+    step at a time, and each interval's block enters through the module's
+    noise factor R, whose R^T R must equal the per-step recursion of the
+    noise covariance, C <- P C P^T + G G^T, to 1e-12 relative.  The noise
+    factor L is the module's.  Returns the checkpoint times and covariances.
     """
     d = model.basis.dim
     n_steps = max(1, math.ceil(spec.t_end / spec.dt - 1e-12))
@@ -302,22 +290,28 @@ def reference_ensemble(model, v0, spec):
     for child in np.random.SeedSequence(spec.seed).spawn(n_chunks):
         g = np.random.Generator(np.random.Philox(child))
         r.append(g.standard_normal((_CHUNK, d)))
-        xi.append(g.standard_normal((n_steps, _CHUNK, d)))
+        xi.append(g.standard_normal((len(marks) - 1, _CHUNK, d)))
     r = np.concatenate(r)[: spec.n_traj]
     xi = np.concatenate(xi, axis=1)[:, : spec.n_traj]
     r = r @ np.linalg.cholesky(0.5 * v0.entries).T
-    times, covs = [], []
-    for n in range(n_steps + 1):
-        if n in marks:
-            times.append(n * h)
-            covs.append(2.0 * (r.T @ r) / spec.n_traj)
-        if n < n_steps:
+    times, covs = [0.0], [2.0 * (r.T @ r) / spec.n_traj]
+    for k, (lo, hi) in enumerate(zip(marks[:-1], marks[1:])):
+        c = np.zeros((d, d))
+        for n in range(lo, hi):
             # A and L are sampled at the step's midpoint.
             ha = h * model.drift_at((n + 0.5) * h)
             l_mat = montecarlo._noise_matrix(model.diffusion_at((n + 0.5) * h))
             ra = r @ ha.T
-            y = np.sqrt(h) * (xi[n] @ l_mat.T)
-            r = r + ra + 0.5 * (ra @ ha.T) + y + 0.5 * (y @ ha.T)
+            r = r + ra + 0.5 * (ra @ ha.T)
+            p_mat = np.eye(d) + ha + 0.5 * (ha @ ha)
+            g_mat = np.sqrt(h) * ((np.eye(d) + 0.5 * ha) @ l_mat)
+            c = p_mat @ c @ p_mat.T + g_mat @ g_mat.T
+        steps = [montecarlo._step_map(model, (n + 0.5) * h, h) for n in range(lo, hi)]
+        _, factor = montecarlo._interval_law(steps)
+        assert np.max(np.abs(factor.T @ factor - c)) <= 1e-12 * np.max(np.abs(c))
+        r = r + xi[k] @ factor
+        times.append(hi * h)
+        covs.append(2.0 * (r.T @ r) / spec.n_traj)
     return np.array(times), np.stack(covs)
 
 
@@ -340,8 +334,9 @@ def random_stable_model(rng) -> LinearGaussianModel:
 
 
 def test_interval_maps_match_per_step_order2_on_a_constant_model(rng):
-    # 523 steps and 7 checkpoints: intervals end mid-block and on block edges.
-    # At 250 trajectories the third stream draws 100 and half of them are cut.
+    # 523 steps and 7 checkpoints: intervals of 87 and 88 steps, so the
+    # constant model composes two interval lengths.  At 250 trajectories
+    # the third stream draws 100 and half of them are cut.
     model = random_stable_model(rng)
     c = rng.standard_normal((4, 4))
     v0 = CovarianceMatrix(CAVITY_MECH, c @ c.T + np.eye(4))
@@ -360,6 +355,23 @@ def test_interval_maps_match_per_step_order2_on_a_modulated_model(detuned):
     spec = EnsembleSpec(
         n_traj=200, t_end=2.0, dt=EM_RESOLUTION / model.fastest_rate, seed=4, n_checkpoints=9
     )
+    assert_matches_reference(model, initial_covariance(p, model.basis), spec)
+
+
+def test_one_step_intervals_of_full_match_per_step_order2(detuned):
+    # Every step is a checkpoint.  Over one step `full` puts no noise on x,
+    # so each interval's noise covariance is singular and its factor must
+    # still reproduce it.
+    p = dataclasses.replace(detuned, nbar=10.0)
+    model = build_full_cs(p)
+    spec = EnsembleSpec(
+        n_traj=150, t_end=0.05, dt=EM_RESOLUTION / model.fastest_rate, seed=6,
+        n_checkpoints=MAX_STORED,
+    )
+    assert len(spec.checkpoints) == spec.n_steps + 1 > 2
+    h = spec.step
+    _, q = montecarlo._step_map(model, 0.5 * h, h)
+    assert np.linalg.matrix_rank(q.T @ q) < model.basis.dim
     assert_matches_reference(model, initial_covariance(p, model.basis), spec)
 
 
@@ -418,8 +430,8 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
     monkeypatch, detuned, time_dependent
 ):
     # A guard against per-step or per-trajectory model sampling, against
-    # shrinking the noise blocks below their 200 steps and against building
-    # more than one stream per chunk of 100 trajectories.
+    # drawing noise per step rather than per checkpoint interval and against
+    # building more than one stream per chunk of 100 trajectories.
     p = dataclasses.replace(detuned, alpha=0.2 if time_dependent else 0.0)
     model = build_full_modulated(p)
     if not time_dependent:
@@ -427,15 +439,14 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
             model.basis, model.drift_at(0.0), model.diffusion_at(0.0),
             model.fastest_rate,
         )
-    # 1000 steps, so the noise comes in five full blocks.
+    # 1000 steps over 24 checkpoint intervals.
     spec = EnsembleSpec(n_traj=250, t_end=8.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
     assert spec.n_steps == 1000
     v0 = initial_covariance(p, model.basis)
     drift_calls, draw_calls = count_work(monkeypatch, model, v0, spec)
     assert drift_calls <= (spec.n_steps + 1 if time_dependent else 1)
-    assert _BLOCK == 200
     assert len(draw_calls) == math.ceil(spec.n_traj / _CHUNK) == 3
-    assert set(draw_calls) == {1 + math.ceil(spec.n_steps / 200)}
+    assert set(draw_calls) == {len(spec.checkpoints)} == {1 + 24}
 
 
 def scheme_covariances(model, v0, spec):
