@@ -17,17 +17,20 @@ matrices built in small batches from the generators at the stage times,
 taken through every step of a time-dependent model and, for a constant one,
 raised to the powers that fill its stored samples by doubling.
 periodic_steady_state steps a stack of models in d x d arithmetic: the
-monodromy Phi and the covariance Q grown from zero over one period give the
-orbit start V0 = Phi V0 Phi^T + Q, solved on vech V0.  Both solvers sample a
-time-dependent model on the stage times of CHUNK_STEPS steps at a time, with
-one drift_at and one diffusion_at call per model and chunk on the whole
-array of times.
+monodromy Phi, taken through the same RK4 maps M, and the noise integral Q,
+advanced by the congruence Q -> M Q M^T plus each step's noise integral by
+Simpson's rule, give the orbit start V0 = Phi V0 Phi^T + Q, solved on vech
+V0.  Both solvers sample a time-dependent model on the stage times of a
+chunk of steps at a time, with one drift_at and one diffusion_at call per
+model and chunk on the whole array of times: CHUNK_STEPS steps for evolve,
+and for a stack of k periodic models max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +67,9 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
+#: Model-steps of a periodic stack sampled in one batch: a stack of 24 or
+#: more models steps CHUNK_STEPS at a time, a smaller one longer chunks.
+CHUNK_MODEL_STEPS = 384
 #: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
 
@@ -218,6 +224,15 @@ def _step_grid(span: float, dt: float) -> tuple[int, float]:
         )
     n_steps = max(1, math.ceil(span / dt - 1e-12))
     return n_steps, span / n_steps
+
+
+def _whole(value, what: str) -> int:
+    """value as an int; anything but a whole real number (a bool, NaN, 2.5) is a ParameterError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer():
+        return int(value)
+    raise ParameterError(f"{what} must be a whole number, got {value!r}")
 
 
 def _stored_steps(n_steps: int, most: int) -> list[int]:
@@ -388,10 +403,15 @@ def _halved_maps(
 
 
 def _constant_maps(model: LinearGaussianModel, h: float):
-    """A constant model's one step map and its defect, as _halved_maps, sampled once."""
+    """A constant model's one step map and its defect, as _halved_maps, sampled once.
+
+    The step map, the square of one half step's map, is built and returned
+    in extended precision where the platform has it, for its powers; the
+    defect is built in float64, as on the time-dependent path.
+    """
     gens = _affine_generators(model, np.zeros(1))
-    step, defect = _halved_maps(np.broadcast_to(gens, (5,) + gens.shape[1:]), h)
-    return step[0], defect[0]
+    half = _rk4_maps(np.broadcast_to(gens.astype(np.longdouble), (3,) + gens.shape[1:]), 0.5 * h)
+    return half @ half, _halved_maps(np.broadcast_to(gens, (5,) + gens.shape[1:]), h)[1][0]
 
 
 def _constant_steps(
@@ -399,7 +419,7 @@ def _constant_steps(
 ) -> NDArray[np.float64]:
     """Fill states[1:] at the stored steps of a constant model; return the defects.
 
-    The stride map S, the step map to the power of the stride, is taken in
+    The step map and the stride map S, its power of the stride, are taken in
     extended precision where the platform has it.  The full stride
     intervals are filled by doubling: round m = 1, 2, 4, ... maps the first
     m stored states through S^m, rounded once, onto the next m, and squares
@@ -409,8 +429,7 @@ def _constant_steps(
     step, as on the time-dependent path: the previous stored state advanced
     by one step fewer than its interval.
     """
-    step_map, defect = _constant_maps(model, h)
-    exact = step_map.astype(np.longdouble)
+    exact, defect = _constant_maps(model, h)
 
     def power(k: int) -> NDArray[np.float64]:
         return np.linalg.matrix_power(exact, k).astype(float)
@@ -588,20 +607,27 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     )
 
 
-def _lyapunov_rk4(q: NDArray[np.float64], a: NDArray[np.float64], n: NDArray[np.float64]):
-    """One classical RK4 step of dQ/dt = A Q + Q A^T + N for stacked (k, d, d) Q.
+def _congruence_steps(
+    drifts: NDArray[np.float64], noises: NDArray[np.float64], h: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """RK4 maps M and noise gains G of consecutive steps, x -> M x and Q -> M Q M^T + G.
 
-    a and n (4, k, d, d): A and N at t, t + h/2, t + h/2, t + h times h/2, h/2, h, h/6.
+    drifts and noises (2n + 1, ..., d, d) are sampled every h / 2.  G is
+    Simpson's rule for the step's noise integral, the integral of
+    Phi(t+h, s) N(s) Phi(t+h, s)^T over [t, t+h] (Van Loan, IEEE TAC 23,
+    395 (1978)): (h/6) [M N(t) M^T + 4 L N(t+h/2) L^T + N(t+h)], where L is
+    the RK4 map of the late half step.  Its middle stage A(t + 3h/4) is the
+    quadratic through the three samples; that O(h^3) error enters only
+    through Simpson's midpoint weight, so the step stays O(h^5).  Returns
+    (n, ..., d, d) maps and gains.
     """
-
-    def increment(stage: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        ax = a[stage] @ x  # ax + ax^T keeps Q exactly symmetric
-        return ax + ax.swapaxes(-1, -2) + n[stage]
-
-    q1 = q + increment(0, q)
-    q2 = q + increment(1, q1)
-    q3 = q + increment(2, q2)
-    return (q1 + 2.0 * q2 + q3 - q) / 3.0 + increment(3, q3)
+    start, mid, end = drifts[:-2:2], drifts[1::2], drifts[2::2]
+    quarter = 0.375 * end + 0.75 * mid - 0.125 * start
+    maps = _rk4_maps(np.stack([start, mid, end], axis=-3), h)
+    late = _rk4_maps(np.stack([mid, quarter, end], axis=-3), 0.5 * h)
+    ends = maps @ noises[:-2:2] @ maps.swapaxes(-1, -2) + noises[2::2]
+    gains = (h / 6.0) * (ends + 4.0 * (late @ noises[1::2] @ late.swapaxes(-1, -2)))
+    return maps, gains
 
 
 def _periodic_states(
@@ -610,32 +636,34 @@ def _periodic_states(
     """Periodic steady states of stacked models: each its result or the error it raises.
 
     The models must share a basis and a default step, else ParameterError.
-    On that step's grid the monodromy Phi' = A Phi (from I) and Q' = A Q +
-    Q A^T + N (from 0) are RK4-stepped over one period for all models at
-    once, sampled at the half-step stage times CHUNK_STEPS steps at a time.
-    V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL 103, 213603 (2009));
-    the cycle samples are Phi V0 Phi^T + Q.
+    On that step's grid the monodromy Phi (from I) and the noise integral Q
+    (from 0) are stepped over one period for all models at once: each step
+    takes Phi -> M Phi and Q -> M Q M^T + G with _congruence_steps' RK4 map
+    M and Simpson gain G.  The models are sampled at the half-step stage
+    times, max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k) steps at a time for k
+    models.  V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL 103, 213603
+    (2009)); the cycle samples are Phi V0 Phi^T + Q.
     """
     if len({(model.basis, _default_dt(model)) for model in models}) > 1:
         raise ParameterError("stacked periodic models must share a basis and a default step")
     n_steps, h = _step_grid(period, _default_dt(models[0]))
     d, stored = models[0].basis.dim, _stored_steps(n_steps, CYCLE_SAMPLES)
+    chunk = max(CHUNK_STEPS, CHUNK_MODEL_STEPS // len(models))
     phi, q = np.broadcast_to(np.eye(d), (len(models), d, d)), np.zeros((len(models), d, d))
     samples = [(phi, q)]
     # A diverged model is carried as inf and NaN, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, CHUNK_STEPS):
-            count = min(CHUNK_STEPS, n_steps - first)
+        for first in range(0, n_steps, chunk):
+            count = min(chunk, n_steps - first)
             times = (2 * first + np.arange(2 * count + 1)) * (h / 2)
             # One call per model samples its chunk; axis 1 runs over the models.
             drifts = np.stack([m.drift_at(times) for m in models], axis=1)
             noises = np.stack([m.diffusion_at(times) for m in models], axis=1)
-            stages = _stages(count, 1)
-            maps = _rk4_maps(drifts[stages].swapaxes(1, 2), h)
-            s4, w = stages[:, [0, 1, 1, 2]], h * np.array([0.5, 0.5, 1, 1 / 6])[:, None, None, None]
-            for step, (m, a, n) in enumerate(zip(maps, w * drifts[s4], w * noises[s4]), first + 1):
+            maps, gains = _congruence_steps(drifts, noises, h)
+            steps = zip(range(first + 1, n_steps + 1), maps, maps.swapaxes(-1, -2), gains)
+            for step, m, mt, g in steps:
                 phi = m @ phi
-                q = _lyapunov_rk4(q, a, n)
+                q = m @ q @ mt + g
                 if step == stored[len(samples)]:
                     samples.append((phi, q))
         finite = np.all(np.isfinite(phi) & np.isfinite(q), axis=(1, 2))

@@ -429,7 +429,7 @@ def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> 
 
     Every override that is not a run control sets a parameter of the
     figure's preset, in order; a run control the recipe does not read is
-    ignored.  points is refused outside 1 to MAX_STORED.
+    ignored.  points is refused unless a whole number from 1 to MAX_STORED.
     """
     try:
         recipe, preset, defaults = FIGURES[figure_id]
@@ -449,5 +449,5 @@ def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> 
         val = overrides.get(key, default)
         controls[key] = None if val is None else float(val)
     if "points" in controls:
-        controls["points"] = _grid_size(int(controls["points"]))
+        controls["points"] = _grid_size(controls["points"])
     return recipe(params, **controls)

@@ -21,7 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MAX_STORED, EvolutionResult, _constant_parts, _steady_states, evolve
+from .dynamics import (
+    MAX_STORED,
+    EvolutionResult,
+    _constant_parts,
+    _steady_states,
+    _whole,
+    evolve,
+)
 from .errors import (
     BasisError,
     IntegrationError,
@@ -152,8 +159,9 @@ def optimize_over_time(result: EvolutionResult) -> SqueezingReport:
 # ---------------------------------------------------------------------------
 
 
-def _grid_size(points: int) -> int:
-    """A grid size, refused with ParameterError outside 1 to MAX_STORED, as stored samples are."""
+def _grid_size(points: float) -> int:
+    """A grid size as an int; ParameterError unless a whole number from 1 to MAX_STORED."""
+    points = _whole(points, "grid size")
     if not 1 <= points <= MAX_STORED:
         raise ParameterError(f"need 1 to {MAX_STORED} grid points, got {points}")
     return points

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MAX_STORED, EvolutionResult, _default_dt, _step_grid
+from .dynamics import MAX_STORED, EvolutionResult, _default_dt, _step_grid, _whole
 from .errors import NumericalError, ParameterError
 from .gaussian import CovarianceMatrix, LinearGaussianModel, _entries_in
 
@@ -75,6 +75,8 @@ class EnsembleSpec:
     n_checkpoints: int = 25
 
     def __post_init__(self) -> None:
+        for count in ("n_traj", "seed", "n_checkpoints"):
+            object.__setattr__(self, count, _whole(getattr(self, count), count))
         if self.n_traj < 100:
             raise ParameterError(f"need at least 100 trajectories, got {self.n_traj}")
         if self.n_traj > MAX_TRAJ:

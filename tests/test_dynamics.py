@@ -9,6 +9,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from levisqueeze.dynamics import (
+    CHUNK_MODEL_STEPS,
     CHUNK_STEPS,
     DT_RESOLUTION,
     MAX_BISECTIONS,
@@ -101,12 +102,16 @@ def test_evolve_matches_matrix_exponential():
     assert np.max(np.abs(result.covariances[-1] - expected)) < 1e-8
 
 
-def test_ill_conditioned_transient_matches_an_extended_precision_reference():
-    # fig2c's at-threshold series at its hottest start: v_sq = 36.3 is the
-    # small eigenvalue of a covariance whose largest entry is 1.3e8 times
-    # larger, so rounding is amplified by that factor.  The reference is a
-    # 60-digit Van Loan matrix exponential: expm([[-A, N], [0, A^T]] t) has
-    # e^(A^T t) as its lower right block F22 and F22^T F12 = int e^(As) N e^(A^T s).
+@functools.cache
+def at_threshold_vsq() -> tuple[float, float]:
+    """fig2c's at-threshold v_sq at t = 100 from evolve, and its 60-digit reference.
+
+    The sample is fig2c's hottest start: v_sq = 36.3 is the small eigenvalue
+    of a covariance whose largest entry is 1.3e8 times larger, so rounding
+    is amplified by that factor.  The reference is a 60-digit Van Loan
+    matrix exponential: expm([[-A, N], [0, A^T]] t) has e^(A^T t) as its
+    lower right block F22 and F22^T F12 = int e^(As) N e^(A^T s).
+    """
     mpmath = pytest.importorskip("mpmath")
     base = detuned_params()
     p = base.with_value("lam", threshold_coupling(base)).with_value("nbar0", 1e6)
@@ -129,10 +134,21 @@ def test_ill_conditioned_transient_matches_an_extended_precision_reference():
         x, y = model.basis.index("x"), model.basis.index("p")
         half_gap = mpmath.sqrt(((v[x, x] - v[y, y]) / 2) ** 2 + v[x, y] ** 2)
         exact = (v[x, x] + v[y, y]) / 2 - half_gap
-    assert float(exact) == pytest.approx(36.3007008, rel=1e-8)
-    # The RK4 truncation error alone is 2.4e-13 here: carried exactly, the
-    # rounded float64 step map's 50000th power is 5.7e-7 off on its own.
-    assert abs(got - float(exact)) <= 2e-6 * float(exact)
+    return float(got), float(exact)
+
+
+def test_ill_conditioned_transient_matches_an_extended_precision_reference():
+    got, exact = at_threshold_vsq()
+    assert exact == pytest.approx(36.3007008, rel=1e-8)
+    assert abs(got - exact) <= 2e-6 * exact
+
+
+def test_constant_step_map_is_built_in_extended_precision():
+    # The RK4 truncation error alone is 2.4e-13 here: carried exactly, a
+    # step map rounded to float64 is 5.7e-7 off at its 50000th power.  Built
+    # in extended precision, the map leaves about 1e-9.
+    got, exact = at_threshold_vsq()
+    assert abs(got - exact) <= 1e-8 * exact
 
 
 def test_constant_path_matches_the_generic_stepper(rng):
@@ -172,7 +188,6 @@ def test_powered_samples_match_an_extended_precision_iteration():
     v0 = initial_covariance(p, model.basis).entries
     result = evolve(model, v0, 100.0)
     step_map, _ = _constant_maps(model, result.stats.dt)
-    step_map = step_map.astype(np.longdouble)
     vec = vech_state(v0).astype(np.longdouble)
     exact = [vec]
     for step in range(1, result.stats.n_steps + 1):
@@ -213,7 +228,6 @@ def extended_iteration(model, v0s, dt, steps) -> np.ndarray:
     the first row holds the starts.
     """
     step_map, _ = _constant_maps(model, dt)
-    step_map = step_map.astype(np.longdouble)
     vecs = np.array([vech_state(v0) for v0 in v0s], dtype=np.longdouble).T
     states, wanted = [vecs], set(steps)
     for step in range(1, max(steps) + 1):
@@ -233,9 +247,10 @@ def per_sample_states(model, v0, stats) -> np.ndarray:
     step_map, _ = _constant_maps(model, stats.dt)
     stored = stored_steps(stats)
     powers = {
-        k: np.linalg.matrix_power(step_map.astype(np.longdouble), k).astype(float)
+        k: np.linalg.matrix_power(step_map, k).astype(float)
         for k in {step - prev - 1 for prev, step in zip(stored, stored[1:])}
     }
+    step_map = step_map.astype(float)
     vec = vech_state(v0)
     states = [vec]
     for prev, step in zip(stored, stored[1:]):
@@ -357,22 +372,23 @@ def counted(
     return dataclasses.replace(model, drift_at=drift_at), calls
 
 
-def stage_grid(n: int, per_step: int, h: float) -> NDArray[np.float64]:
+def stage_grid(n: int, per_step: int, h: float, chunk: int = CHUNK_STEPS) -> NDArray[np.float64]:
     """Stage times of n steps sampled per_step times a step, each chunk with its endpoints."""
     return np.concatenate(
         [
-            np.arange(per_step * first, per_step * min(first + CHUNK_STEPS, n) + 1)
-            * (h / per_step)
-            for first in range(0, n, CHUNK_STEPS)
+            np.arange(per_step * first, per_step * min(first + chunk, n) + 1) * (h / per_step)
+            for first in range(0, n, chunk)
         ]
     )
 
 
 def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     # evolve samples every quarter step (two half steps plus the full step),
-    # periodic_steady_state every half step; each chunk of CHUNK_STEPS steps
-    # samples its own endpoints, in one drift_at call.  A constant model's
-    # evolve samples once, but its periodic_steady_state samples it as a
+    # periodic_steady_state every half step; each chunk samples its own
+    # endpoints, in one drift_at call per model.  evolve's chunks are
+    # CHUNK_STEPS steps, a periodic stack's max(CHUNK_STEPS,
+    # CHUNK_MODEL_STEPS // k) for k models.  A constant model's evolve
+    # samples once, but its periodic_steady_state samples it as a
     # time-dependent one.
     model, calls = counted(build_full_modulated(dataclasses.replace(resonant, alpha=0.4)))
     result = evolve(model, np.eye(4), 1.0)
@@ -381,21 +397,27 @@ def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     assert len(sampled) == 4 * n + math.ceil(n / CHUNK_STEPS)
     assert np.array_equal(sampled, stage_grid(n, 4, result.stats.dt))
     assert len(calls) == math.ceil(n / CHUNK_STEPS)
-    calls.clear()
     period = math.pi / resonant.omega_x
-    periodic_steady_state(model, period)
     n = math.ceil(period * model.fastest_rate / DT_RESOLUTION)
-    sampled = np.concatenate(calls)
-    assert len(sampled) == 2 * n + math.ceil(n / CHUNK_STEPS)
-    assert np.array_equal(sampled, stage_grid(n, 2, period / n))
-    assert len(calls) == math.ceil(n / CHUNK_STEPS)
+    for k in (1, 3, 24, 30):
+        calls.clear()
+        chunk = max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k)
+        assert k < 24 or chunk == CHUNK_STEPS
+        _periodic_states([model] * k, period)
+        # Every call of the k models is recorded, in model order within a chunk.
+        assert len(calls) == k * math.ceil(n / chunk)
+        sampled = np.concatenate(calls[::k])
+        assert len(sampled) == 2 * n + math.ceil(n / chunk)
+        assert np.array_equal(sampled, stage_grid(n, 2, period / n, chunk))
+        assert all(np.array_equal(c, calls[i - i % k]) for i, c in enumerate(calls))
     constant, calls = counted(build_full_cs(resonant))
     evolve(constant, np.eye(4), 1.0)
     assert sum(map(len, calls)) == len(calls) == 1
     periodic_steady_state(constant, period)
     n = math.ceil(period * constant.fastest_rate / DT_RESOLUTION)
-    assert sum(map(len, calls)) == 1 + 2 * n + math.ceil(n / CHUNK_STEPS)
-    assert len(calls) == 1 + math.ceil(n / CHUNK_STEPS)
+    chunk = CHUNK_MODEL_STEPS
+    assert sum(map(len, calls)) == 1 + 2 * n + math.ceil(n / chunk)
+    assert len(calls) == 1 + math.ceil(n / chunk)
 
 
 def test_evolve_is_fourth_order():
@@ -962,6 +984,28 @@ def test_periodic_steady_state_matches_a_dop853_monodromy(resonant):
     want = dop853_orbit_start(model, period)
     got = periodic_steady_state(model, period).covariances[0]
     assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.1])
+def test_every_cycle_sample_matches_a_dop853_orbit(resonant, alpha):
+    # The interior samples come from the stepped Phi and Q, not from V0 alone:
+    # each must lie on the DOP853 orbit of the Lyapunov flow from the DOP853 V0.
+    model = build_full_modulated(resonant.with_value("alpha", alpha))
+    period = math.pi / resonant.omega_x
+    cycle = periodic_steady_state(model, period)
+
+    def flow(t, y):
+        a, v = model.drift_at(t), y.reshape(4, 4)
+        return (a @ v + v @ a.T + model.diffusion_at(t)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        flow, (0.0, period), dop853_orbit_start(model, period).ravel(), method="DOP853",
+        t_eval=cycle.times, rtol=1e-12, atol=1e-13,
+    )
+    want = sol.y.T.reshape(-1, 4, 4)
+    assert len(want) == len(cycle.covariances) > 100
+    errors = np.max(np.abs(cycle.covariances - want), axis=(1, 2))
+    assert np.all(errors <= 2e-9 * np.max(np.abs(want), axis=(1, 2)))
 
 
 def test_stacked_periodic_states_equal_one_model_calls(resonant):

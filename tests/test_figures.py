@@ -88,6 +88,12 @@ def test_overrides_set_the_preset_and_unread_controls_are_ignored():
         run_figure("fig3b", {"gamma": 1e-9, "q_m": 1e9})
 
 
+@pytest.mark.parametrize("points", [2.5, math.nan])
+def test_a_point_count_that_is_not_whole_is_refused(points):
+    with pytest.raises(ParameterError, match="grid size must be a whole number"):
+        run_figure("fig3a", {"points": points})
+
+
 def test_fig2a_transient_dips_below_vacuum():
     data = run_figure("fig2a", {"t_end": 20.0})
     assert data.columns == ("t", "Vxx", "Vxp", "Vpp", "v_sq", "v_asq", "eta")

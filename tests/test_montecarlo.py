@@ -58,6 +58,21 @@ def test_spec_validation():
         EnsembleSpec(n_traj=MAX_TRAJ + 1, t_end=1.0, dt=1e-3, seed=0)
 
 
+@pytest.mark.parametrize("count", [{"n_traj": 150.5}, {"seed": 1.5}, {"n_checkpoints": 3.5}])
+def test_spec_refuses_a_count_that_is_not_whole(count):
+    (name,) = count
+    settings = {"n_traj": 150, "t_end": 1.0, "dt": 1e-3, "seed": 0} | count
+    with pytest.raises(ParameterError, match=f"{name} must be a whole number"):
+        EnsembleSpec(**settings)
+
+
+def test_spec_takes_whole_float_counts_as_ints():
+    spec = EnsembleSpec(n_traj=150.0, t_end=1.0, dt=1e-3, seed=np.int64(2), n_checkpoints=3.0)
+    counts = (spec.n_traj, spec.seed, spec.n_checkpoints, spec.n_streams)
+    assert counts == (150, 2, 3, 2)
+    assert all(type(c) is int for c in counts)
+
+
 def test_surplus_checkpoints_mark_every_step():
     model = constant_model(-np.eye(2), 2.0 * np.eye(2))
     spec = EnsembleSpec(n_traj=100, t_end=0.01, dt=1e-3, seed=0, n_checkpoints=MAX_STORED)
