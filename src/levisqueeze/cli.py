@@ -358,21 +358,12 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
         dt=cfg.get("dt"),
     )
     columns = (name, "status", "v_sq", "v_asq", "eta", "angle", "nonclassical", "t_opt")
-    rows = []
-    for point in table.points:
-        rep = point.report
-        rows.append(
-            (
-                point.value,
-                point.status,
-                None if rep is None else rep.v_sq,
-                None if rep is None else rep.v_asq,
-                None if rep is None else rep.eta,
-                None if rep is None else rep.angle,
-                None if rep is None else rep.nonclassical,
-                None if rep is None else rep.time,
-            )
-        )
+    cells = ("v_sq", "v_asq", "eta", "angle", "nonclassical", "time")
+    rows = [
+        (point.value, point.status)
+        + tuple(None if point.report is None else getattr(point.report, c) for c in cells)
+        for point in table.points
+    ]
     write_table(
         out, columns, rows, cfg, {"command": "sweep", "evaluation": evaluation, "axis": name}
     )

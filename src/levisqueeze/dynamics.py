@@ -24,6 +24,7 @@ V0.  Both solvers sample a time-dependent model on the stage times of a
 chunk of steps at a time, with one drift_at and one diffusion_at call per
 model and chunk on the whole array of times: CHUNK_STEPS steps for evolve,
 and for a stack of k periodic models max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k).
+The RK4 stages of every step are slices of that array of samples.
 """
 
 from __future__ import annotations
@@ -363,30 +364,20 @@ def _affine_generators(
     return gens
 
 
-def _rk4_maps(gens: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+def _rk4_maps(
+    g0: NDArray[np.float64], gm: NDArray[np.float64], g1: NDArray[np.float64], h: float
+) -> NDArray[np.float64]:
     """Classical RK4 steps of dx/dt = G(t) x as matrices, x -> M x.
 
-    gens has shape (..., 3, D, D): G of each step at its stage times t,
-    t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k! up
-    to k = 4.
+    g0, gm and g1, alike (..., D, D), are G of each step at its stage times
+    t, t + h/2 and t + h.  For a constant G this is M = sum_k (hG)^k / k!
+    up to k = 4.
     """
-    eye = _identity(gens.shape[-1])
-    g0, gm, g1 = gens[..., 0, :, :], gens[..., 1, :, :], gens[..., 2, :, :]
+    eye = _identity(g0.shape[-1])
     k2 = gm @ (eye + (0.5 * h) * g0)
     k3 = gm @ (eye + (0.5 * h) * k2)
     k4 = g1 @ (eye + h * k3)
     return eye + (h / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-@functools.cache
-def _stages(n: int, gap: int) -> NDArray[np.intp]:
-    """Sample indices of the stage times t, t + h/2, t + h of n consecutive steps, read-only.
-
-    The samples are gap per half step, so a step spans 2 * gap of them.
-    """
-    stages = 2 * gap * np.arange(n)[:, None] + gap * np.arange(3)
-    stages.flags.writeable = False
-    return stages
 
 
 def _halved_maps(
@@ -394,12 +385,13 @@ def _halved_maps(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Maps of two composed half steps, and the full step's defect against them.
 
-    gens are sampled every h / 4; the defect applied to the state before the
-    step is the step-halving error estimate.
+    gens are sampled every h / 4, so the stages of the half steps are every
+    other sample and those of the full steps every fourth; the defect
+    applied to the state before the step is the step-halving error estimate.
     """
-    half = _rk4_maps(gens[_stages((len(gens) - 1) // 2, 1)], 0.5 * h)
+    half = _rk4_maps(gens[:-2:2], gens[1:-1:2], gens[2::2], 0.5 * h)
     step = half[1::2] @ half[::2]
-    return step, _rk4_maps(gens[_stages(len(step), 2)], h) - step
+    return step, _rk4_maps(gens[:-4:4], gens[2:-2:4], gens[4::4], h) - step
 
 
 def _constant_maps(model: LinearGaussianModel, h: float):
@@ -410,7 +402,8 @@ def _constant_maps(model: LinearGaussianModel, h: float):
     defect is built in float64, as on the time-dependent path.
     """
     gens = _affine_generators(model, np.zeros(1))
-    half = _rk4_maps(np.broadcast_to(gens.astype(np.longdouble), (3,) + gens.shape[1:]), 0.5 * h)
+    exact = gens[0].astype(np.longdouble)
+    half = _rk4_maps(exact, exact, exact, 0.5 * h)
     return half @ half, _halved_maps(np.broadcast_to(gens, (5,) + gens.shape[1:]), h)[1][0]
 
 
@@ -623,8 +616,8 @@ def _congruence_steps(
     """
     start, mid, end = drifts[:-2:2], drifts[1::2], drifts[2::2]
     quarter = 0.375 * end + 0.75 * mid - 0.125 * start
-    maps = _rk4_maps(np.stack([start, mid, end], axis=-3), h)
-    late = _rk4_maps(np.stack([mid, quarter, end], axis=-3), 0.5 * h)
+    maps = _rk4_maps(start, mid, end, h)
+    late = _rk4_maps(mid, quarter, end, 0.5 * h)
     ends = maps @ noises[:-2:2] @ maps.swapaxes(-1, -2) + noises[2::2]
     gains = (h / 6.0) * (ends + 4.0 * (late @ noises[1::2] @ late.swapaxes(-1, -2)))
     return maps, gains

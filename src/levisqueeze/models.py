@@ -72,6 +72,8 @@ class SystemParams:
         Depth of the trap-stiffness modulation at 2 omega_x.
     phi:
         Phase of that modulation.
+
+    Every field, and q_m, must be finite; ParameterError otherwise.
     """
 
     omega_x: float = 1.0
@@ -86,6 +88,10 @@ class SystemParams:
     q_m: InitVar[float | None] = None
 
     def __post_init__(self, q_m: float | None) -> None:
+        values = {f.name: getattr(self, f.name) for f in fields(self)} | {"q_m": q_m}
+        for name, value in values.items():
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if q_m is not None:
             if self.gamma != 0.0:
                 raise ParameterError("give gamma or q_m, not both")
@@ -101,9 +107,7 @@ class SystemParams:
     def with_value(self, name: str, value: float) -> "SystemParams":
         """Copy with one field replaced; accepts q_m as an alias for gamma."""
         if name == "q_m":
-            if value <= 0.0:
-                raise ParameterError(f"quality factor must be positive, got {value}")
-            return replace(self, gamma=self.omega_x / value)
+            return replace(self, gamma=0.0, q_m=value)
         if name not in {f.name for f in fields(self)}:
             raise ParameterError(f"unknown parameter {name!r}")
         return replace(self, **{name: value})

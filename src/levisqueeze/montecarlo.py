@@ -21,16 +21,19 @@ propagator, so the check stays independent of the covariance solvers.
 
 The recursion is linear in r and in the noise, so the steps between two
 checkpoints compose into one transfer matrix T and noise gains G_j, and the
-state at the next checkpoint is r T + sum_j xi_j G_j.  That noise sum is
-Gaussian with covariance C = sum_j G_j^T G_j and independent across
-intervals, so the ensemble draws it as one d-vector per trajectory and
-interval, mapped through the triangular factor R of a QR decomposition of
-the stacked gains (R^T R = C, never squared, so it neither overflows before
-the states do nor needs C to be regular).  This is exact in law: the
-checkpoint states have the distribution that stepping with per-step noise
-gives them, and only the sampled values differ.  Per-step noise was never
-a quantity under test; the check still tests L L^T = N / 2, the factor 2 of
-the estimator and the Cholesky factor of V0 that draws the initial points.
+state at the next checkpoint is r T + sum_j xi_j G_j.  The step maps of an
+interval come from one drift_at and one diffusion_at call on all its step
+midpoints; a constant model composes each distinct interval length once.
+That noise sum is Gaussian with covariance C = sum_j G_j^T G_j and
+independent across intervals, so the ensemble draws it as one d-vector per
+trajectory and interval, mapped through the triangular factor R of a QR
+decomposition of the stacked gains (R^T R = C, never squared, so it neither
+overflows before the states do nor needs C to be regular).  This is exact
+in law: the checkpoint states have the distribution that stepping with
+per-step noise gives them, and only the sampled values differ.  Per-step
+noise was never a quantity under test; the check still tests L L^T = N / 2,
+the factor 2 of the estimator and the Cholesky factor of V0 that draws the
+initial points.
 
 Trajectories come in chunks of _CHUNK = 100, each with one counter-keyed
 Philox stream: chunk c takes child c of SeedSequence(seed) and holds
@@ -149,16 +152,21 @@ class ComparisonReport:
 
 
 def _noise_matrix(n: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Factor L with L L^T = N / 2 (diagonal fast path, else Cholesky)."""
+    """Factors L with L L^T = N / 2 of one N or a stack (..., d, d).
+
+    A diagonal N takes the square roots of its diagonal, any other Cholesky.
+    """
     half = 0.5 * np.asarray(n, dtype=float)
-    if np.allclose(half, np.diag(np.diag(half)), atol=0.0):
-        if np.any(np.diag(half) < 0.0):
-            raise NumericalError("negative diagonal diffusion")
-        return np.diag(np.sqrt(np.diag(half)))
+    diagonal = np.where(np.eye(half.shape[-1], dtype=bool), half, 0.0)
+    plain = (half == diagonal).all(axis=(-2, -1))
+    if np.any(diagonal[plain] < 0.0):
+        raise NumericalError("negative diagonal diffusion")
+    factors = np.sqrt(diagonal, out=np.zeros_like(half), where=plain[..., None, None])
     try:
-        return np.linalg.cholesky(half)
+        factors[~plain] = np.linalg.cholesky(half[~plain])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"diffusion matrix is not positive semidefinite: {exc}") from exc
+    return factors
 
 
 def _sample_covariance(r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -184,39 +192,42 @@ def _streams(seed: int, n_streams: int) -> list[np.random.Generator]:
 
 
 def _step_map(
-    model: LinearGaussianModel, t_mid: float, h: float
+    model: LinearGaussianModel, t_mid: float | NDArray[np.float64], h: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The weak order-2 step r -> r @ p + xi @ q of length h around t_mid.
 
-    A and L are sampled once, at the midpoint t_mid; returns
-    p = (I + hA + h^2 A^2 / 2)^T and q = sqrt(h) ((I + hA/2) L)^T.
+    A and L are sampled once, at the midpoint t_mid, or at every midpoint of
+    an array of them in one drift_at and one diffusion_at call; returns
+    p = (I + hA + h^2 A^2 / 2)^T and q = sqrt(h) ((I + hA/2) L)^T, stacked
+    like t_mid.
     """
     ha = h * np.asarray(model.drift_at(t_mid), dtype=float)
-    eye = np.eye(ha.shape[0])
+    eye = np.eye(ha.shape[-1])
     p = eye + ha + 0.5 * (ha @ ha)
     q = np.sqrt(h) * ((eye + 0.5 * ha) @ _noise_matrix(model.diffusion_at(t_mid)))
-    return p.T, q.T
+    return p.swapaxes(-1, -2), q.swapaxes(-1, -2)
 
 
 def _interval_law(
-    steps: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
+    steps: tuple[NDArray[np.float64], NDArray[np.float64]],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Compose the steps r -> r @ p + xi @ q of one interval into its law.
 
-    steps holds the (p, q) of _step_map for each step in order.  Returns
-    the transfer p_0 ... p_{k-1} and an upper-triangular noise factor R, so
-    that the end state is r @ transfer + xi @ R with one standard normal
-    d-vector xi.  R^T R is the covariance sum_j g_j^T g_j of the per-step
-    noise sum, with gains g_j = q_j p_{j+1} ... p_{k-1}; R comes from a QR
-    decomposition of the stacked gains, so C itself is never formed.
+    steps is _step_map's stacked (p, q) of the interval's steps in order.
+    Returns the transfer p_0 ... p_{k-1} and an upper-triangular noise
+    factor R, so that the end state is r @ transfer + xi @ R with one
+    standard normal d-vector xi.  R^T R is the covariance sum_j g_j^T g_j of
+    the per-step noise sum, with gains g_j = q_j p_{j+1} ... p_{k-1}; R
+    comes from a QR decomposition of the stacked gains, so C itself is never
+    formed.
     """
-    d = steps[0][0].shape[0]
-    gains = np.empty((len(steps), d, d))
+    ps, qs = steps
+    d = ps.shape[-1]
+    gains = np.empty((len(ps), d, d))
     transfer = np.eye(d)
-    for j in range(len(steps) - 1, -1, -1):
-        p, q = steps[j]
-        gains[j] = q @ transfer
-        transfer = p @ transfer
+    for j in range(len(ps) - 1, -1, -1):
+        gains[j] = qs[j] @ transfer
+        transfer = ps[j] @ transfer
     return transfer, np.linalg.qr(gains.reshape(-1, d), mode="r")
 
 
@@ -232,10 +243,11 @@ def simulate_ensemble(
     checkpoints (spec.checkpoints) are composed into one transfer map and
     one noise factor, and each stream then draws one (_CHUNK, d) block of
     standard normals for the interval, so the whole ensemble advances by
-    two d x d products per interval.  A constant model composes each
-    distinct interval length once; a time-dependent one samples its step
-    map once per step.  The padding of a partial last chunk is stepped but
-    left out of every estimate and of the finiteness check.
+    two d x d products per interval.  Each interval's law samples the model
+    in one drift_at and one diffusion_at call on its step midpoints, and a
+    constant model composes each distinct interval length once.  The
+    padding of a partial last chunk is stepped but left out of every
+    estimate and of the finiteness check.
     """
     start = _entries_in(model.basis, v0)
     if model.fastest_rate > 0.0 and spec.dt > (limit := _default_dt(model, EM_RESOLUTION)):
@@ -258,22 +270,17 @@ def simulate_ensemble(
     flat = noise.reshape(-1, d)
     r = flat @ l0.T
 
-    # A constant model samples its step once and composes each interval
-    # length once; others sample once per step.
-    fixed = _step_map(model, 0.5 * h, h) if model.is_time_independent else None
+    # Each interval's law samples the model once, on the interval's step
+    # midpoints; a constant model's law depends only on the interval length.
     laws: dict[int, tuple[NDArray[np.float64], NDArray[np.float64]]] = {}
 
     times = [0.0]
     covs = [_sample_covariance(r[: spec.n_traj])]
     for lo, hi in zip(checkpoints[:-1], checkpoints[1:]):
-        if fixed is None:
-            transfer, factor = _interval_law(
-                [_step_map(model, (n + 0.5) * h, h) for n in range(lo, hi)]
-            )
-        else:
-            if hi - lo not in laws:
-                laws[hi - lo] = _interval_law([fixed] * (hi - lo))
-            transfer, factor = laws[hi - lo]
+        key = hi - lo if model.is_time_independent else lo
+        if key not in laws:
+            laws[key] = _interval_law(_step_map(model, (np.arange(lo, hi) + 0.5) * h, h))
+        transfer, factor = laws[key]
         for g, out in zip(streams, noise):
             g.standard_normal(out=out)
         r = r @ transfer

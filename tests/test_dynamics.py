@@ -21,6 +21,7 @@ from levisqueeze.dynamics import (
     _generator,
     _hurwitz,
     _periodic_states,
+    _rk4_maps,
     _stable_points,
     _steady_states,
     _step_grid,
@@ -149,6 +150,19 @@ def test_constant_step_map_is_built_in_extended_precision():
     # in extended precision, the map leaves about 1e-9.
     got, exact = at_threshold_vsq()
     assert abs(got - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_rk4_map_of_a_constant_generator_is_the_quartic_taylor_series(rng, dtype):
+    g = rng.normal(size=(5, 5)).astype(dtype)
+    h = dtype(0.3)
+    term, series = np.eye(5, dtype=dtype), np.eye(5, dtype=dtype)
+    for k in range(1, 5):
+        term = term @ (h * g) / dtype(k)
+        series = series + term
+    got = _rk4_maps(g, g, g, h)
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - series)) <= 64 * np.finfo(dtype).eps * np.max(np.abs(series))
 
 
 def test_constant_path_matches_the_generic_stepper(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from levisqueeze import figures
+from levisqueeze.cli import RunConfig
 from levisqueeze.dynamics import (
     MAX_BISECTIONS,
     evolve,
@@ -86,6 +87,25 @@ def test_overrides_set_the_preset_and_unread_controls_are_ignored():
     assert data.meta["t_end"] == 1.0
     with pytest.raises(ParameterError, match="give gamma or q_m, not both"):
         run_figure("fig3b", {"gamma": 1e-9, "q_m": 1e9})
+
+
+@pytest.mark.parametrize("order", [("q_m", "omega_x"), ("omega_x", "q_m")])
+def test_q_m_is_taken_against_the_overridden_omega_x_in_either_order(order):
+    # The CLI builds SystemParams(**config), where gamma = omega_x / q_m
+    # whatever the order of the keys; a figure run must agree.
+    overrides = {key: {"q_m": 1e8, "omega_x": 2.0}[key] for key in order}
+    data = run_figure("fig2a", {**overrides, "t_end": 1.0})
+    assert data.meta["params"].gamma == RunConfig(overrides).params().gamma == 2e-8
+
+
+@pytest.mark.parametrize(
+    ("figure", "overrides"),
+    [("fig3a", {"lam": math.nan, "points": 3}), ("fig2a", {"kappa": math.nan, "t_end": 1.0})],
+)
+def test_a_non_finite_parameter_is_refused(figure, overrides):
+    (name,) = set(overrides) - {"points", "t_end"}
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        run_figure(figure, overrides)
 
 
 @pytest.mark.parametrize("points", [2.5, math.nan])

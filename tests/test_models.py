@@ -61,6 +61,21 @@ def test_rejects_nonpositive_quality_factor():
         SystemParams().with_value("q_m", 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+def test_rejects_non_finite_fields(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        SystemParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rejects_a_non_finite_quality_factor(value):
+    with pytest.raises(ParameterError, match="^q_m must be finite"):
+        SystemParams(q_m=value)
+    with pytest.raises(ParameterError, match="^q_m must be finite"):
+        SystemParams().with_value("q_m", value)
+
+
 def test_with_value_replaces_one_field(detuned):
     p = detuned.with_value("lam", 0.7)
     assert p.lam == 0.7

@@ -137,6 +137,18 @@ def test_indefinite_diffusion_is_rejected():
         simulate_ensemble(model, vac(), spec)
 
 
+def test_noise_factors_of_a_stack_are_those_of_each_diffusion():
+    # Each diffusion takes its own path: the semidefinite diagonal one its
+    # square roots, which Cholesky would refuse, the other Cholesky.
+    stack = np.array([np.diag([0.0, 2.0]), [[2.0, 1.0], [1.0, 2.0]]])
+    factors = montecarlo._noise_matrix(stack)
+    for n, factor in zip(stack, factors):
+        assert np.array_equal(factor, montecarlo._noise_matrix(n))
+        assert np.allclose(factor @ factor.T, 0.5 * n, rtol=0.0, atol=1e-15)
+    with pytest.raises(NumericalError, match="negative diagonal diffusion"):
+        montecarlo._noise_matrix(np.array([np.eye(2), [[1.0, 0.5], [0.5, 1.0]], -np.eye(2)]))
+
+
 def test_indefinite_initial_covariance_is_rejected():
     model = constant_model(-np.eye(2), 2 * np.eye(2))
     v0 = CovarianceMatrix(MECH, [[1.0, 2.0], [2.0, 1.0]])
@@ -321,7 +333,7 @@ def reference_ensemble(model, v0, spec):
             p_mat = np.eye(d) + ha + 0.5 * (ha @ ha)
             g_mat = np.sqrt(h) * ((np.eye(d) + 0.5 * ha) @ l_mat)
             c = p_mat @ c @ p_mat.T + g_mat @ g_mat.T
-        steps = [montecarlo._step_map(model, (n + 0.5) * h, h) for n in range(lo, hi)]
+        steps = montecarlo._step_map(model, (np.arange(lo, hi) + 0.5) * h, h)
         _, factor = montecarlo._interval_law(steps)
         assert np.max(np.abs(factor.T @ factor - c)) <= 1e-12 * np.max(np.abs(c))
         r = r + xi[k] @ factor
@@ -417,9 +429,10 @@ class CountingStream:
 
 
 def count_work(monkeypatch, model, v0, spec):
-    """Run the ensemble; return its drift_at calls and each stream's draw calls.
+    """Run the ensemble; return the times of its drift_at calls and each stream's draw calls.
 
-    The normals drawn, padding included, must be the count the spec states.
+    diffusion_at must be called on the same times as drift_at, and the
+    normals drawn, padding included, must be the count the spec states.
     """
     made = []
     build = montecarlo._streams
@@ -428,16 +441,23 @@ def count_work(monkeypatch, model, v0, spec):
         made.extend(CountingStream(g) for g in build(seed, n_streams))
         return made
 
-    drift_calls = []
+    drift_calls, diffusion_calls = [], []
 
     def drift_at(t):
         drift_calls.append(t)
         return model.drift_at(t)
 
+    def diffusion_at(t):
+        diffusion_calls.append(t)
+        return model.diffusion_at(t)
+
     monkeypatch.setattr(montecarlo, "_streams", counting_streams)
-    simulate_ensemble(dataclasses.replace(model, drift_at=drift_at), v0, spec)
+    counted = dataclasses.replace(model, drift_at=drift_at, diffusion_at=diffusion_at)
+    simulate_ensemble(counted, v0, spec)
     assert sum(s.drawn for s in made) == spec.normals_drawn(model.basis.dim)
-    return len(drift_calls), [s.calls for s in made]
+    assert len(drift_calls) == len(diffusion_calls)
+    assert all(np.array_equal(a, n) for a, n in zip(drift_calls, diffusion_calls))
+    return drift_calls, [s.calls for s in made]
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])
@@ -454,14 +474,32 @@ def test_ensemble_work_scales_with_intervals_not_trajectories(
             model.basis, model.drift_at(0.0), model.diffusion_at(0.0),
             model.fastest_rate,
         )
-    # 1000 steps over 24 checkpoint intervals.
+    # 1000 steps over 24 checkpoint intervals of 41 or 42 steps.
     spec = EnsembleSpec(n_traj=250, t_end=8.0, dt=EM_RESOLUTION / model.fastest_rate, seed=2)
     assert spec.n_steps == 1000
+    lengths = np.diff(spec.checkpoints)
+    assert len(lengths) == 24 and set(lengths.tolist()) == {41, 42}
     v0 = initial_covariance(p, model.basis)
     drift_calls, draw_calls = count_work(monkeypatch, model, v0, spec)
-    assert drift_calls <= (spec.n_steps + 1 if time_dependent else 1)
+    # One sampling call per interval; a constant model, one per interval length.
+    assert len(drift_calls) == (24 if time_dependent else 2)
     assert len(draw_calls) == math.ceil(spec.n_traj / _CHUNK) == 3
     assert set(draw_calls) == {len(spec.checkpoints)} == {1 + 24}
+
+
+def test_a_time_dependent_ensemble_samples_each_interval_midpoints_in_one_call(
+    monkeypatch, detuned
+):
+    p = dataclasses.replace(detuned, alpha=0.2)
+    model = build_full_modulated(p)
+    spec = EnsembleSpec(
+        n_traj=100, t_end=2.0, dt=EM_RESOLUTION / model.fastest_rate, seed=3, n_checkpoints=6
+    )
+    h, marks = spec.step, spec.checkpoints
+    drift_calls, _ = count_work(monkeypatch, model, initial_covariance(p, model.basis), spec)
+    assert len(drift_calls) == len(marks) - 1 == 5
+    for times, lo, hi in zip(drift_calls, marks[:-1], marks[1:]):
+        assert np.array_equal(times, (np.arange(lo, hi) + 0.5) * h)
 
 
 def scheme_covariances(model, v0, spec):
