@@ -10,8 +10,9 @@ config entries and --out/--format override their config counterparts.  Every
 data file is accompanied by a sidecar JSON that doubles as a config: running
 the same command with the sidecar reproduces the data file byte for byte.
 
-Exit codes: 0 success, 2 invalid configuration, parameters or files, 3
-numerical failure (diverged integration, no steady state, ensemble mismatch).
+Exit codes: 0 success, 2 invalid input (an InputError, or a file that cannot
+be read or written), 3 numerical failure (a SolverError such as a diverged
+integration or no steady state, or an ensemble mismatch).
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import _default_dt, evolve, find_threshold, stability, steady_state
-from .errors import (
-    BasisError,
-    BracketError,
-    ConfigError,
-    CovarianceError,
-    IntegrationError,
-    NumericalError,
-    ParameterError,
-    UnstableModelError,
-)
+from .dynamics import THRESHOLD_TOL, _default_dt, evolve, find_threshold, stability, steady_state
+from .errors import ConfigError, InputError, SolverError
 from .figures import FIGURES, run_figure
 from .figures import RUN_KEYS as FIGURE_RUN_KEYS
 from .metrics import (
@@ -59,14 +51,14 @@ from .montecarlo import EM_RESOLUTION, EnsembleSpec, compare, simulate_ensemble
 
 #: The SystemParams fields, with the quality factor q_m accepted alongside gamma.
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams)) + ("q_m",)
-#: Run controls by value type: integers, other finite numbers, strings, and
-#: the axis_values list of numbers.
-INTEGER_KEYS = ("points", "axis_points", "seed", "n_traj", "n_checkpoints")
-NUMBER_KEYS = ("t_end", "dt", "axis_start", "axis_stop", "bracket_lo", "bracket_hi", "tol")
+#: Run controls by value type: finite numbers (counts too, which the library
+#: refuses unless whole), strings, and the axis_values list of numbers.
+NUMBER_KEYS = ("t_end", "dt", "axis_start", "axis_stop", "bracket_lo", "bracket_hi", "tol",
+               "points", "axis_points", "seed", "n_traj", "n_checkpoints")
 TEXT_KEYS = (
     "model", "frequency_variant", "evaluation", "axis", "axis_scale", "figure", "out", "format"
 )
-RUN_KEYS = INTEGER_KEYS + NUMBER_KEYS + TEXT_KEYS + ("axis_values",)
+RUN_KEYS = NUMBER_KEYS + TEXT_KEYS + ("axis_values",)
 ALLOWED_KEYS = set(PARAM_KEYS) | set(RUN_KEYS)
 
 
@@ -161,11 +153,10 @@ def validate_keys(cfg: dict) -> dict:
     for key, value in cfg.items():
         if key in TEXT_KEYS and not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
-        if key not in PARAM_KEYS + INTEGER_KEYS + NUMBER_KEYS or (key == "dt" and value is None):
+        if key not in PARAM_KEYS + NUMBER_KEYS or (key == "dt" and value is None):
             continue
-        if not _is_number(value) or (key in INTEGER_KEYS and value != int(value)):
-            kind = "an integer" if key in INTEGER_KEYS else "a finite number"
-            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        if not _is_number(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if "axis_values" in cfg:
         values = cfg["axis_values"]
         if not isinstance(values, list) or not values or not all(map(_is_number, values)):
@@ -185,24 +176,23 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """The JSON value of what json cannot encode itself: parameters and numpy data."""
     if isinstance(obj, SystemParams):
         return asdict(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(fh, payload: dict) -> None:
+    json.dump(payload, fh, indent=2, default=_json_default)
+    fh.write("\n")
 
 
 def _dump_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
-        fh.write("\n")
+        _write_json(fh, payload)
 
 
 def write_sidecar(out: OutputSpec, cfg: RunConfig, provenance: dict) -> None:
@@ -236,8 +226,7 @@ def write_table(
 def write_report(out: OutputSpec | None, report: dict, cfg: RunConfig, provenance: dict) -> None:
     """Print a report as JSON, or write it as a key,value table or a JSON object, and the sidecar."""
     if out is None:
-        json.dump(_jsonable(report), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, report)
     elif out.fmt == "csv":
         write_table(out, ("key", "value"), _flatten(report), cfg, provenance)
     else:
@@ -316,7 +305,7 @@ def cmd_threshold(cfg: RunConfig, out: OutputSpec | None) -> int:
     axis = cfg.get("axis", "lam")
     lo = float(cfg.require("bracket_lo"))
     hi = float(cfg.require("bracket_hi"))
-    tol = float(cfg.get("tol", 1e-6))
+    tol = float(cfg.get("tol", THRESHOLD_TOL))
     critical = find_threshold(
         lambda x: build(params.with_value(axis, x)), (lo, hi), tol=tol
     )
@@ -345,7 +334,7 @@ def cmd_sweep(cfg: RunConfig, out: OutputSpec) -> int:
             name,
             float(cfg.require("axis_start")),
             float(cfg.require("axis_stop")),
-            int(cfg.require("axis_points")),
+            cfg.require("axis_points"),
         )
     evaluation = cfg.get("evaluation", "steady")
     t_end = cfg.get("t_end")
@@ -383,11 +372,11 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
     t_end = float(cfg.get("t_end", 15.0))
     dt = cfg.get("dt")
     spec = EnsembleSpec(
-        n_traj=int(cfg.get("n_traj", 10000)),
+        n_traj=cfg.get("n_traj", 10000),
         t_end=t_end,
         dt=_default_dt(model, EM_RESOLUTION) if dt is None else float(dt),
-        seed=int(cfg.get("seed", 0)),
-        n_checkpoints=int(cfg.get("n_checkpoints", 25)),
+        seed=cfg.get("seed", 0),
+        n_checkpoints=cfg.get("n_checkpoints", EnsembleSpec.n_checkpoints),
     )
     v0 = initial_covariance(params, model.basis)
     ensemble = simulate_ensemble(model, v0, spec)
@@ -485,17 +474,10 @@ def main(argv: list[str] | None = None) -> int:
             out_path = f"{name}.{fmt}"
         out = None if out_path is None else OutputSpec(Path(out_path), fmt)
         return COMMANDS[args.command](RunConfig(raw), out)
-    except (
-        ConfigError,
-        ParameterError,
-        BasisError,
-        CovarianceError,
-        BracketError,
-        OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnstableModelError, IntegrationError, NumericalError, np.linalg.LinAlgError) as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -73,6 +73,8 @@ CHUNK_STEPS = 16
 CHUNK_MODEL_STEPS = 384
 #: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
+#: Default bracket width at which find_threshold stops bisecting.
+THRESHOLD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -736,7 +738,7 @@ def _bisect_brackets(
     return 0.5 * (lo + hi)
 
 
-def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6) -> float:
+def find_threshold(model_family, bracket: tuple[float, float], tol: float = THRESHOLD_TOL) -> float:
     """Bisect the stability boundary of a one-parameter model family.
 
     model_family maps a scalar to a LinearGaussianModel; the bracket must
@@ -746,13 +748,14 @@ def find_threshold(model_family, bracket: tuple[float, float], tol: float = 1e-6
     edge of instability up to tol, or wherever MAX_BISECTIONS steps end.
     Time-periodic families are refused, as by stability.  This is the
     one-bracket case of the lockstep bisection.  A tol that is not positive
-    raises ParameterError.
+    and finite raises ParameterError.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ParameterError(f"bracket must be increasing, got {bracket}")
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        bound = "finite" if tol > 0.0 else "positive"
+        raise ParameterError(f"tolerance must be {bound}, got {tol}")
     s_lo, s_hi = _stable_points([model_family(lo), model_family(hi)]).tolist()
     if s_lo == s_hi:
         raise BracketError(

@@ -268,6 +268,11 @@ def build_eliminated_detuned(params: SystemParams) -> LinearGaussianModel:
     return LinearGaussianModel.constant(MECH, a, n, max(p.omega_x, p.gamma))
 
 
+def _require_modulated(params: SystemParams) -> None:
+    if params.delta == 0.0:
+        raise ParameterError("modulated elimination needs nonzero detuning")
+
+
 def effective_modulated(params: SystemParams, variant: str = "shifted-frame") -> EffectiveParams:
     """Effective rates of the modulated scheme in the rotating frame.
 
@@ -288,8 +293,7 @@ def effective_modulated(params: SystemParams, variant: str = "shifted-frame") ->
     changes sign near alpha = 2 lam^2 / (omega_x delta - 2 lam^2).
     """
     p = params
-    if p.delta == 0.0:
-        raise ParameterError("modulated elimination needs nonzero detuning")
+    _require_modulated(p)
     if variant not in FREQUENCY_VARIANTS:
         raise ParameterError(f"variant must be one of {FREQUENCY_VARIANTS}, got {variant!r}")
     zeta = p.alpha * (p.omega_x * p.delta - 2.0 * p.lam**2) / (2.0 * p.delta)
@@ -302,8 +306,7 @@ def effective_modulated(params: SystemParams, variant: str = "shifted-frame") ->
 
 def modulated_backaction(params: SystemParams) -> float:
     """Residual cavity noise lam^2 kappa / delta^2 per rotating quadrature."""
-    if params.delta == 0.0:
-        raise ParameterError("modulated elimination needs nonzero detuning")
+    _require_modulated(params)
     return params.lam**2 * params.kappa / params.delta**2
 
 

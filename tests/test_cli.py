@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -7,10 +8,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levisqueeze
-from levisqueeze import cli, montecarlo
+from levisqueeze import cli, errors, montecarlo
 from levisqueeze.cli import main
 from levisqueeze.dynamics import MAX_STORED, STEP_ERROR_LIMIT, evolve
 from levisqueeze.metrics import TRAJECTORY_COLUMNS, mechanical_trajectory
@@ -344,6 +346,7 @@ def test_sweep_rejects_the_workers_key(tmp_path, monkeypatch, capsys):
 
 MODEL = [arg for key, value in DETUNED.items() for arg in ("--set", f"{key}={value}")]
 LAM_AXIS = MODEL + ["--set", "axis=lam"]
+MC_SMALL = ["--set", "n_traj=100", "--set", "t_end=0.1"]
 
 
 @pytest.mark.parametrize(
@@ -399,15 +402,49 @@ def test_axis_values_and_axis_points_share_the_grid_size_rule(monkeypatch, capsy
     assert f"need 1 to {MAX_STORED} grid points, got {too_many}" in messages[0]
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["figure", "fig3d", "--set", "points=2.5"], "grid size must be a whole number, got 2.5"),
+        (["sweep", *LAM_AXIS, "--set", "axis_start=0.1", "--set", "axis_stop=0.5",
+          "--set", "axis_points=2.5"], "grid size must be a whole number, got 2.5"),
+        (["mc-validate", *MODEL, *MC_SMALL, "--set", "n_traj=100.5"],
+         "n_traj must be a whole number, got 100.5"),
+        (["mc-validate", *MODEL, *MC_SMALL, "--set", "seed=2.5"],
+         "seed must be a whole number, got 2.5"),
+        (["mc-validate", *MODEL, *MC_SMALL, "--set", "n_checkpoints=2.5"],
+         "n_checkpoints must be a whole number, got 2.5"),
+    ],
+    ids=["points", "axis_points", "n_traj", "seed", "n_checkpoints"],
+)
+def test_a_count_that_is_not_whole_is_refused_by_the_library_rule(
+    monkeypatch, capsys, argv, message
+):
+    # The CLI checks only that a count is a finite number; dynamics._whole
+    # refuses the fraction before a sweep or an ensemble runs.
+    def refused(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("sweep", "simulate_ensemble"):
+        monkeypatch.setattr(cli, name, refused)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_whole_float_count_runs_as_its_integer(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["mc-validate", *MODEL, *MC_SMALL, "--set", "seed=3.0", "--set", "n_checkpoints=4.0"]
+    assert main([*argv, "--out", "mc.json", "--format", "json"]) == 0
+    report = (tmp_path / "mc.json").read_text()
+    assert '"seed": 3,' in report and len(json.loads(report)["checkpoints"]) == 4
+
+
 def test_threshold_refuses_a_tolerance_that_is_not_positive(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "run.json", {**DETUNED, "bracket_lo": 1.0, "bracket_hi": 2.0}
     )
     assert main(["threshold", "--config", cfg, "--set", "tol=-1"]) == 2
     assert "tolerance must be positive, got -1.0" in capsys.readouterr().err
-
-
-MC_SMALL = ["--set", "n_traj=100", "--set", "t_end=0.1"]
 
 
 @pytest.mark.parametrize("order", [["gamma=0.5", "q_m=10"], ["q_m=10", "gamma=0.5"]])
@@ -527,6 +564,47 @@ def test_mc_validate_needs_a_dt_for_a_model_without_a_rate(capsys):
             "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "t_end=1", "--set", "n_traj=100"]
     assert main(argv) == 2
     assert "pass dt explicitly" in capsys.readouterr().err
+
+
+ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)]
+
+
+def test_every_error_belongs_to_exactly_one_family():
+    families = (errors.InputError, errors.SolverError)
+    for cls in ERRORS:
+        if cls not in families:
+            assert [issubclass(cls, family) for family in families].count(True) == 1, cls
+
+
+@pytest.mark.parametrize(
+    "error", [*ERRORS, OSError, np.linalg.LinAlgError], ids=lambda cls: cls.__name__
+)
+def test_the_error_family_gives_the_exit_code(monkeypatch, capsys, error):
+    exit_codes = {errors.InputError: 2, OSError: 2, errors.SolverError: 3, np.linalg.LinAlgError: 3}
+    (want,) = {code for family, code in exit_codes.items() if issubclass(error, family)}
+
+    def failing(cfg, out):
+        raise error("stub failure")
+
+    monkeypatch.setitem(cli.COMMANDS, "stability", failing)
+    assert main(["stability"]) == want
+    prefix = "error" if want == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: stub failure\n"
+
+
+def test_json_encodes_parameters_and_numpy_data(capsys):
+    payload = {
+        "params": SystemParams(omega_x=1.0),
+        "cells": (np.float32(0.5), np.int64(3), np.bool_(True), np.float64(0.1)),
+        "rows": np.array([[1.0, 2.0]]),
+    }
+    cli._write_json(sys.stdout, payload)
+    decoded = json.loads(capsys.readouterr().out)
+    assert decoded["params"]["omega_x"] == 1.0
+    assert decoded["cells"] == [0.5, 3, True, 0.1] and type(decoded["cells"][2]) is bool
+    assert decoded["rows"] == [[1.0, 2.0]]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(sys.stdout, {"x": object()})
 
 
 def test_version_flag():

@@ -291,7 +291,7 @@ def assert_matches_extended_iteration(model, v0, result) -> None:
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 63, 64, 65, 131])
-def test_ladder_blocks_match_an_extended_precision_iteration(rng, n_steps):
+def test_doubling_rounds_match_an_extended_precision_iteration(rng, n_steps):
     # At stride 1 every step is stored and the doubling rounds map the first
     # m samples through the step map to the power m = 1, 2, 4, ...; the
     # counts end a round early, on its last sample and one past it.
@@ -332,7 +332,7 @@ def vsq_of_states(states: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(covariances_of(states)[:, 2:, 2:])[:, 0]
 
 
-def test_ladder_is_no_less_accurate_than_a_per_sample_loop():
+def test_doubling_fill_is_no_less_accurate_than_a_per_sample_loop():
     # fig2a's model and fig2c's at-threshold models over fig2c's nbar0 grid
     # (at points=7).  Rounding is amplified most at threshold from a hot
     # start; the doubling fill's worst v_sq deviation from the long-double
@@ -607,7 +607,7 @@ def test_varying_steps_stop_after_a_step_error():
     ],
     ids=["divergence", "step-halving"],
 )
-def test_failure_inside_a_ladder_block_matches_the_time_dependent_path(
+def test_failure_inside_a_doubling_round_matches_the_time_dependent_path(
     model, v0, t_end, dt, error
 ):
     generic = dataclasses.replace(model, is_time_independent=False)
@@ -903,6 +903,13 @@ def test_find_threshold_refuses_a_tolerance_that_is_not_positive(detuned, tol):
     # Such a tolerance is never met, so every bisection step would run.
     with pytest.raises(ParameterError, match="tolerance must be positive"):
         find_threshold(family(detuned), (1.0, 2.0), tol=tol)
+
+
+def test_find_threshold_refuses_an_infinite_tolerance(detuned):
+    # Such a tolerance is met at once: the bracket midpoint would come back
+    # without a single bisection step.
+    with pytest.raises(ParameterError, match="tolerance must be finite, got inf"):
+        find_threshold(family(detuned), (1.0, 2.0), tol=math.inf)
 
 
 def test_lockstep_bisection_equals_find_threshold_per_bracket(detuned):
