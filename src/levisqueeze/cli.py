@@ -12,7 +12,8 @@ the same command with the sidecar reproduces the data file byte for byte.
 
 Exit codes: 0 success, 2 invalid input (an InputError, or a file that cannot
 be read or written), 3 numerical failure (a SolverError such as a diverged
-integration or no steady state, or an ensemble mismatch).
+integration or no steady state, or an ensemble mismatch; numpy's LinAlgError;
+or an ArithmeticError, the overflow or division by zero of float arithmetic).
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, np.linalg.LinAlgError) as exc:
+    except (SolverError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

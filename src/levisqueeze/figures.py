@@ -428,10 +428,11 @@ def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> 
     """Evaluate one bundled recipe, with overrides for parameters or run controls.
 
     Every override that is not a run control sets a parameter of the
-    figure's preset, in order, except q_m, which is applied last, so that
-    gamma = omega_x / q_m uses the overridden omega_x as SystemParams does;
-    a run control the recipe does not read is ignored.  points is refused
-    unless a whole number from 1 to MAX_STORED.
+    figure's preset, all in one step, so that SystemParams judges them as
+    the other commands do: gamma = omega_x / q_m uses the overridden
+    omega_x, and a nonzero gamma given with q_m is refused.  A run control
+    the recipe does not read is ignored.  points is refused unless a whole
+    number from 1 to MAX_STORED.
     """
     try:
         recipe, preset, defaults = FIGURES[figure_id]
@@ -440,12 +441,9 @@ def run_figure(figure_id: str, overrides: Mapping[str, float] | None = None) -> 
             f"unknown figure id {figure_id!r}, expected one of {sorted(FIGURES)}"
         ) from None
     overrides = {} if overrides is None else overrides
-    if "gamma" in overrides and "q_m" in overrides:
-        raise ParameterError("give gamma or q_m, not both")
-    params = preset()
-    # q_m goes last, so that it is taken against the final omega_x.
-    for key in sorted((k for k in overrides if k not in RUN_KEYS), key=lambda k: k == "q_m"):
-        params = params.with_value(key, float(overrides[key]))
+    params = preset()._with_values(
+        {key: float(val) for key, val in overrides.items() if key not in RUN_KEYS}
+    )
     controls = {}
     for key, default in defaults.items():
         val = overrides.get(key, default)

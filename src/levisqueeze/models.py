@@ -18,13 +18,16 @@ diffusion pair in the vacuum = identity convention of :mod:`.gaussian`:
 ``bogoliubov``
     Cavity plus mechanics in the rotating frame at delta = omega_x, where
     the cavity cools a Bogoliubov mode of the modulated particle.
+
+The lab-frame Hamiltonian H(M) and its bath are stated once, in ``_lab_frame``,
+which ``full``, ``full-modulated`` and ``eliminated-detuned`` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -92,25 +95,31 @@ class SystemParams:
         for name, value in values.items():
             if value is not None and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+        if self.omega_x <= 0.0:
+            raise ParameterError(f"omega_x must be positive, got {self.omega_x}")
         if q_m is not None:
             if self.gamma != 0.0:
                 raise ParameterError("give gamma or q_m, not both")
             if q_m <= 0.0:
                 raise ParameterError(f"quality factor must be positive, got {q_m}")
             object.__setattr__(self, "gamma", self.omega_x / q_m)
-        if self.omega_x <= 0.0:
-            raise ParameterError(f"omega_x must be positive, got {self.omega_x}")
+            if not math.isfinite(self.gamma):
+                raise ParameterError(f"gamma = omega_x / q_m must be finite, got {self.gamma}")
         for name in ("kappa", "gamma", "nbar", "nbar0", "alpha"):
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def with_value(self, name: str, value: float) -> "SystemParams":
         """Copy with one field replaced; accepts q_m as an alias for gamma."""
-        if name == "q_m":
-            return replace(self, gamma=0.0, q_m=value)
-        if name not in {f.name for f in fields(self)}:
-            raise ParameterError(f"unknown parameter {name!r}")
-        return replace(self, **{name: value})
+        return self._with_values({name: value})
+
+    def _with_values(self, values: Mapping[str, float]) -> "SystemParams":
+        """Copy with fields replaced in one step; q_m replaces gamma, as in the constructor."""
+        known = {f.name for f in fields(self)} | {"q_m"}
+        for name in values:
+            if name not in known:
+                raise ParameterError(f"unknown parameter {name!r}")
+        return replace(self, **({"gamma": 0.0} if "q_m" in values else {}) | dict(values))
 
 
 def initial_covariance(params: SystemParams, basis: QuadratureBasis) -> CovarianceMatrix:
@@ -126,74 +135,59 @@ def initial_covariance(params: SystemParams, basis: QuadratureBasis) -> Covarian
 # ---------------------------------------------------------------------------
 
 
-def _full_h_mat(params: SystemParams, modulation: float) -> NDArray[np.float64]:
-    """Quadratic form of the lab-frame Hamiltonian at modulation factor M.
+def _lab_frame(
+    params: SystemParams,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], float]:
+    """Parts (H0, H1, H2) of H(M) = H0 + M H1 + M^2 H2, the bath and the fastest rate.
 
-    H = (delta/2)(X^2+Y^2) + (omega_x/2) p^2 + (omega_x/2) M^2 x^2
-        - sqrt(2) lam M x X
+    H(M) = (delta/2)(X^2+Y^2) + (omega_x/2) p^2 + (omega_x/2) M^2 x^2 - sqrt(2) lam M x X
+    at trap-stiffness factor M, in (X, Y, x, p).  The bath, as decay vector and
+    diffusion: decay kappa, noise 2 kappa on each cavity quadrature; damping
+    gamma, noise 2 gamma (2 nbar + 1) on p alone.
     """
-    h = np.zeros((4, 4))
-    h[0, 0] = h[1, 1] = params.delta
-    h[2, 2] = params.omega_x * modulation**2
-    h[3, 3] = params.omega_x
-    h[0, 2] = h[2, 0] = -SQRT2 * params.lam * modulation
-    return h
-
-
-def _full_diffusion(params: SystemParams) -> NDArray[np.float64]:
-    return np.diag(
-        [
-            2.0 * params.kappa,
-            2.0 * params.kappa,
-            0.0,
-            2.0 * params.gamma * (2.0 * params.nbar + 1.0),
-        ]
-    )
-
-
-def _full_rate(params: SystemParams) -> float:
-    return max(abs(params.delta), params.kappa, 2.0 * params.omega_x, params.gamma)
+    p = params
+    h = np.zeros((3, 4, 4))
+    h[0, 0, 0] = h[0, 1, 1] = p.delta
+    h[0, 3, 3] = p.omega_x
+    h[1, 0, 2] = h[1, 2, 0] = -SQRT2 * p.lam
+    h[2, 2, 2] = p.omega_x
+    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
+    noise = np.diag([2.0 * p.kappa, 2.0 * p.kappa, 0.0, 2.0 * p.gamma * (2.0 * p.nbar + 1.0)])
+    rate = max(abs(p.delta), p.kappa, 2.0 * p.omega_x, p.gamma)
+    return h, decay, noise, rate
 
 
 def build_full_cs(params: SystemParams) -> LinearGaussianModel:
     """Cavity + mechanics with static trap and coherent-scattering coupling.
 
-    Drift rows are (X, Y, x, p) with cavity decay kappa on both cavity
-    quadratures and viscous damping gamma on p alone; diffusion is vacuum
-    input noise 2 kappa on the cavity and 2 gamma (2 nbar + 1) on p.
+    The model of :func:`_lab_frame` at M = 1, rows (X, Y, x, p).
     """
-    decay = np.array([params.kappa, params.kappa, 0.0, params.gamma])
-    a = drift_from_quadratic(_full_h_mat(params, 1.0), decay)
-    return LinearGaussianModel.constant(CAVITY_MECH, a, _full_diffusion(params), _full_rate(params))
+    h, decay, noise, rate = _lab_frame(params)
+    a = drift_from_quadratic(h.sum(axis=0), decay)
+    return LinearGaussianModel.constant(CAVITY_MECH, a, noise, rate)
 
 
 def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
     """Two-mode model with trap stiffness modulated at 2 omega_x.
 
-    The stiffness factor M(t) = 1 + alpha cos(2 omega_x t + phi) enters the
-    potential as omega_x M^2 x^2 / 2 and scales the coupling to lam M, since
-    both derive from the same tweezer field.  At alpha = 0 this is the
-    constant build_full_cs model.
+    The model of :func:`_lab_frame` at M(t) = 1 + alpha cos(2 omega_x t + phi):
+    M enters the potential as omega_x M^2 x^2 / 2 and scales the coupling to
+    lam M, since both derive from the same tweezer field.  At alpha = 0 this
+    is the constant build_full_cs model.
     """
     p = params
     if p.alpha == 0.0:
         return build_full_cs(p)
-    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
-    n = _full_diffusion(p)
-
-    # H(M) is quadratic in M, so A(t) = A0 + M A1 + M^2 A2 with the parts
-    # built and validated once.  Every entry of H is a single monomial in M
-    # and Omega only permutes and negates entries, so the parts are exact and
-    # the sum below equals the per-time rebuild bit for bit.
-    h0, h_plus, h_minus = (_full_h_mat(p, m) for m in (0.0, 1.0, -1.0))
-    a0 = drift_from_quadratic(h0, decay)
-    a1 = drift_from_quadratic(0.5 * (h_plus - h_minus), np.zeros(4))
-    a2 = drift_from_quadratic(0.5 * (h_plus + h_minus) - h0, np.zeros(4))
+    h, decay, n, rate = _lab_frame(p)
+    # A(t) = A0 + M A1 + M^2 A2 with the bath in A0.  Every entry of H is a
+    # single monomial in M and Omega only permutes and negates entries, so
+    # the sum below equals the drift of H(M) bit for bit.
+    a0, a1, a2 = drift_from_quadratic(h, np.vstack([decay, np.zeros((2, 4))]))
 
     def drift_at(t: float | NDArray[np.float64]) -> NDArray[np.float64]:
         m = 1.0 + p.alpha * np.cos(2.0 * p.omega_x * np.asarray(t, dtype=float) + p.phi)
         # numpy squares by multiplication, which rounds differently from the
-        # libm pow of the rebuild's M ** 2 in about one case in a thousand.
+        # libm pow of a Python float's M ** 2 in about one case in a thousand.
         m_sq = np.array([x**2 for x in m.ravel().tolist()]).reshape(m.shape)
         return a0 + m[..., None, None] * a1 + m_sq[..., None, None] * a2
 
@@ -202,7 +196,7 @@ def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
         drift_at=drift_at,
         diffusion_at=lambda t: np.broadcast_to(n, np.shape(t) + n.shape),
         is_time_independent=False,
-        fastest_rate=_full_rate(p),
+        fastest_rate=rate,
     )
 
 
@@ -255,16 +249,21 @@ def threshold_coupling(params: SystemParams) -> float:
 
 
 def build_eliminated_detuned(params: SystemParams) -> LinearGaussianModel:
-    """Mechanics alone after adiabatic elimination of the detuned cavity."""
+    """Mechanics alone after adiabatic elimination of the detuned cavity.
+
+    Damping on p and noise come from the bath of :func:`_lab_frame`, plus
+    the momentum back-action of :func:`detuned_backaction`.
+    """
     p = params
     eff = effective_detuned(p)
+    _, decay, noise, _ = _lab_frame(p)
     a = np.array(
         [
             [0.0, eff.omega_eff + eff.zeta_eff],
-            [-(eff.omega_eff - eff.zeta_eff), -p.gamma],
+            [-(eff.omega_eff - eff.zeta_eff), -decay[3]],
         ]
     )
-    n = np.diag([0.0, 2.0 * p.gamma * (2.0 * p.nbar + 1.0) + detuned_backaction(p)])
+    n = noise[2:, 2:] + np.diag([0.0, detuned_backaction(p)])
     return LinearGaussianModel.constant(MECH, a, n, max(p.omega_x, p.gamma))
 
 

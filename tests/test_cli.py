@@ -577,10 +577,18 @@ def test_every_error_belongs_to_exactly_one_family():
 
 
 @pytest.mark.parametrize(
-    "error", [*ERRORS, OSError, np.linalg.LinAlgError], ids=lambda cls: cls.__name__
+    "error",
+    [*ERRORS, OSError, np.linalg.LinAlgError, OverflowError, ZeroDivisionError],
+    ids=lambda cls: cls.__name__,
 )
 def test_the_error_family_gives_the_exit_code(monkeypatch, capsys, error):
-    exit_codes = {errors.InputError: 2, OSError: 2, errors.SolverError: 3, np.linalg.LinAlgError: 3}
+    exit_codes = {
+        errors.InputError: 2,
+        OSError: 2,
+        errors.SolverError: 3,
+        np.linalg.LinAlgError: 3,
+        ArithmeticError: 3,
+    }
     (want,) = {code for family, code in exit_codes.items() if issubclass(error, family)}
 
     def failing(cfg, out):
@@ -590,6 +598,56 @@ def test_the_error_family_gives_the_exit_code(monkeypatch, capsys, error):
     assert main(["stability"]) == want
     prefix = "error" if want == 2 else "numerical failure"
     assert capsys.readouterr().err == f"{prefix}: stub failure\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "failure"),
+    [
+        (["steady", "--set", "model=eliminated-detuned", "--set", "lam=1e200",
+          "--set", "delta=5", "--set", "kappa=0.2"], "Numerical result out of range"),
+        (["steady", "--set", "model=eliminated-detuned", "--set", "lam=0.3",
+          "--set", "delta=0", "--set", "kappa=1e-200"], "float division by zero"),
+        (["steady", "--set", "model=eliminated-modulated", "--set", "lam=0.3",
+          "--set", "kappa=0.2", "--set", "delta=1e-200", "--set", "alpha=0.1"],
+         "float division by zero"),
+        (["evolve", "--set", "model=full-modulated", "--set", "alpha=1e200", "--set", "delta=5",
+          "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "t_end=1"],
+         "Numerical result out of range"),
+    ],
+    ids=["overflow", "underflowed-linewidth", "tiny-detuning", "overflowing-depth"],
+)
+def test_float_arithmetic_failure_on_finite_input_exits_3(tmp_path, monkeypatch, capsys, argv,
+                                                          failure):
+    # Python's scalar ** and / raise where numpy would return inf.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and failure in err
+
+
+@pytest.mark.parametrize("command", ["steady", "evolve"])
+def test_a_quality_factor_with_an_infinite_gamma_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--set", "model=full", "--set", "q_m=1e-320", "--set", "delta=5",
+            "--set", "kappa=0.2", "--set", "t_end=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: gamma = omega_x / q_m must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(("gamma", "code"), [(0.0, 0), (0.5, 2)])
+def test_gamma_with_q_m_gets_one_verdict_in_every_command(tmp_path, monkeypatch, capsys, gamma,
+                                                         code):
+    # SystemParams alone judges the pair: gamma = 0 with q_m is no conflict.
+    monkeypatch.chdir(tmp_path)
+    keys = ["--set", f"gamma={gamma}", "--set", "q_m=1e9"]
+    assert main(["steady", "--set", "model=full", "--set", "delta=5", "--set", "kappa=0.2",
+                 *keys]) == code
+    assert main(["figure", "fig3a", *keys, "--set", "points=3"]) == code
+    if code:
+        assert capsys.readouterr().err == "error: give gamma or q_m, not both\n" * 2
+    else:
+        sidecar = json.loads((tmp_path / "fig3a.csv.sidecar.json").read_text())
+        assert sidecar["_provenance"]["meta"]["params"]["gamma"] == 1e-9
 
 
 def test_json_encodes_parameters_and_numpy_data(capsys):

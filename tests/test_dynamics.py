@@ -773,6 +773,25 @@ def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
         assert res == want.residual_norm
 
 
+def test_a_non_finite_steady_state_is_refused():
+    # A barely damped pair under enormous noise settles at V = N / 2e-10,
+    # beyond the float range, in the constant solve and the period map alike.
+    model = LinearGaussianModel.constant(MECH, -1e-10 * np.eye(2), 1e300 * np.eye(2), 1.0)
+    with pytest.raises(NumericalError, match="^non-finite steady-state solution$"):
+        steady_state(model)
+    with pytest.raises(NumericalError, match="^non-finite periodic steady state$"):
+        periodic_steady_state(model, math.pi)
+
+
+def test_a_solve_above_the_residual_tolerance_is_refused(monkeypatch):
+    # V = I solves the damped cavity; a solve that returns (1 + 1e-6) I
+    # leaves a residual of 4e-6 against a tolerance of about 2e-10.
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real_solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match=r"^steady-state residual \S+ above tolerance \S+$"):
+        steady_state(damped_cavity())
+
+
 def test_stability_reports_eigenvalues(detuned):
     report = stability(build_full_cs(detuned))
     assert report.stable

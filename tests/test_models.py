@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levisqueeze import models
 from levisqueeze.dynamics import steady_state
 from levisqueeze.errors import ParameterError
 from levisqueeze.gaussian import drift_from_quadratic
 from levisqueeze.models import (
     MODEL_BUILDERS,
     SystemParams,
-    _full_h_mat,
     bogoliubov_coefficients,
     bogoliubov_ground_variance,
     bogoliubov_stack,
@@ -31,6 +31,20 @@ from levisqueeze.models import (
 )
 
 positive = st.floats(0.05, 5.0)
+
+
+def rebuilt_drift(p: SystemParams, m: float) -> np.ndarray:
+    """Reference: the lab-frame drift built from H at one modulation factor M.
+
+    H = (delta/2)(X^2+Y^2) + (omega_x/2) p^2 + (omega_x/2) M^2 x^2
+        - sqrt(2) lam M x X
+    """
+    h = np.zeros((4, 4))
+    h[0, 0] = h[1, 1] = p.delta
+    h[2, 2] = p.omega_x * m**2
+    h[3, 3] = p.omega_x
+    h[0, 2] = h[2, 0] = -math.sqrt(2.0) * p.lam * m
+    return drift_from_quadratic(h, np.array([p.kappa, p.kappa, 0.0, p.gamma]))
 
 
 def test_quality_factor_round_trip():
@@ -74,6 +88,15 @@ def test_rejects_a_non_finite_quality_factor(value):
         SystemParams(q_m=value)
     with pytest.raises(ParameterError, match="^q_m must be finite"):
         SystemParams().with_value("q_m", value)
+
+
+@pytest.mark.parametrize("keys", [{"q_m": 1e-320}, {"omega_x": 1e300, "q_m": 1e-300}])
+def test_rejects_a_quality_factor_whose_gamma_is_not_finite(keys):
+    message = r"^gamma = omega_x / q_m must be finite, got inf$"
+    with pytest.raises(ParameterError, match=message):
+        SystemParams(**keys)
+    with pytest.raises(ParameterError, match=message):
+        SystemParams(omega_x=keys.get("omega_x", 1.0)).with_value("q_m", keys["q_m"])
 
 
 def test_with_value_replaces_one_field(detuned):
@@ -147,11 +170,9 @@ def test_full_modulated_structured_drift_is_the_rebuild(resonant):
     # A0 + M A1 + M^2 A2 must equal the drift rebuilt from H(M) bit for bit.
     p = dataclasses.replace(resonant, alpha=0.4, phi=1.1)
     model = build_full_modulated(p)
-    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
     for t in np.linspace(0.0, 7.3, 50):
         m = 1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi)
-        expected = drift_from_quadratic(_full_h_mat(p, m), decay)
-        assert np.array_equal(model.drift_at(float(t)), expected)
+        assert np.array_equal(model.drift_at(float(t)), rebuilt_drift(p, m))
 
 
 def test_full_modulated_samples_an_array_of_times_as_single_times(resonant):
@@ -160,7 +181,6 @@ def test_full_modulated_samples_an_array_of_times_as_single_times(resonant):
     # M has M * M != M ** 2, where a numpy square would break the equality.
     p = dataclasses.replace(resonant, alpha=0.4, phi=1.1)
     model = build_full_modulated(p)
-    decay = np.array([p.kappa, p.kappa, 0.0, p.gamma])
     ts = np.linspace(0.0, 7.3, 4001)
     ms = [1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi) for t in ts.tolist()]
     assert any(m * m != m**2 for m in ms)
@@ -168,7 +188,7 @@ def test_full_modulated_samples_an_array_of_times_as_single_times(resonant):
     assert drifts.shape == (len(ts), 4, 4)
     for t, m, drift in zip(ts.tolist(), ms, drifts):
         assert np.array_equal(drift, model.drift_at(t))
-        assert np.array_equal(drift, drift_from_quadratic(_full_h_mat(p, m), decay))
+        assert np.array_equal(drift, rebuilt_drift(p, m))
     assert model.drift_at(ts.reshape(1, -1, 1)).shape == (1, len(ts), 1, 4, 4)
     noises = model.diffusion_at(ts)
     assert all(np.array_equal(n, model.diffusion_at(0.3)) for n in noises)
@@ -195,6 +215,30 @@ def test_full_modulated_period_averaged_spring(detuned):
     assert np.trapezoid(springs, ts) / period == pytest.approx(
         -p.omega_x * (1 + p.alpha**2 / 2), rel=1e-6
     )
+
+
+def test_the_lab_builders_read_one_bath(detuned, monkeypatch):
+    # Changing the one statement of the lab bath changes every lab-frame
+    # builder, full-modulated at alpha = 0 (the constant full model) included.
+    lab_frame = models._lab_frame
+
+    def doubled_bath(params):
+        h, decay, noise, rate = lab_frame(params)
+        return h, 2.0 * decay, 2.0 * noise, rate
+
+    builds = (
+        (build_full_cs, detuned),
+        (build_full_modulated, detuned),
+        (build_full_modulated, dataclasses.replace(detuned, alpha=0.3)),
+        (build_eliminated_detuned, detuned),
+    )
+    before = [build(p) for build, p in builds]
+    monkeypatch.setattr(models, "_lab_frame", doubled_bath)
+    after = [build(p) for build, p in builds]
+    assert after[1].is_time_independent
+    for old, new in zip(before, after):
+        for sample in ("drift_at", "diffusion_at"):
+            assert not np.array_equal(getattr(old, sample)(0.3), getattr(new, sample)(0.3))
 
 
 def test_effective_detuned_frozen_values(detuned):
