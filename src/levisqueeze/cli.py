@@ -402,6 +402,7 @@ def cmd_mc_validate(cfg: RunConfig, out: OutputSpec | None) -> int:
         "dt": spec.step,
         "streams": spec.n_streams,
         "normals_drawn": spec.normals_drawn(model.basis.dim),
+        "bit_generator": ensemble.bit_generator,
         "reference_stats": asdict(reference.stats),
     }
     write_report(out, payload, cfg, provenance)
@@ -458,6 +459,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    raw: dict = {}
     try:
         raw = validate_keys(apply_sets(load_config(args.config), args.assignments))
         fmt = args.format or raw.get("format", "csv")
@@ -478,8 +480,18 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # A float ** that overflows carries (errno, text) as its args.
+        detail = exc.args[-1] if exc.args else ""
+        where = args.command
+        if "figure" in raw:
+            where += f" {raw['figure']}"
+        if "model" in raw:
+            where += f" on model {raw['model']}"
+        print(f"numerical failure: {type(exc).__name__} in {where}: {detail}", file=sys.stderr)
         return 3
 
 

@@ -525,6 +525,7 @@ def test_mc_validate_reports_the_worst_entry_and_its_provenance(tmp_path, monkey
     # Each stream draws its initial points and one block per checkpoint interval.
     assert prov["normals_drawn"] == 200 * 2 * len(report["checkpoints"])
     assert prov["reference_stats"]["n_steps"] > 0
+    assert prov["bit_generator"] == "SFC64"
     first = (tmp_path / "mc.json").read_bytes()
     assert main(["mc-validate", "--config", "mc.json.sidecar.json"]) == 0
     assert (tmp_path / "mc.json").read_bytes() == first
@@ -597,6 +598,9 @@ def test_the_error_family_gives_the_exit_code(monkeypatch, capsys, error):
     monkeypatch.setitem(cli.COMMANDS, "stability", failing)
     assert main(["stability"]) == want
     prefix = "error" if want == 2 else "numerical failure"
+    if issubclass(error, ArithmeticError):
+        # Float arithmetic names no operand, so the message names the exception and the run.
+        prefix += f": {error.__name__} in stability"
     assert capsys.readouterr().err == f"{prefix}: stub failure\n"
 
 
@@ -604,25 +608,31 @@ def test_the_error_family_gives_the_exit_code(monkeypatch, capsys, error):
     ("argv", "failure"),
     [
         (["steady", "--set", "model=eliminated-detuned", "--set", "lam=1e200",
-          "--set", "delta=5", "--set", "kappa=0.2"], "Numerical result out of range"),
+          "--set", "delta=5", "--set", "kappa=0.2"],
+         "OverflowError in steady on model eliminated-detuned: Numerical result out of range"),
         (["steady", "--set", "model=eliminated-detuned", "--set", "lam=0.3",
-          "--set", "delta=0", "--set", "kappa=1e-200"], "float division by zero"),
+          "--set", "delta=0", "--set", "kappa=1e-200"],
+         "ZeroDivisionError in steady on model eliminated-detuned: float division by zero"),
         (["steady", "--set", "model=eliminated-modulated", "--set", "lam=0.3",
           "--set", "kappa=0.2", "--set", "delta=1e-200", "--set", "alpha=0.1"],
-         "float division by zero"),
+         "ZeroDivisionError in steady on model eliminated-modulated: float division by zero"),
         (["evolve", "--set", "model=full-modulated", "--set", "alpha=1e200", "--set", "delta=5",
           "--set", "kappa=0.2", "--set", "lam=0.3", "--set", "t_end=1"],
-         "Numerical result out of range"),
+         "OverflowError in evolve on model full-modulated: Numerical result out of range"),
+        (["figure", "fig3a", "--set", "lam=1e200"],
+         "OverflowError in figure fig3a: Numerical result out of range"),
     ],
-    ids=["overflow", "underflowed-linewidth", "tiny-detuning", "overflowing-depth"],
+    ids=["overflow", "underflowed-linewidth", "tiny-detuning", "overflowing-depth", "figure"],
 )
 def test_float_arithmetic_failure_on_finite_input_exits_3(tmp_path, monkeypatch, capsys, argv,
                                                           failure):
-    # Python's scalar ** and / raise where numpy would return inf.
+    # Python's scalar ** and / raise where numpy would return inf.  str() of
+    # the OverflowError is the bare tuple (34, 'Numerical result out of range'),
+    # so the message names the exception, the command (with a figure's id)
+    # and the model.
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and failure in err
+    assert capsys.readouterr().err == f"numerical failure: {failure}\n"
 
 
 @pytest.mark.parametrize("command", ["steady", "evolve"])

@@ -248,6 +248,22 @@ def test_compare_flags_wrong_reference():
     assert report.max_z > 5.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_c10_full_case_passes_and_rejects_doubled_diffusion_at_each_seed(detuned, seed):
+    # C10's `full` case and its 2N corruption at 2000 trajectories: the
+    # verdicts must not rest on one seed of the generator.
+    low_noise = dataclasses.replace(detuned, nbar=10.0)
+    good = build_full_cs(low_noise)
+    bad = LinearGaussianModel.constant(
+        good.basis, good.drift_at(0.0), 2.0 * good.diffusion_at(0.0), good.fastest_rate
+    )
+    v0 = initial_covariance(low_noise, good.basis)
+    for model, t_end, passes in ((good, 15.0, True), (bad, 5.0, False)):
+        spec = EnsembleSpec(n_traj=2000, t_end=t_end, dt=4e-3, seed=seed)
+        report = compare(simulate_ensemble(model, v0, spec), evolve(good, v0, t_end))
+        assert report.passed is passes
+
+
 def test_compare_to_self_is_exact():
     model = constant_model(-np.eye(2), 2 * np.eye(2))
     spec = EnsembleSpec(n_traj=300, t_end=1.0, dt=2e-3, seed=9, n_checkpoints=6)
@@ -315,7 +331,7 @@ def reference_ensemble(model, v0, spec):
     n_chunks = math.ceil(spec.n_traj / _CHUNK)
     r, xi = [], []
     for child in np.random.SeedSequence(spec.seed).spawn(n_chunks):
-        g = np.random.Generator(np.random.Philox(child))
+        g = np.random.Generator(np.random.SFC64(child))
         r.append(g.standard_normal((_CHUNK, d)))
         xi.append(g.standard_normal((len(marks) - 1, _CHUNK, d)))
     r = np.concatenate(r)[: spec.n_traj]
@@ -421,6 +437,10 @@ class CountingStream:
         self.calls = 0
         self.drawn = 0
 
+    @property
+    def bit_generator(self):
+        return self.generator.bit_generator
+
     def standard_normal(self, *args, **kwargs):
         self.calls += 1
         out = self.generator.standard_normal(*args, **kwargs)
@@ -431,8 +451,9 @@ class CountingStream:
 def count_work(monkeypatch, model, v0, spec):
     """Run the ensemble; return the times of its drift_at calls and each stream's draw calls.
 
-    diffusion_at must be called on the same times as drift_at, and the
-    normals drawn, padding included, must be the count the spec states.
+    diffusion_at must be called on the same times as drift_at, the normals
+    drawn, padding included, must be the count the spec states, and every
+    stream must be of the bit generator the result names.
     """
     made = []
     build = montecarlo._streams
@@ -453,8 +474,10 @@ def count_work(monkeypatch, model, v0, spec):
 
     monkeypatch.setattr(montecarlo, "_streams", counting_streams)
     counted = dataclasses.replace(model, drift_at=drift_at, diffusion_at=diffusion_at)
-    simulate_ensemble(counted, v0, spec)
+    result = simulate_ensemble(counted, v0, spec)
     assert sum(s.drawn for s in made) == spec.normals_drawn(model.basis.dim)
+    assert result.bit_generator == "SFC64"
+    assert {type(s.bit_generator).__name__ for s in made} == {result.bit_generator}
     assert len(drift_calls) == len(diffusion_calls)
     assert all(np.array_equal(a, n) for a, n in zip(drift_calls, diffusion_calls))
     return drift_calls, [s.calls for s in made]
