@@ -6,12 +6,14 @@ directory can be rebuilt with a single call:
     python3 scripts/run_figures.py --out-dir data
 
 Pass figure ids to rebuild a subset, or --points to coarsen every sweep for
-a quick look.
+a quick look.  Each figure's line gives its wall time and the process's peak
+resident memory so far (getrusage's ru_maxrss, read as KiB as on Linux).
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -47,8 +49,9 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         code = cli_main(cmd)
         elapsed = time.perf_counter() - start
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if code == 0:
-            print(f"{fig}: wrote {out} in {elapsed:.1f}s")
+            print(f"{fig}: wrote {out} in {elapsed:.1f}s, peak RSS {peak_mb:.1f} MB")
         else:
             print(f"{fig}: failed with exit code {code}", file=sys.stderr)
             status = 1

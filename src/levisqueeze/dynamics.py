@@ -176,9 +176,14 @@ def _hurwitz(drifts: NDArray[np.float64]) -> NDArray[np.bool_]:
     largest |entry| first, which leaves the verdict unchanged, and the
     polynomial's coefficients come from Faddeev-LeVerrier: with M_1 = I,
     c_k = -tr(A M_k) / k and M_(k+1) = A M_k + c_k I.  A zero pivot, as of a
-    marginal spectrum or a zero drift, gives False without a warning.
+    marginal spectrum or a zero drift, gives False without a warning.  A
+    lone drift, as of a one-bracket bisection, is judged as one (d, d)
+    array: its coefficients are then numpy scalars, whose arithmetic is the
+    same as in a stack and costs a fraction of one-element arrays'.
     """
-    d = drifts.shape[-1]
+    d, lead = drifts.shape[-1], drifts.shape[:-2]
+    if drifts.size == d * d:
+        drifts = drifts.reshape(d, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = drifts / np.abs(drifts).max(axis=(-2, -1), keepdims=True)
         am, coeffs = a, [1.0]
@@ -196,7 +201,7 @@ def _hurwitz(drifts: NDArray[np.float64]) -> NDArray[np.bool_]:
             shifted = [p - ratio * r for p, r in zip(prev[1:], row[1:])] + prev[len(row) :]
             prev, row = row, shifted
             column.append(row[0])
-    return np.array(column).min(axis=0) > 0.0
+    return (np.array(column).min(axis=0) > 0.0).reshape(lead)
 
 
 def stability(model: LinearGaussianModel) -> StabilityReport:
@@ -545,8 +550,9 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
 
     One batched _hurwitz judges every point, one eigvals on the unstable
     points only gives their error messages, and one _stacked_solve takes the
-    stable ones; the checks of steady_state then run on the whole stack.  The
-    first point that passes every check but has a non-positive diagonal
+    stable ones; the finite and residual checks of steady_state then run as
+    masks over the whole stack, and only the failing points are visited.
+    The first point that passes every check but has a non-positive diagonal
     raises CovarianceError.
     """
     verdicts = _hurwitz(drifts)
@@ -567,16 +573,19 @@ def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> 
         limit = 1e-10 * np.fmax(1e-300, np.max(np.abs(n), axis=(1, 2)))
         scale = np.max(np.abs(a), axis=(1, 2)), np.max(np.abs(v), axis=(1, 2))
         limit += 16.0 * np.finfo(float).eps * scale[0] * scale[1]
-    for j, i in enumerate(stable):
+        # A singular point was left NaN, so it fails here too but keeps its error.
+        failed = ~finite | (res > limit)
+    for j in np.flatnonzero(failed).tolist():
+        i = int(stable[j])
         if errors[i] is not None:
             continue
         if not finite[j]:
             errors[i] = NumericalError("non-finite steady-state solution")
-        elif res[j] > limit[j]:
+        else:
             errors[i] = NumericalError(
                 f"steady-state residual {res[j]:.3e} above tolerance {limit[j]:.3e}"
             )
-    ok = [j for j, i in enumerate(stable) if errors[i] is None]
+    ok = ~failed
     return _SteadyStack(errors=errors, covariances=_sample_array(v[ok]), residuals=res[ok])
 
 

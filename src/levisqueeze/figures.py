@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -150,29 +150,33 @@ def _grid_top(alpha_crit: float | None) -> float:
     return top if top >= 0.5 * alpha_crit else alpha_crit * (1.0 - ONSET_MARGIN)
 
 
-def _ok_reports(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> list[SqueezingReport]:
-    """Steady squeezing reports of stacked cooling-model points; the first error is raised."""
-    reports = _steady_reports(drifts, noises, CAVITY_MECH)
-    for report in reports:
-        if isinstance(report, Exception):
-            raise report
-    return reports
+def _ok_columns(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Steady v_sq, v_asq and angle columns (3, k) of stacked cooling-model points.
+
+    The first point's error, in stack order, is raised.
+    """
+    columns, errors = _steady_reports(drifts, noises, CAVITY_MECH)
+    for error in errors:
+        if error is not None:
+            raise error
+    return columns
 
 
 def _depth_scan(
     rows: Sequence[SystemParams], points: int
-) -> tuple[list[float | None], NDArray[np.float64], Iterator[list[SqueezingReport]]]:
+) -> tuple[list[float | None], NDArray[np.float64], NDArray[np.float64]]:
     """Steady squeezing of each row's cooling model on a depth grid just below its onset.
 
-    Returns the instability onsets, the grids of points depths each, and
-    each row's reports along its grid, one stacked steady solve per row as
-    it is read, so that only one row's solve is held at a time.
+    Returns the instability onsets, the (rows, points) depth grids and the
+    steady v_sq, v_asq and angle columns (3, rows, points) along them, all
+    rows' grids solved as one stack.
     """
     alpha_crits = modulation_instabilities(rows)
     grids = np.linspace(0.0, [_grid_top(crit) for crit in alpha_crits], points, axis=-1)
     drifts, noises, _ = bogoliubov_stack(rows, grids)
-    scans = (_ok_reports(d, np.broadcast_to(n, d.shape)) for d, n in zip(drifts, noises))
-    return alpha_crits, grids, scans
+    stacked = drifts.reshape((-1,) + drifts.shape[2:])
+    columns = _ok_columns(stacked, np.repeat(noises, points, axis=0))
+    return alpha_crits, grids, columns.reshape(3, len(rows), points)
 
 
 def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum]:
@@ -180,37 +184,32 @@ def optimize_modulations(rows: Sequence[SystemParams]) -> list[ModulationOptimum
 
     The stable branch below each row's instability (or the whole
     [0, ALPHA_MAX] range when none exists) is scanned on a uniform grid of 60
-    depths, one stacked steady solve per row; each discrete minimum is
+    depths, all rows in one stacked steady solve; each discrete minimum is
     polished with one parabolic step evaluated exactly, all rows' steps in
-    one solve.  A minimum on the first or last depth is reported with
+    one more solve.  A minimum on the first or last depth is reported with
     at_edge set.
     """
-    alpha_crits, grids, scans = _depth_scan(rows, 60)
-    best: list[tuple[float, SqueezingReport]] = []
+    alpha_crits, grids, (v_sq, v_asq, _) = _depth_scan(rows, 60)
+    # Each row's (alpha_opt, v_sq, v_asq), at its discrete minimum until polished.
+    best: list[tuple[float, float, float]] = []
     polish: list[tuple[int, float]] = []
     edges = []
-    for i, (grid, reports) in enumerate(zip(grids.tolist(), scans)):
-        j, edge, vertex = _grid_minimum(grid, [rep.v_sq for rep in reports])
-        best.append((grid[j], reports[j]))
+    for i, (grid, row_sq) in enumerate(zip(grids.tolist(), v_sq.tolist())):
+        j, edge, vertex = _grid_minimum(grid, row_sq)
+        best.append((grid[j], row_sq[j], float(v_asq[i, j])))
         edges.append(edge)
         if vertex is not None:
             polish.append((i, vertex[0]))
     if polish:
         polished_rows = [rows[i] for i, _ in polish]
         p_drifts, p_noises, _ = bogoliubov_stack(polished_rows, [[alpha] for _, alpha in polish])
-        reports = _ok_reports(p_drifts[:, 0], p_noises)
-        for (i, alpha), report in zip(polish, reports):
-            if report.v_sq < best[i][1].v_sq:
-                best[i] = (alpha, report)
+        p_sq, p_asq, _ = _ok_columns(p_drifts[:, 0], p_noises).tolist()
+        for (i, alpha), sq, asq in zip(polish, p_sq, p_asq):
+            if sq < best[i][1]:
+                best[i] = (alpha, sq, asq)
     return [
-        ModulationOptimum(
-            alpha_crit=crit,
-            alpha_opt=alpha,
-            v_sq=report.v_sq,
-            v_asq=report.v_asq,
-            at_edge=edge,
-        )
-        for crit, (alpha, report), edge in zip(alpha_crits, best, edges)
+        ModulationOptimum(alpha_crit=crit, alpha_opt=alpha, v_sq=sq, v_asq=asq, at_edge=edge)
+        for crit, (alpha, sq, asq), edge in zip(alpha_crits, best, edges)
     ]
 
 
@@ -346,12 +345,13 @@ def _fig3d(base: SystemParams, *, t_end: float, dt: float | None, points: int) -
 def _fig4a(base: SystemParams, *, points: int) -> FigureData:
     """Steady squeezing of the cooling scheme versus modulation depth."""
     series = (("qm-1e9", base.with_value("q_m", 1e9)), ("qm-1e8", base.with_value("q_m", 1e8)))
-    alpha_crits, grids, scans = _depth_scan([p for _, p in series], points)
+    alpha_crits, grids, columns = _depth_scan([p for _, p in series], points)
     meta: dict = {"params": base}
     named = []
-    for (name, p), alpha_crit, grid, reports in zip(series, alpha_crits, grids.tolist(), scans):
+    scans = np.moveaxis(columns, 0, -1).tolist()  # (v_sq, v_asq, angle) per row and depth
+    for (name, p), alpha_crit, grid, row in zip(series, alpha_crits, grids.tolist(), scans):
         meta[f"alpha_crit_{name}"] = alpha_crit
-        named += [(name, p.with_value("alpha", a), rep) for a, rep in zip(grid, reports)]
+        named += [(name, p.with_value("alpha", a), SqueezingReport(*c)) for a, c in zip(grid, row)]
     v_full = _cycle_min_vsqs([p for _, p, _ in named], math.pi / base.omega_x)
     rows = tuple(
         (name, p.alpha, rep.v_sq, rep.v_asq, rep.eta, bogoliubov_ground_variance(p.alpha), v)
@@ -397,7 +397,7 @@ def _figs5(base: SystemParams, *, points: int) -> FigureData:
     ]
     params = [p for _, p in named]
     drifts, noises, _ = bogoliubov_stack(params, [[p.alpha] for p in params])
-    reports = _ok_reports(drifts[:, 0], noises)
+    reports = [SqueezingReport(*c) for c in _ok_columns(drifts[:, 0], noises).T.tolist()]
     v_full = _cycle_min_vsqs(params, math.pi / base.omega_x)
     rows = tuple(
         (name, p.phi, rep.v_sq, rep.v_asq, rep.eta, v)

@@ -83,18 +83,13 @@ def _eigen_variances(blocks: NDArray[np.float64]) -> tuple[NDArray[np.float64], 
     return (a * c - b**2) / v_asq, v_asq, np.mod(0.5 * np.arctan2(-2.0 * b, c - a), np.pi)
 
 
-def _squeezing_reports(blocks: NDArray[np.float64]) -> list[SqueezingReport]:
-    """Reduce stacked (k, 2, 2) covariances to one report each."""
-    return [SqueezingReport(*row) for row in zip(*(x.tolist() for x in _eigen_variances(blocks)))]
-
-
 def squeezing_metrics(v: NDArray[np.float64]) -> SqueezingReport:
     """Reduce a 2x2 covariance to its squeezing figures of merit."""
     m = np.asarray(v, dtype=float)
     if m.shape != (2, 2):
         raise ParameterError(f"need a 2x2 mechanical block, got shape {m.shape}")
     _checked_diagonals(m)
-    return _squeezing_reports(m[None])[0]
+    return SqueezingReport(*(float(x[0]) for x in _eigen_variances(m[None])))
 
 
 #: Columns of :func:`mechanical_trajectory`.
@@ -218,14 +213,18 @@ class SweepTable:
 
 def _steady_reports(
     drifts: NDArray[np.float64], noises: NDArray[np.float64], basis: QuadratureBasis
-) -> list[SqueezingReport | Exception]:
-    """Each stacked point's steady squeezing report, or the exception steady_state raises for it.
+) -> tuple[NDArray[np.float64], list[Exception | None]]:
+    """The steady v_sq, v_asq and angle columns (3, k) of k stacked points, and each point's
+    error: the exception steady_state raises for it, or None.
 
-    The points are solved as one stack and reduced by one closed form.
+    The points are solved as one stack and reduced by one closed form; a
+    failed point's columns are NaN.
     """
     stack = _steady_states(drifts, noises)
-    reports = iter(_squeezing_reports(mechanical_block(stack.covariances, basis)))
-    return [next(reports) if error is None else error for error in stack.errors]
+    columns = np.full((3, len(stack.errors)), np.nan)
+    ok = [error is None for error in stack.errors]
+    columns[:, ok] = _eigen_variances(mechanical_block(stack.covariances, basis))
+    return columns, stack.errors
 
 
 def _transient_point(
@@ -261,12 +260,10 @@ def sweep(
 
     if evaluation == "steady":
         models = [build(params.with_value(axis.name, value)) for value in axis.values]
-        outcomes = _steady_reports(*_constant_parts(models), models[0].basis)
+        columns, errors = _steady_reports(*_constant_parts(models), models[0].basis)
         points = [
-            SweepPoint(value, None, out)
-            if isinstance(out, Exception)
-            else SweepPoint(value, out)
-            for value, out in zip(axis.values, outcomes)
+            SweepPoint(value, SqueezingReport(*row) if error is None else None, error)
+            for value, row, error in zip(axis.values, columns.T.tolist(), errors)
         ]
     else:
         points = [

@@ -773,6 +773,53 @@ def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
         assert res == want.residual_norm
 
 
+def test_a_mixed_stack_fails_each_point_as_steady_state_does(monkeypatch):
+    # One stack of an ok point, an unstable one, a singular one, a
+    # non-finite one, one above the residual tolerance and a second ok one:
+    # each failed point keeps the error type and message steady_state gives
+    # it alone, and the ok points' covariances match it bit for bit.
+    models = [
+        _tilted_cavity(0.0),
+        LinearGaussianModel.constant(MECH, 0.1 * np.eye(2), 2.0 * np.eye(2), 1.0),
+        _tilted_cavity(0.5),
+        LinearGaussianModel.constant(MECH, -1e-10 * np.eye(2), 1e300 * np.eye(2), 1.0),
+        _tilted_cavity(2.0),
+        _tilted_cavity(1.0),
+    ]
+    singular, off = (_generator(np.asarray(models[i].drift_at(0.0))) for i in (2, 4))
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        # Singular on one generator; (1 + 1e-6) times the solution on another,
+        # in a stacked and in a one-point solve alike.
+        if np.any(np.all(a == singular, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = real_solve(a, b)
+        return np.where(np.all(a == off, axis=(-2, -1))[..., None, None], x * (1.0 + 1e-6), x)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    stack = _steady_states(*_constant_parts(models))
+    alone = []
+    for model in models:
+        try:
+            alone.append(steady_state(model))
+        except (NumericalError, UnstableModelError) as exc:
+            alone.append(exc)
+    kinds = [type(e) for e in stack.errors]
+    assert kinds == [type(None), UnstableModelError] + [NumericalError] * 3 + [type(None)]
+    assert str(stack.errors[2]) == "singular Lyapunov system: Singular matrix"
+    assert str(stack.errors[3]) == "non-finite steady-state solution"
+    assert str(stack.errors[4]).startswith("steady-state residual ")
+    for error, want in zip(stack.errors, alone):
+        if error is not None:
+            assert type(error) is type(want) and str(error) == str(want)
+    ok = [want for want in alone if not isinstance(want, Exception)]
+    assert len(ok) == len(stack.covariances) == 2
+    for got, want, res in zip(stack.covariances, ok, stack.residuals):
+        assert np.array_equal(got, want.covariance.entries)
+        assert res == want.residual_norm
+
+
 def test_a_non_finite_steady_state_is_refused():
     # A barely damped pair under enormous noise settles at V = N / 2e-10,
     # beyond the float range, in the constant solve and the period map alike.
@@ -870,6 +917,26 @@ def test_hurwitz_verdict_is_the_spectral_one_across_model_onsets(detuned, resona
     depths = [np.concatenate([np.linspace(0.0, 1.95, 400), onset + near]) for onset in onsets]
     want = _same_verdicts(bogoliubov_stack(rows, depths)[0])
     assert want[:, :400].any(axis=1).all() and not want[:, :400].all(axis=1).any()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_hurwitz_judges_a_lone_drift_as_in_a_stack(rng, d):
+    # A lone drift is judged on numpy scalars, a stack on arrays; the
+    # verdicts agree bit for bit, on scaled, zero and marginal drifts too,
+    # and keep the shape of the stack.
+    shifts = np.array([0.0, 1.0, 2.0])[:, None, None, None] * np.eye(d)
+    rotation = np.diag([0.0, 0.0] + [-2.0] * (d - 2))
+    rotation[0, 1], rotation[1, 0] = 1.0, -1.0
+    marginal = [np.zeros((d, d)), rotation, np.diag([-1.0] * (d - 1) + [0.0])]
+    drifts = (rng.normal(size=(3, 300, d, d)) - shifts).reshape(-1, d, d)
+    drifts = np.concatenate([drifts, marginal])
+    for scale in (1.0, 1e8, 1e-8):
+        stacked = _hurwitz(scale * drifts)
+        for drift, want in zip(scale * drifts, stacked.tolist()):
+            for shape in ((d, d), (1, d, d), (1, 1, d, d)):
+                got = _hurwitz(drift.reshape(shape))
+                assert got.shape == shape[:-2] and got.item() is want
+    assert not stacked[-3:].any() and 0 < np.count_nonzero(stacked) < len(drifts) - 3
 
 
 def test_marginal_drifts_are_unstable_without_a_warning():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levisqueeze import figures
+from levisqueeze import figures, metrics
 from levisqueeze.cli import RunConfig
 from levisqueeze.dynamics import (
     MAX_BISECTIONS,
@@ -374,6 +374,32 @@ def test_lockstep_optimization_equals_a_per_row_reference():
     expected = _reference_rows(rows)
     assert got == expected
     assert expected[-1][0] is None and not expected[-2][4]
+
+
+@pytest.mark.parametrize(
+    "figure, overrides, solves",
+    [
+        ("fig4a", {"points": 3}, [(6, 4, 4)]),
+        ("fig4b", {"points": 3, "lam": 2.0, "kappa": 2.0}, [(180, 4, 4), (3, 4, 4)]),
+        ("fig4c", {"points": 3, "omega_x": 0.05, "delta": 0.05}, [(360, 4, 4), (6, 4, 4)]),
+        ("fig4c", {"points": 3}, [(360, 4, 4)]),
+    ],
+    ids=["fig4a", "fig4b-polished", "fig4c-polished", "fig4c-on-edges"],
+)
+def test_fig4_solves_all_rows_depth_scans_as_one_stack(monkeypatch, figure, overrides, solves):
+    # fig4a's rows at points depths each, and fig4b's and fig4c's at 60, are
+    # one steady solve; the rows whose minimum is interior are polished in
+    # one more, and none is made when every minimum sits on a grid edge.
+    shapes = []
+    real = metrics._steady_states
+
+    def counted(drifts, noises):
+        shapes.append(drifts.shape)
+        return real(drifts, noises)
+
+    monkeypatch.setattr(metrics, "_steady_states", counted)
+    run_figure(figure, overrides)
+    assert shapes == solves
 
 
 def test_fig4a_tracks_the_ideal_variance():

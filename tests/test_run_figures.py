@@ -21,7 +21,10 @@ def test_renders_the_requested_figures(run_figures, tmp_path, capsys):
         lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
         assert len(lines) > 1
         assert (tmp_path / f"{fig}.csv.sidecar.json").exists()
-    assert "fig2c: wrote" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == figures
+    assert lines[0].startswith("fig2c: wrote") and lines[0].endswith(" MB")
+    assert all(" peak RSS " in line for line in lines)
 
 
 def test_unknown_figure_id_exits_2(run_figures, tmp_path):
