@@ -16,15 +16,14 @@ solves with.  On (vech V, 1) it is linear, so evolve's RK4 steps are
 matrices built in small batches from the generators at the stage times,
 taken through every step of a time-dependent model and, for a constant one,
 raised to the powers that fill its stored samples by doubling.
-periodic_steady_state steps a stack of models in d x d arithmetic: the
-monodromy Phi, taken through the same RK4 maps M, and the noise integral Q,
-advanced by the congruence Q -> M Q M^T plus each step's noise integral by
-Simpson's rule, give the orbit start V0 = Phi V0 Phi^T + Q, solved on vech
-V0.  Both solvers sample a time-dependent model on the stage times of a
-chunk of steps at a time, with one drift_at and one diffusion_at call per
-model and chunk on the whole array of times: CHUNK_STEPS steps for evolve,
-and for a stack of k periodic models max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k).
-The RK4 stages of every step are slices of that array of samples.
+periodic_steady_state steps the k rows of a stacked model in d x d
+arithmetic: the monodromy Phi, taken through the same RK4 maps M, and the
+noise integral Q, advanced by the congruence Q -> M Q M^T plus each step's
+noise integral by Simpson's rule, give the orbit start V0 = Phi V0 Phi^T + Q,
+solved on vech V0.  Both solvers sample a time-dependent model, all rows at
+once, with one drift_at and one diffusion_at call on the stage times of a
+chunk of steps: CHUNK_STEPS for evolve, for k periodic rows
+max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k).  RK4 stages slice those samples.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ DT_RESOLUTION = 0.01
 CYCLE_SAMPLES = 257
 #: Steps of a time-dependent model whose maps are built in one batch.
 CHUNK_STEPS = 16
-#: Model-steps of a periodic stack sampled in one batch: a stack of 24 or
-#: more models steps CHUNK_STEPS at a time, a smaller one longer chunks.
+#: Row-steps of a periodic stack sampled in one batch: a stack of 24 or
+#: more rows steps CHUNK_STEPS at a time, a smaller one longer chunks.
 CHUNK_MODEL_STEPS = 384
 #: Bisection steps of a bracket before it stops short of its tolerance.
 MAX_BISECTIONS = 200
@@ -635,35 +634,33 @@ def _congruence_steps(
 
 
 def _periodic_states(
-    models: list[LinearGaussianModel], period: float
+    model: LinearGaussianModel, period: float
 ) -> list[PeriodicSteadyState | Exception]:
-    """Periodic steady states of stacked models: each its result or the error it raises.
+    """Periodic steady states of a row-stacked model: each row's result or the error it raises.
 
-    The models must share a basis and a default step, else ParameterError.
-    On that step's grid the monodromy Phi (from I) and the noise integral Q
-    (from 0) are stepped over one period for all models at once: each step
-    takes Phi -> M Phi and Q -> M Q M^T + G with _congruence_steps' RK4 map
-    M and Simpson gain G.  The models are sampled at the half-step stage
-    times, max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k) steps at a time for k
-    models.  V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL 103, 213603
-    (2009)); the cycle samples are Phi V0 Phi^T + Q.
+    A stack of k rows (models._lab_stack) samples (s, k, d, d) at times of
+    shape (s, 1), and one diffusion sample at t = 0 gives k; any other
+    model is the k = 1 stack.  Over one period at the default step, each
+    row's monodromy Phi (from I) and noise integral Q (from 0) step as
+    Phi -> M Phi and Q -> M Q M^T + G, with _congruence_steps' RK4 map M
+    and Simpson gain G, sampled max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k)
+    steps per call.  V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL
+    103, 213603 (2009)); the cycle samples are Phi V0 Phi^T + Q.
     """
-    if len({(model.basis, _default_dt(model)) for model in models}) > 1:
-        raise ParameterError("stacked periodic models must share a basis and a default step")
-    n_steps, h = _step_grid(period, _default_dt(models[0]))
-    d, stored = models[0].basis.dim, _stored_steps(n_steps, CYCLE_SAMPLES)
-    chunk = max(CHUNK_STEPS, CHUNK_MODEL_STEPS // len(models))
-    phi, q = np.broadcast_to(np.eye(d), (len(models), d, d)), np.zeros((len(models), d, d))
+    if not model.fastest_rate > 0.0:
+        raise ParameterError("periodic_steady_state needs a positive fastest_rate; it takes no dt")
+    n_steps, h = _step_grid(period, _default_dt(model))
+    d, stored = model.basis.dim, _stored_steps(n_steps, CYCLE_SAMPLES)
+    k = model.diffusion_at(np.zeros((1, 1))).shape[1]
+    chunk = max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k)
+    phi, q = np.broadcast_to(np.eye(d), (k, d, d)), np.zeros((k, d, d))
     samples = [(phi, q)]
-    # A diverged model is carried as inf and NaN, without warnings.
+    # A diverged row is carried as inf and NaN, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_steps, chunk):
             count = min(chunk, n_steps - first)
-            times = (2 * first + np.arange(2 * count + 1)) * (h / 2)
-            # One call per model samples its chunk; axis 1 runs over the models.
-            drifts = np.stack([m.drift_at(times) for m in models], axis=1)
-            noises = np.stack([m.diffusion_at(times) for m in models], axis=1)
-            maps, gains = _congruence_steps(drifts, noises, h)
+            times = ((2 * first + np.arange(2 * count + 1)) * (h / 2))[:, None]
+            maps, gains = _congruence_steps(model.drift_at(times), model.diffusion_at(times), h)
             steps = zip(range(first + 1, n_steps + 1), maps, maps.swapaxes(-1, -2), gains)
             for step, m, mt, g in steps:
                 phi = m @ phi
@@ -702,7 +699,7 @@ def _periodic_states(
             out[i] = error
             continue
         res = float(np.max(np.abs(covs[-1] - v0)) / max(1.0, np.max(np.abs(v0))))
-        out[i] = PeriodicSteadyState(times, covs, models[i].basis, float(radii[i]), res)
+        out[i] = PeriodicSteadyState(times, covs, model.basis, float(radii[i]), res)
     return out
 
 
@@ -713,7 +710,7 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     is what a long evolve run settles onto, and for a constant model, at any
     period, its steady_state, both up to the integration error.
     """
-    (cycle,) = _periodic_states([model], period)
+    (cycle,) = _periodic_states(model, period)
     if isinstance(cycle, Exception):
         raise cycle
     return cycle

@@ -36,11 +36,11 @@ from .metrics import (
 )
 from .models import (
     SystemParams,
+    _lab_stack,
     bogoliubov_ground_variance,
     bogoliubov_stack,
     build_eliminated_modulated,
     build_full_cs,
-    build_full_modulated,
     effective_modulated,
     initial_covariance,
     threshold_coupling,
@@ -94,7 +94,7 @@ def _cycle_min_vsqs(rows: Sequence[SystemParams], period: float) -> list[float |
     minimum over one cycle, period = pi / omega_x, of the lab dynamics, all
     rows in one stack.  None where there is no periodic steady state.
     """
-    cycles = _periodic_states([build_full_modulated(p) for p in rows], period)
+    cycles = _periodic_states(_lab_stack(rows), period)
     for cycle in cycles:
         if isinstance(cycle, Exception) and not isinstance(cycle, UnstableModelError):
             raise cycle

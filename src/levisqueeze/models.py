@@ -167,37 +167,52 @@ def build_full_cs(params: SystemParams) -> LinearGaussianModel:
     return LinearGaussianModel.constant(CAVITY_MECH, a, noise, rate)
 
 
-def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
-    """Two-mode model with trap stiffness modulated at 2 omega_x.
+def _squared(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Each entry's libm x ** 2; numpy's product rounds differently about once in a thousand."""
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
-    The model of :func:`_lab_frame` at M(t) = 1 + alpha cos(2 omega_x t + phi):
-    M enters the potential as omega_x M^2 x^2 / 2 and scales the coupling to
-    lam M, since both derive from the same tweezer field.  At alpha = 0 this
-    is the constant build_full_cs model.
+
+def _lab_stack(rows: Sequence[SystemParams]) -> LinearGaussianModel:
+    """Lab-frame models of k rows at M(t) = 1 + alpha cos(2 omega_x t + phi), as one model.
+
+    drift_at and diffusion_at broadcast the times against the row axis, so
+    times of shape (s, 1) give (s, k, 4, 4); one row has no row axis.  Rows
+    of different fastest rates, so default steps, raise ParameterError.
     """
-    p = params
-    if p.alpha == 0.0:
-        return build_full_cs(p)
-    h, decay, n, rate = _lab_frame(p)
+    hs, decays, noises, rates = zip(*[_lab_frame(p) for p in rows])
+    if len(set(rates)) > 1:
+        raise ParameterError("stacked periodic models must share a basis and a default step")
+    lead = (len(rows),) if len(rows) > 1 else ()
+    n = np.array(noises).reshape(lead + (4, 4))
+    bath = np.array([np.vstack([decay, np.zeros((2, 4))]) for decay in decays])
     # A(t) = A0 + M A1 + M^2 A2 with the bath in A0.  Every entry of H is a
     # single monomial in M and Omega only permutes and negates entries, so
     # the sum below equals the drift of H(M) bit for bit.
-    a0, a1, a2 = drift_from_quadratic(h, np.vstack([decay, np.zeros((2, 4))]))
+    a0, a1, a2 = np.moveaxis(drift_from_quadratic(np.array(hs), bath), 1, 0).reshape((3,) + n.shape)
+    columns = np.array([(p.alpha, 2.0 * p.omega_x, p.phi) for p in rows]).T
+    alpha, drive, phi = columns.reshape((3,) + lead)
 
     def drift_at(t: float | NDArray[np.float64]) -> NDArray[np.float64]:
-        m = 1.0 + p.alpha * np.cos(2.0 * p.omega_x * np.asarray(t, dtype=float) + p.phi)
-        # numpy squares by multiplication, which rounds differently from the
-        # libm pow of a Python float's M ** 2 in about one case in a thousand.
-        m_sq = np.array([x**2 for x in m.ravel().tolist()]).reshape(m.shape)
-        return a0 + m[..., None, None] * a1 + m_sq[..., None, None] * a2
+        m = 1.0 + alpha * np.cos(drive * np.asarray(t, dtype=float) + phi)
+        return a0 + m[..., None, None] * a1 + _squared(m)[..., None, None] * a2
 
     return LinearGaussianModel(
         basis=CAVITY_MECH,
         drift_at=drift_at,
-        diffusion_at=lambda t: np.broadcast_to(n, np.shape(t) + n.shape),
+        diffusion_at=lambda t: np.broadcast_to(n, np.broadcast_shapes(np.shape(t), lead) + (4, 4)),
         is_time_independent=False,
-        fastest_rate=rate,
+        fastest_rate=rates[0],
     )
+
+
+def build_full_modulated(params: SystemParams) -> LinearGaussianModel:
+    """Two-mode model with trap stiffness modulated at 2 omega_x: the one-row :func:`_lab_stack`.
+
+    M enters the potential as omega_x M^2 x^2 / 2 and scales the coupling to
+    lam M, since both derive from the same tweezer field.  At alpha = 0 this
+    is the constant build_full_cs model.
+    """
+    return build_full_cs(params) if params.alpha == 0.0 else _lab_stack([params])
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +422,7 @@ def bogoliubov_stack(
     )
     w, lam, kappa, gamma, nbar, c, s = columns.reshape(-1, 7).T.copy()[..., None]
     g = lam / SQRT2
-    # numpy squares by multiplication, which rounds differently from the libm
-    # pow of a float's ** 2 in about one case in a thousand.
-    alpha_sq = np.array([a**2 for a in alphas.ravel().tolist()]).reshape(alphas.shape)
+    alpha_sq = _squared(alphas)
     h = np.zeros(alphas.shape + (4, 4))
     h[..., 2, 2] = w * alphas / 2.0 * c + w * alpha_sq / 4.0
     h[..., 3, 3] = -w * alphas / 2.0 * c + w * alpha_sq / 4.0

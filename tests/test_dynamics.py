@@ -54,6 +54,7 @@ from levisqueeze.metrics import vsq_trajectory
 from levisqueeze.montecarlo import EnsembleSpec
 from levisqueeze.models import (
     SystemParams,
+    _lab_stack,
     bogoliubov_stack,
     build_eliminated_detuned,
     build_full_cs,
@@ -375,15 +376,24 @@ def test_time_dependent_evolve_matches_an_adaptive_solver(detuned):
 
 def counted(
     model: LinearGaussianModel,
-) -> tuple[LinearGaussianModel, list[NDArray[np.float64]]]:
-    """The model with each drift_at call's times recorded, one array per call."""
-    calls: list[NDArray[np.float64]] = []
+) -> tuple[LinearGaussianModel, list[NDArray[np.float64]], list[NDArray[np.float64]]]:
+    """The model with each drift_at and diffusion_at call's times recorded, one array per call."""
+    drift_calls: list[NDArray[np.float64]] = []
+    noise_calls: list[NDArray[np.float64]] = []
 
-    def drift_at(t):
-        calls.append(np.atleast_1d(t))
-        return model.drift_at(t)
+    def recorded(sample, calls):
+        def at(t):
+            calls.append(np.atleast_1d(t))
+            return sample(t)
 
-    return dataclasses.replace(model, drift_at=drift_at), calls
+        return at
+
+    recorder = dataclasses.replace(
+        model,
+        drift_at=recorded(model.drift_at, drift_calls),
+        diffusion_at=recorded(model.diffusion_at, noise_calls),
+    )
+    return recorder, drift_calls, noise_calls
 
 
 def stage_grid(n: int, per_step: int, h: float, chunk: int = CHUNK_STEPS) -> NDArray[np.float64]:
@@ -399,39 +409,48 @@ def stage_grid(n: int, per_step: int, h: float, chunk: int = CHUNK_STEPS) -> NDA
 def test_stepping_samples_the_drift_once_per_stage_time(resonant):
     # evolve samples every quarter step (two half steps plus the full step),
     # periodic_steady_state every half step; each chunk samples its own
-    # endpoints, in one drift_at call per model.  evolve's chunks are
-    # CHUNK_STEPS steps, a periodic stack's max(CHUNK_STEPS,
-    # CHUNK_MODEL_STEPS // k) for k models.  A constant model's evolve
+    # endpoints, in one drift_at and one diffusion_at call for the whole
+    # stack.  evolve's chunks are CHUNK_STEPS steps, a periodic stack's
+    # max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k) for k rows, sampled on a
+    # column of times.  The periodic solver reads k from one probe, the
+    # diffusion at a (1, 1) array of t = 0.  A constant model's evolve
     # samples once, but its periodic_steady_state samples it as a
     # time-dependent one.
-    model, calls = counted(build_full_modulated(dataclasses.replace(resonant, alpha=0.4)))
+    p = resonant.with_value("alpha", 0.4)
+    model, calls, noise_calls = counted(build_full_modulated(p))
     result = evolve(model, np.eye(4), 1.0)
     n = result.stats.n_steps
     sampled = np.concatenate(calls)
     assert len(sampled) == 4 * n + math.ceil(n / CHUNK_STEPS)
     assert np.array_equal(sampled, stage_grid(n, 4, result.stats.dt))
     assert len(calls) == math.ceil(n / CHUNK_STEPS)
+    assert len(noise_calls) == len(calls)
+    assert all(np.array_equal(c, nc) for c, nc in zip(calls, noise_calls))
     period = math.pi / resonant.omega_x
     n = math.ceil(period * model.fastest_rate / DT_RESOLUTION)
+    probe = np.zeros((1, 1))
     for k in (1, 3, 24, 30):
-        calls.clear()
+        stack, calls, noise_calls = counted(_lab_stack([p] * k))
         chunk = max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k)
         assert k < 24 or chunk == CHUNK_STEPS
-        _periodic_states([model] * k, period)
-        # Every call of the k models is recorded, in model order within a chunk.
-        assert len(calls) == k * math.ceil(n / chunk)
-        sampled = np.concatenate(calls[::k])
+        _periodic_states(stack, period)
+        assert len(calls) == math.ceil(n / chunk)
+        assert all(c.shape == (len(c), 1) for c in calls)
+        sampled = np.concatenate(calls)[:, 0]
         assert len(sampled) == 2 * n + math.ceil(n / chunk)
         assert np.array_equal(sampled, stage_grid(n, 2, period / n, chunk))
-        assert all(np.array_equal(c, calls[i - i % k]) for i, c in enumerate(calls))
-    constant, calls = counted(build_full_cs(resonant))
+        assert noise_calls[0].shape == probe.shape and np.array_equal(noise_calls[0], probe)
+        assert len(noise_calls) == 1 + len(calls)
+        assert all(np.array_equal(c, nc) for c, nc in zip(calls, noise_calls[1:]))
+    constant, calls, noise_calls = counted(build_full_cs(resonant))
     evolve(constant, np.eye(4), 1.0)
-    assert sum(map(len, calls)) == len(calls) == 1
+    assert sum(map(len, calls)) == len(calls) == len(noise_calls) == 1
     periodic_steady_state(constant, period)
     n = math.ceil(period * constant.fastest_rate / DT_RESOLUTION)
     chunk = CHUNK_MODEL_STEPS
     assert sum(map(len, calls)) == 1 + 2 * n + math.ceil(n / chunk)
     assert len(calls) == 1 + math.ceil(n / chunk)
+    assert len(noise_calls) == 2 + math.ceil(n / chunk)
 
 
 def test_evolve_is_fourth_order():
@@ -1066,6 +1085,14 @@ def test_periodic_steady_state_rejects_bad_arguments():
     model = damped_cavity()
     with pytest.raises(ParameterError):
         periodic_steady_state(model, 0.0)
+    # Without a fastest rate the period fixes no step, and periodic_steady_state
+    # takes no dt; evolve still asks for one.
+    rateless = dataclasses.replace(model, fastest_rate=0.0)
+    with pytest.raises(ParameterError) as refused:
+        periodic_steady_state(rateless, 2.0)
+    assert str(refused.value) == "periodic_steady_state needs a positive fastest_rate; it takes no dt"
+    with pytest.raises(ParameterError, match="pass dt explicitly"):
+        evolve(rateless, np.eye(2), 1.0)
 
 
 def dop853_orbit_start(model, period: float) -> np.ndarray:
@@ -1116,30 +1143,44 @@ def test_every_cycle_sample_matches_a_dop853_orbit(resonant, alpha):
 
 
 def test_stacked_periodic_states_equal_one_model_calls(resonant):
-    # The second model is parametrically unstable; the stack carries its
-    # error and solves the figS5 depths around it exactly as one-model calls
-    # do, so each model's sampled drifts land in its own row of the stack.
-    alphas = (0.4, 0.6, 0.1, 0.01)
-    models = [build_full_modulated(resonant.with_value("alpha", a)) for a in alphas]
+    # The second row is parametrically unstable; the stack carries its error
+    # and solves the figS5 depths around it exactly as one-row calls do, so
+    # each row's sampled drifts land in its own row of the stack.
+    rows = [resonant.with_value("alpha", a) for a in (0.4, 0.6, 0.1, 0.01)]
     period = math.pi / resonant.omega_x
-    stack = _periodic_states(models, period)
+    stack = _periodic_states(_lab_stack(rows), period)
     with pytest.raises(UnstableModelError) as single_error:
-        periodic_steady_state(models[1], period)
+        periodic_steady_state(build_full_modulated(rows[1]), period)
     assert isinstance(stack[1], UnstableModelError)
     assert str(stack[1]) == str(single_error.value)
-    for model, got in zip(models[:1] + models[2:], stack[:1] + stack[2:]):
-        want = periodic_steady_state(model, period)
+    for row, got in zip(rows[:1] + rows[2:], stack[:1] + stack[2:]):
+        want = periodic_steady_state(build_full_modulated(row), period)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.covariances, want.covariances)
         assert got.spectral_radius == want.spectral_radius
         assert got.residual_norm == want.residual_norm
 
 
+def constant_stack(models: list[LinearGaussianModel]) -> LinearGaussianModel:
+    """Constant models of one basis and rate as one stack: times (s, 1) give (s, k, d, d)."""
+    drifts = np.array([m.drift_at(0.0) for m in models])
+    noises = np.array([m.diffusion_at(0.0) for m in models])
+
+    def sampled(parts):
+        return lambda t: np.broadcast_to(
+            parts, np.broadcast_shapes(np.shape(t), parts.shape[:1]) + parts.shape[1:]
+        )
+
+    return LinearGaussianModel(
+        models[0].basis, sampled(drifts), sampled(noises), False, models[0].fastest_rate
+    )
+
+
 def test_stacked_periodic_states_carry_a_non_positive_diagonal_as_its_error():
     # bad settles on V = -2 I: its samples are finite, but their diagonal is negative.
     ok = damped_cavity()
     bad = LinearGaussianModel.constant(MECH, -np.eye(2), -4.0 * np.eye(2), 1.0)
-    stack = _periodic_states([ok, bad, ok], 2.0)
+    stack = _periodic_states(constant_stack([ok, bad, ok]), 2.0)
     with pytest.raises(CovarianceError) as single_error:
         periodic_steady_state(bad, 2.0)
     assert str(single_error.value) == "non-positive diagonal entries [-2. -2.]"
@@ -1165,8 +1206,10 @@ def test_stored_steps_keep_both_ends_within_the_cap(n_steps, most):
     assert stride == 1 or len(range(0, n_steps, stride - 1)) + 1 > most
 
 
-def test_stacked_periodic_states_refuse_mismatched_default_steps(resonant):
-    fast = build_full_modulated(resonant.with_value("alpha", 0.4))
-    slow = dataclasses.replace(fast, fastest_rate=0.5 * fast.fastest_rate)
-    with pytest.raises(ParameterError, match="default step"):
-        _periodic_states([fast, slow], math.pi / resonant.omega_x)
+def test_stacked_periodic_states_refuse_mismatched_default_steps(resonant, detuned):
+    # A resonant row's fastest rate is 2 omega_x, a detuned row's delta.
+    rows = [resonant.with_value("alpha", 0.4), detuned.with_value("alpha", 0.4)]
+    assert build_full_modulated(rows[0]).fastest_rate != build_full_modulated(rows[1]).fastest_rate
+    with pytest.raises(ParameterError) as refused:
+        _lab_stack(rows)
+    assert str(refused.value) == "stacked periodic models must share a basis and a default step"

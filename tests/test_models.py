@@ -194,6 +194,35 @@ def test_full_modulated_samples_an_array_of_times_as_single_times(resonant):
     assert all(np.array_equal(n, model.diffusion_at(0.3)) for n in noises)
 
 
+def test_lab_stack_rows_equal_the_one_row_builders(resonant):
+    # Each row of a mixed stack samples as its one-row build bit for bit: the
+    # alpha = 0 row as build_full_cs (M = 1), the others as
+    # build_full_modulated, on a grid where every modulated row has times
+    # with M * M != M ** 2.  The last row's M changes sign.
+    rows = [
+        resonant,
+        dataclasses.replace(resonant, alpha=0.4, phi=1.1),
+        dataclasses.replace(resonant, alpha=0.4, phi=-2.3),
+        dataclasses.replace(resonant, alpha=1.2, lam=0.5, kappa=0.7),
+    ]
+    stack = models._lab_stack(rows)
+    ts = np.linspace(0.0, 7.3, 4001)
+    drifts, noises = stack.drift_at(ts[:, None]), stack.diffusion_at(ts[:, None])
+    for i, p in enumerate(rows[1:], start=1):
+        ms = [1.0 + p.alpha * math.cos(2.0 * p.omega_x * t + p.phi) for t in ts.tolist()]
+        split = [j for j, m in enumerate(ms) if m * m != m**2]
+        assert split
+        assert all(np.array_equal(drifts[j, i], rebuilt_drift(p, ms[j])) for j in split)
+    assert drifts.shape == noises.shape == (len(ts), len(rows), 4, 4)
+    assert stack.drift_at(0.3).shape == stack.diffusion_at(0.3).shape == (len(rows), 4, 4)
+    assert not stack.is_time_independent
+    builds = [build_full_cs(rows[0])] + [build_full_modulated(p) for p in rows[1:]]
+    for i, one in enumerate(builds):
+        assert one.fastest_rate == stack.fastest_rate
+        assert drifts[:, i].tobytes() == one.drift_at(ts).tobytes()
+        assert noises[:, i].tobytes() == one.diffusion_at(ts).tobytes()
+
+
 def test_constant_models_sample_read_only_stacks(resonant):
     model = build_full_cs(resonant)
     ts = np.array([0.0, 0.3, 2.7])
@@ -219,7 +248,8 @@ def test_full_modulated_period_averaged_spring(detuned):
 
 def test_the_lab_builders_read_one_bath(detuned, monkeypatch):
     # Changing the one statement of the lab bath changes every lab-frame
-    # builder, full-modulated at alpha = 0 (the constant full model) included.
+    # builder, full-modulated at alpha = 0 (the constant full model) and the
+    # row-stacked lab model included.
     lab_frame = models._lab_frame
 
     def doubled_bath(params):
@@ -231,6 +261,7 @@ def test_the_lab_builders_read_one_bath(detuned, monkeypatch):
         (build_full_modulated, detuned),
         (build_full_modulated, dataclasses.replace(detuned, alpha=0.3)),
         (build_eliminated_detuned, detuned),
+        (models._lab_stack, [detuned, dataclasses.replace(detuned, alpha=0.3)]),
     )
     before = [build(p) for build, p in builds]
     monkeypatch.setattr(models, "_lab_frame", doubled_bath)
