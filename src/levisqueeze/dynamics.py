@@ -253,13 +253,6 @@ def _step_errors(defects: NDArray[np.float64], states: NDArray[np.float64]) -> N
     return np.max(np.abs(defects), axis=1) / np.fmax(1.0, np.max(np.abs(states), axis=1))
 
 
-def _sample_array(covs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The stacked samples made read-only; a non-positive diagonal raises."""
-    _checked_diagonals(covs)
-    covs.flags.writeable = False
-    return covs
-
-
 def _sample_covariances(
     times: NDArray[np.float64], covs: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -271,7 +264,9 @@ def _sample_covariances(
     diverged = np.flatnonzero(~np.all(np.isfinite(covs), axis=(1, 2)))
     if diverged.size:
         raise NumericalError(f"covariance diverged at t = {times[diverged[0]]:g}")
-    return _sample_array(covs)
+    _checked_diagonals(covs)
+    covs.flags.writeable = False
+    return covs
 
 
 def _checked_samples(
@@ -516,17 +511,11 @@ def evolve(
     return EvolutionResult(times=times, covariances=covariances, basis=model.basis, stats=stats)
 
 
-@dataclass(frozen=True, eq=False)
-class _SteadyStack:
-    """Steady states of k stacked constant models.
-
-    errors[i] is the exception steady_state raises for point i, or None;
-    covariances and residuals hold the points without one, in order.
-    """
-
-    errors: list[Exception | None]
-    covariances: NDArray[np.float64]
-    residuals: NDArray[np.float64]
+def _raise_first(errors: list[Exception | None]) -> None:
+    """Raise the first error of a stack, in stack order; a stack without one passes."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _stacked_solve(gens: NDArray[np.float64], rhs: NDArray[np.float64], points, errors, system):
@@ -544,48 +533,55 @@ def _stacked_solve(gens: NDArray[np.float64], rhs: NDArray[np.float64], points, 
         return vecs
 
 
-def _steady_states(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> _SteadyStack:
+def _steady_states(
+    drifts: NDArray[np.float64], noises: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64], list[Exception | None]]:
     """Solve A V + V A^T + N = 0 for stacked (k, d, d) drifts and diffusions.
 
-    One batched _hurwitz judges every point, one eigvals on the unstable
-    points only gives their error messages, and one _stacked_solve takes the
-    stable ones; the finite and residual checks of steady_state then run as
-    masks over the whole stack, and only the failing points are visited.
-    The first point that passes every check but has a non-positive diagonal
+    Returns the covariances (k, d, d) and residuals (k,), read-only and NaN
+    at each failed point, and each point's error: the exception
+    steady_state raises for it, or None.  One _stacked_solve takes every
+    point, one batched _hurwitz judges them, and one eigvals on the unstable
+    points only gives their error messages, which replace any error of the
+    solve; the finite and residual checks of steady_state then run as masks
+    over the whole stack, and only the failing points are visited.  The
+    first point that passes every check but has a non-positive diagonal
     raises CovarianceError.
     """
-    verdicts = _hurwitz(drifts)
-    stable, unstable = np.flatnonzero(verdicts), np.flatnonzero(~verdicts)
     errors: list[Exception | None] = [None] * len(drifts)
+    vechs = _stacked_solve(
+        _generator(drifts), -_vech(noises)[..., None], range(len(drifts)), errors, "Lyapunov"
+    )
+    verdicts = _hurwitz(drifts)
+    unstable = np.flatnonzero(~verdicts)
     if unstable.size:
         for i, re in zip(unstable.tolist(), _spectra(drifts[unstable])[1].tolist()):
             message = f"drift has max Re(eig) = {re:.3e} >= 0; no steady state"
             errors[i] = UnstableModelError(message)
-    a, n = drifts[stable], noises[stable]
-    vechs = _stacked_solve(_generator(a), -_vech(n)[..., None], stable, errors, "Lyapunov")
     finite = np.all(np.isfinite(vechs), axis=(1, 2))
     v = _unpacked(vechs[..., 0])
     # The residual is checked against the diffusion scale, with an allowance
     # for the backward error of the direct solve.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = np.max(np.abs(lyapunov_residual(a, v, n)), axis=(1, 2))
-        limit = 1e-10 * np.fmax(1e-300, np.max(np.abs(n), axis=(1, 2)))
-        scale = np.max(np.abs(a), axis=(1, 2)), np.max(np.abs(v), axis=(1, 2))
+        res = np.max(np.abs(lyapunov_residual(drifts, v, noises)), axis=(1, 2))
+        limit = 1e-10 * np.fmax(1e-300, np.max(np.abs(noises), axis=(1, 2)))
+        scale = np.max(np.abs(drifts), axis=(1, 2)), np.max(np.abs(v), axis=(1, 2))
         limit += 16.0 * np.finfo(float).eps * scale[0] * scale[1]
         # A singular point was left NaN, so it fails here too but keeps its error.
-        failed = ~finite | (res > limit)
-    for j in np.flatnonzero(failed).tolist():
-        i = int(stable[j])
+        failed = ~verdicts | ~finite | (res > limit)
+    for i in np.flatnonzero(failed).tolist():
         if errors[i] is not None:
             continue
-        if not finite[j]:
+        if not finite[i]:
             errors[i] = NumericalError("non-finite steady-state solution")
         else:
             errors[i] = NumericalError(
-                f"steady-state residual {res[j]:.3e} above tolerance {limit[j]:.3e}"
+                f"steady-state residual {res[i]:.3e} above tolerance {limit[i]:.3e}"
             )
-    ok = ~failed
-    return _SteadyStack(errors=errors, covariances=_sample_array(v[ok]), residuals=res[ok])
+    v[failed], res[failed] = np.nan, np.nan
+    _checked_diagonals(v[~failed])
+    v.flags.writeable = res.flags.writeable = False
+    return v, res, errors
 
 
 def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
@@ -598,14 +594,13 @@ def steady_state(model: LinearGaussianModel) -> SteadyStateResult:
     the one-point case of the stacked solve that steady sweeps use.
     """
     drifts, noises = _constant_parts([model])
-    stack = _steady_states(drifts, noises)
-    if stack.errors[0] is not None:
-        raise stack.errors[0]
+    covs, residuals, errors = _steady_states(drifts, noises)
+    _raise_first(errors)
     eig, max_re = _spectra(drifts[0])
     report = StabilityReport(eigenvalues=eig, max_real_part=float(max_re), stable=True)
     return SteadyStateResult(
-        covariance=CovarianceMatrix(model.basis, stack.covariances[0]),
-        residual_norm=float(stack.residuals[0]),
+        covariance=CovarianceMatrix(model.basis, covs[0]),
+        residual_norm=float(residuals[0]),
         stability=report,
     )
 
@@ -633,19 +628,22 @@ def _congruence_steps(
     return maps, gains
 
 
-def _periodic_states(
-    model: LinearGaussianModel, period: float
-) -> list[PeriodicSteadyState | Exception]:
-    """Periodic steady states of a row-stacked model: each row's result or the error it raises.
+def _periodic_states(model: LinearGaussianModel, period: float) -> tuple[
+    NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], list
+]:
+    """Periodic steady states of a row-stacked model: times (n,), then per row its cycle
+    (k, n, d, d), residual, rho(Phi)^2 and the error periodic_steady_state raises, or None.
 
-    A stack of k rows (models._lab_stack) samples (s, k, d, d) at times of
-    shape (s, 1), and one diffusion sample at t = 0 gives k; any other
-    model is the k = 1 stack.  Over one period at the default step, each
-    row's monodromy Phi (from I) and noise integral Q (from 0) step as
-    Phi -> M Phi and Q -> M Q M^T + G, with _congruence_steps' RK4 map M
-    and Simpson gain G, sampled max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k)
-    steps per call.  V0 solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL
-    103, 213603 (2009)); the cycle samples are Phi V0 Phi^T + Q.
+    The arrays are read-only.  A failed row's cycle and residual are NaN;
+    its radius is NaN only if its period map diverged.  A stack of k rows
+    (models._lab_stack) samples (s, k, d, d) at times of shape (s, 1), and
+    one diffusion sample at t = 0 gives k; any other model is the k = 1
+    stack.  Over one period at the default step, each row's monodromy Phi
+    (from I) and noise integral Q (from 0) step as Phi -> M Phi and
+    Q -> M Q M^T + G, with _congruence_steps' RK4 map M and Simpson gain G,
+    sampled max(CHUNK_STEPS, CHUNK_MODEL_STEPS // k) steps per call.  V0
+    solves V0 = Phi V0 Phi^T + Q (Mari & Eisert, PRL 103, 213603 (2009));
+    the cycle samples are Phi V0 Phi^T + Q.
     """
     if not model.fastest_rate > 0.0:
         raise ParameterError("periodic_steady_state needs a positive fastest_rate; it takes no dt")
@@ -669,13 +667,15 @@ def _periodic_states(
                     samples.append((phi, q))
         finite = np.all(np.isfinite(phi) & np.isfinite(q), axis=(1, 2))
         eig = np.linalg.eigvals(np.where(finite[:, None, None], phi, 0.0))
-    radii = np.max(np.abs(eig), axis=-1) ** 2
-    out: list = [None if ok else NumericalError("period map diverged; reduce dt") for ok in finite]
-    for i in np.flatnonzero(finite & (radii >= 1.0)):
-        out[i] = UnstableModelError(
+    radii = np.where(finite, np.max(np.abs(eig), axis=-1) ** 2, np.nan)
+    errors: list = [None if f else NumericalError("period map diverged; reduce dt") for f in finite]
+    for i in np.flatnonzero(radii >= 1.0):
+        errors[i] = UnstableModelError(
             f"Floquet multiplier modulus {radii[i]:.6g} >= 1; no periodic steady state"
         )
-    live = [i for i, error in enumerate(out) if error is None]
+    live = [i for i, error in enumerate(errors) if error is None]
+    # Allocated before the samples are stacked, an order that measured a lower peak RSS.
+    covs, residuals = np.full((k, len(stored), d, d), np.nan), np.full(k, np.nan)
     phis, qs = (np.array(x)[:, live] for x in zip(*samples))
     # vech(Phi V Phi^T) is C vech V: entry ((i, j), (k, l)) of C is
     # Phi_ik Phi_jl, plus Phi_il Phi_jk for k < l.
@@ -684,23 +684,23 @@ def _periodic_states(
     congruence = p[:, rows[:, None], rows] * p[:, cols[:, None], cols]
     congruence += (rows < cols) * (p[:, rows[:, None], cols] * p[:, cols[:, None], rows])
     rhs = _vech(q[live])[..., None]
-    vechs = _stacked_solve(np.eye(len(rows)) - congruence, rhs, live, out, "period-map")
+    vechs = _stacked_solve(np.eye(len(rows)) - congruence, rhs, live, errors, "period-map")
     v0s = _unpacked(vechs[..., 0])
     cycles = phis @ v0s @ np.swapaxes(phis, -1, -2) + qs
     times = _frozen(np.multiply(stored, h))
     for i, v0, cycle in zip(live, v0s, np.swapaxes(cycles, 0, 1)):
-        if out[i] is not None:
+        if errors[i] is not None:
             continue
         try:
             if not np.all(np.isfinite(v0)):
                 raise NumericalError("non-finite periodic steady state")
-            covs = _sample_covariances(times, _symmetrized(cycle))
+            covs[i] = _sample_covariances(times, _symmetrized(cycle))
         except (NumericalError, CovarianceError) as error:
-            out[i] = error
+            errors[i] = error
             continue
-        res = float(np.max(np.abs(covs[-1] - v0)) / max(1.0, np.max(np.abs(v0))))
-        out[i] = PeriodicSteadyState(times, covs, model.basis, float(radii[i]), res)
-    return out
+        residuals[i] = np.max(np.abs(covs[i, -1] - v0)) / max(1.0, np.max(np.abs(v0)))
+    covs.flags.writeable = residuals.flags.writeable = radii.flags.writeable = False
+    return times, covs, residuals, radii, errors
 
 
 def periodic_steady_state(model: LinearGaussianModel, period: float) -> PeriodicSteadyState:
@@ -710,10 +710,9 @@ def periodic_steady_state(model: LinearGaussianModel, period: float) -> Periodic
     is what a long evolve run settles onto, and for a constant model, at any
     period, its steady_state, both up to the integration error.
     """
-    (cycle,) = _periodic_states(model, period)
-    if isinstance(cycle, Exception):
-        raise cycle
-    return cycle
+    times, covs, residuals, radii, errors = _periodic_states(model, period)
+    _raise_first(errors)
+    return PeriodicSteadyState(times, covs[0], model.basis, float(radii[0]), float(residuals[0]))
 
 
 def _bisect_brackets(
@@ -760,7 +759,7 @@ def find_threshold(model_family, bracket: tuple[float, float], tol: float = THRE
     if not lo < hi:
         raise ParameterError(f"bracket must be increasing, got {bracket}")
     if not 0.0 < tol < math.inf:
-        bound = "finite" if tol > 0.0 else "positive"
+        bound = "positive" if tol <= 0.0 else "finite"
         raise ParameterError(f"tolerance must be {bound}, got {tol}")
     s_lo, s_hi = _stable_points([model_family(lo), model_family(hi)]).tolist()
     if s_lo == s_hi:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import _bisect_brackets, _hurwitz, _periodic_states, evolve
+from .dynamics import _bisect_brackets, _hurwitz, _periodic_states, _raise_first, evolve
 from .errors import ConfigError, ParameterError, UnstableModelError
 from .gaussian import CAVITY_MECH
 from .metrics import (
@@ -27,12 +27,13 @@ from .metrics import (
     SweepAxis,
     SweepPoint,
     SweepTable,
+    _eigen_variances,
     _grid_minimum,
     _grid_size,
     _steady_reports,
+    mechanical_block,
     mechanical_trajectory,
     sweep,
-    vsq_trajectory,
 )
 from .models import (
     SystemParams,
@@ -94,11 +95,10 @@ def _cycle_min_vsqs(rows: Sequence[SystemParams], period: float) -> list[float |
     minimum over one cycle, period = pi / omega_x, of the lab dynamics, all
     rows in one stack.  None where there is no periodic steady state.
     """
-    cycles = _periodic_states(_lab_stack(rows), period)
-    for cycle in cycles:
-        if isinstance(cycle, Exception) and not isinstance(cycle, UnstableModelError):
-            raise cycle
-    return [None if isinstance(c, Exception) else float(vsq_trajectory(c).min()) for c in cycles]
+    _, covs, _, _, errors = _periodic_states(_lab_stack(rows), period)
+    _raise_first([None if isinstance(e, UnstableModelError) else e for e in errors])
+    v_sq = _eigen_variances(mechanical_block(covs, CAVITY_MECH))[0].min(axis=1)
+    return [None if e is not None else v for v, e in zip(v_sq.tolist(), errors)]
 
 
 def modulation_instabilities(rows: Sequence[SystemParams]) -> list[float | None]:
@@ -156,9 +156,7 @@ def _ok_columns(drifts: NDArray[np.float64], noises: NDArray[np.float64]) -> NDA
     The first point's error, in stack order, is raised.
     """
     columns, errors = _steady_reports(drifts, noises, CAVITY_MECH)
-    for error in errors:
-        if error is not None:
-            raise error
+    _raise_first(errors)
     return columns
 
 
@@ -229,9 +227,7 @@ _PHASES = (("phi-0", 0.0), ("phi-half-pi", math.pi / 2.0))
 
 def _ok_points(table: SweepTable) -> tuple[SweepPoint, ...]:
     """The points of a sweep; the error of the first failed point is raised again."""
-    for point in table.points:
-        if point.error is not None:
-            raise point.error
+    _raise_first([point.error for point in table.points])
     return table.points
 
 

@@ -217,14 +217,12 @@ def _steady_reports(
     """The steady v_sq, v_asq and angle columns (3, k) of k stacked points, and each point's
     error: the exception steady_state raises for it, or None.
 
-    The points are solved as one stack and reduced by one closed form; a
-    failed point's columns are NaN.
+    The points are solved as one stack (dynamics._steady_states) and reduced
+    by one closed form; a failed point's covariance, and so its columns, are
+    NaN.
     """
-    stack = _steady_states(drifts, noises)
-    columns = np.full((3, len(stack.errors)), np.nan)
-    ok = [error is None for error in stack.errors]
-    columns[:, ok] = _eigen_variances(mechanical_block(stack.covariances, basis))
-    return columns, stack.errors
+    covs, _, errors = _steady_states(drifts, noises)
+    return np.array(_eigen_variances(mechanical_block(covs, basis))), errors
 
 
 def _transient_point(

@@ -26,6 +26,8 @@ from levisqueeze.dynamics import (
     _steady_states,
     _step_grid,
     _stored_steps,
+    _unpacked,
+    _vech,
     evolve,
     find_threshold,
     periodic_steady_state,
@@ -47,6 +49,7 @@ from levisqueeze.gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
     LinearGaussianModel,
+    drift_from_quadratic,
     uncertainty_floor,
 )
 from levisqueeze.figures import detuned_params, modulation_instabilities
@@ -54,6 +57,7 @@ from levisqueeze.metrics import vsq_trajectory
 from levisqueeze.montecarlo import EnsembleSpec
 from levisqueeze.models import (
     SystemParams,
+    _lab_frame,
     _lab_stack,
     bogoliubov_stack,
     build_eliminated_detuned,
@@ -766,6 +770,16 @@ def test_generator_is_the_eliminated_kronecker_sum(rng):
         assert np.allclose(got, [flow[i, j] for i, j in pairs], rtol=1e-13, atol=1e-13)
 
 
+def assert_nan_at_failed_points(errors, *arrays):
+    """Arrays of a stacked solve are read-only, NaN throughout at each failed point only."""
+    failed = np.array([error is not None for error in errors])
+    for array in arrays:
+        assert not array.flags.writeable
+        assert len(array) == len(errors)
+        assert np.all(np.isnan(array[failed]))
+        assert not np.any(np.isnan(array[~failed]))
+
+
 def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
     # A stacked solve raises for the whole stack when one system is
     # singular; the stack is then solved point by point, so only that point
@@ -781,22 +795,24 @@ def test_singular_point_fails_alone_in_a_stacked_solve(monkeypatch):
 
     direct = [steady_state(models[i]) for i in (0, 2)]
     monkeypatch.setattr(np.linalg, "solve", solve)
-    stack = _steady_states(*_constant_parts(models))
-    assert [type(e) for e in stack.errors] == [type(None), NumericalError, type(None)]
+    covs, residuals, errors = _steady_states(*_constant_parts(models))
+    assert [type(e) for e in errors] == [type(None), NumericalError, type(None)]
     with pytest.raises(NumericalError) as info:
         steady_state(models[1])
-    assert str(stack.errors[1]) == str(info.value) == "singular Lyapunov system: Singular matrix"
-    assert isinstance(stack.errors[1].__cause__, np.linalg.LinAlgError)
-    for got, want, res in zip(stack.covariances, direct, stack.residuals):
-        assert np.array_equal(got, want.covariance.entries)
-        assert res == want.residual_norm
+    assert str(errors[1]) == str(info.value) == "singular Lyapunov system: Singular matrix"
+    assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
+    assert_nan_at_failed_points(errors, covs, residuals)
+    for i, want in zip((0, 2), direct):
+        assert np.array_equal(covs[i], want.covariance.entries)
+        assert residuals[i] == want.residual_norm
 
 
 def test_a_mixed_stack_fails_each_point_as_steady_state_does(monkeypatch):
     # One stack of an ok point, an unstable one, a singular one, a
-    # non-finite one, one above the residual tolerance and a second ok one:
-    # each failed point keeps the error type and message steady_state gives
-    # it alone, and the ok points' covariances match it bit for bit.
+    # non-finite one, one above the residual tolerance, a second ok one and
+    # a zero drift, unstable with a truly singular system: each failed point
+    # keeps the error type and message steady_state gives it alone, and the
+    # ok points' covariances match it bit for bit.
     models = [
         _tilted_cavity(0.0),
         LinearGaussianModel.constant(MECH, 0.1 * np.eye(2), 2.0 * np.eye(2), 1.0),
@@ -804,6 +820,7 @@ def test_a_mixed_stack_fails_each_point_as_steady_state_does(monkeypatch):
         LinearGaussianModel.constant(MECH, -1e-10 * np.eye(2), 1e300 * np.eye(2), 1.0),
         _tilted_cavity(2.0),
         _tilted_cavity(1.0),
+        LinearGaussianModel.constant(MECH, np.zeros((2, 2)), np.eye(2), 1.0),
     ]
     singular, off = (_generator(np.asarray(models[i].drift_at(0.0))) for i in (2, 4))
     real_solve = np.linalg.solve
@@ -817,26 +834,28 @@ def test_a_mixed_stack_fails_each_point_as_steady_state_does(monkeypatch):
         return np.where(np.all(a == off, axis=(-2, -1))[..., None, None], x * (1.0 + 1e-6), x)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    stack = _steady_states(*_constant_parts(models))
+    covs, residuals, errors = _steady_states(*_constant_parts(models))
     alone = []
     for model in models:
         try:
             alone.append(steady_state(model))
         except (NumericalError, UnstableModelError) as exc:
             alone.append(exc)
-    kinds = [type(e) for e in stack.errors]
-    assert kinds == [type(None), UnstableModelError] + [NumericalError] * 3 + [type(None)]
-    assert str(stack.errors[2]) == "singular Lyapunov system: Singular matrix"
-    assert str(stack.errors[3]) == "non-finite steady-state solution"
-    assert str(stack.errors[4]).startswith("steady-state residual ")
-    for error, want in zip(stack.errors, alone):
+    kinds = [type(e) for e in errors]
+    assert kinds == (
+        [type(None), UnstableModelError] + [NumericalError] * 3 + [type(None), UnstableModelError]
+    )
+    assert str(errors[2]) == "singular Lyapunov system: Singular matrix"
+    assert str(errors[3]) == "non-finite steady-state solution"
+    assert str(errors[4]).startswith("steady-state residual ")
+    assert covs.shape == (7, 2, 2) and residuals.shape == (7,)
+    assert_nan_at_failed_points(errors, covs, residuals)
+    for error, want, cov, res in zip(errors, alone, covs, residuals):
         if error is not None:
             assert type(error) is type(want) and str(error) == str(want)
-    ok = [want for want in alone if not isinstance(want, Exception)]
-    assert len(ok) == len(stack.covariances) == 2
-    for got, want, res in zip(stack.covariances, ok, stack.residuals):
-        assert np.array_equal(got, want.covariance.entries)
-        assert res == want.residual_norm
+        else:
+            assert np.array_equal(cov, want.covariance.entries)
+            assert res == want.residual_norm
 
 
 def test_a_non_finite_steady_state_is_refused():
@@ -1003,18 +1022,20 @@ def test_find_threshold_rejects_bad_bracket(detuned):
         find_threshold(family(detuned), (2.0, 1.0))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_find_threshold_refuses_a_tolerance_that_is_not_positive(detuned, tol):
     # Such a tolerance is never met, so every bisection step would run.
     with pytest.raises(ParameterError, match="tolerance must be positive"):
         find_threshold(family(detuned), (1.0, 2.0), tol=tol)
 
 
-def test_find_threshold_refuses_an_infinite_tolerance(detuned):
-    # Such a tolerance is met at once: the bracket midpoint would come back
-    # without a single bisection step.
-    with pytest.raises(ParameterError, match="tolerance must be finite, got inf"):
-        find_threshold(family(detuned), (1.0, 2.0), tol=math.inf)
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_find_threshold_refuses_a_tolerance_that_is_not_finite(detuned, tol):
+    # An infinite tolerance is met at once: the bracket midpoint would come
+    # back without a single bisection step.  NaN fails every comparison and
+    # is refused as not finite, as the CLI refuses it.
+    with pytest.raises(ParameterError, match=f"^tolerance must be finite, got {tol}$"):
+        find_threshold(family(detuned), (1.0, 2.0), tol=tol)
 
 
 def test_lockstep_bisection_equals_find_threshold_per_bracket(detuned):
@@ -1142,23 +1163,100 @@ def test_every_cycle_sample_matches_a_dop853_orbit(resonant, alpha):
     assert np.all(errors <= 2e-9 * np.max(np.abs(want), axis=(1, 2)))
 
 
+#: Harmonics kept on each side by the Fourier reference; its truncation error
+#: falls geometrically with their number.
+FOURIER_HARMONICS = 16
+#: Bound on a cycle's largest entry error against the Fourier reference,
+#: relative to its largest entry: about 3 times the worst case measured
+#: (3.05e-10, resonant alpha = 0.4), where the RK4 pass is the limit.
+FOURIER_BOUND = 1e-9
+
+
+def fourier_cycle(p: SystemParams, times: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The periodic covariance of the modulated lab model at the given times, by harmonic balance.
+
+    With theta = Omega t + phi and Omega = 2 omega_x, M = 1 + alpha cos theta
+    makes the drift A0 + M A1 + M^2 A2 the sum of C_k e^(ik theta) over
+    |k| <= 2: C_0 = A0 + A1 + (1 + alpha^2/2) A2, C_(+-1) = (alpha/2) A1 +
+    alpha A2 and C_(+-2) = (alpha^2/4) A2.  The cycle V(t), the sum of
+    V_n e^(in Omega t) over |n| <= FOURIER_HARMONICS, solves
+    sum_k e^(ik phi) L(C_k) v_(n-k) - in Omega v_n = -vech N delta_n0, with
+    L the vech generator and v_n = vech V_n, here as one dense system
+    (Malz & Nunnenkamp, PRA 94, 023803 (2016)).  It shares only _lab_frame
+    and drift_from_quadratic with _periodic_states: no step, no monodromy.
+    """
+    h, decay, noise, _ = _lab_frame(p)
+    a0, a1, a2 = drift_from_quadratic(h, decay * np.array([[1.0], [0.0], [0.0]]))
+    alpha, omega, big_k = p.alpha, 2.0 * p.omega_x, FOURIER_HARMONICS
+    gens = [
+        _generator(a0 + a1 + (1.0 + alpha**2 / 2.0) * a2),
+        _generator((alpha / 2.0) * a1 + alpha * a2),
+        _generator((alpha**2 / 4.0) * a2),
+    ]
+    m, size = len(gens[0]), 2 * big_k + 1
+    system = np.zeros((size, m, size, m), dtype=complex)
+    for n in range(-big_k, big_k + 1):
+        system[n + big_k, :, n + big_k] = -1j * n * omega * np.eye(m)
+        for k in range(-2, 3):
+            if abs(n - k) <= big_k:
+                system[n + big_k, :, n - k + big_k] += np.exp(1j * k * p.phi) * gens[abs(k)]
+    rhs = np.zeros((size, m), dtype=complex)
+    rhs[big_k] = -_vech(noise)
+    v = np.linalg.solve(system.reshape(size * m, size * m), rhs.ravel()).reshape(size, m)
+    waves = np.exp(1j * omega * np.outer(times, np.arange(-big_k, big_k + 1)))
+    return _unpacked((waves @ v).real)
+
+
+def fourier_error(covs: NDArray[np.float64], want: NDArray[np.float64]) -> float:
+    """Largest entry error of a cycle against its reference, over the reference's largest entry."""
+    return float(np.max(np.abs(covs - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha",
+    [("resonant", 0.4), ("resonant", 0.1), ("resonant", 0.01), ("detuned", 0.01)],
+)
+def test_periodic_steady_state_matches_a_fourier_reference(request, scheme, alpha):
+    # Measured: 3.05e-10, 3.5e-11, 3.0e-11 and 4.3e-12 in this order.
+    p = request.getfixturevalue(scheme).with_value("alpha", alpha).with_value("phi", 0.7)
+    cycle = periodic_steady_state(build_full_modulated(p), math.pi / p.omega_x)
+    assert len(cycle.times) > 100
+    assert fourier_error(cycle.covariances, fourier_cycle(p, cycle.times)) <= FOURIER_BOUND
+
+
+def test_a_stacked_lab_cycle_matches_the_fourier_reference_row_by_row(resonant):
+    rows = [resonant.with_value("alpha", a).with_value("phi", 0.7) for a in (0.4, 0.1, 0.01)]
+    times, covs, _, _, errors = _periodic_states(_lab_stack(rows), math.pi / resonant.omega_x)
+    assert errors == [None, None, None]
+    for row, cycle in zip(rows, covs):
+        assert fourier_error(cycle, fourier_cycle(row, times)) <= FOURIER_BOUND
+
+
 def test_stacked_periodic_states_equal_one_model_calls(resonant):
     # The second row is parametrically unstable; the stack carries its error
-    # and solves the figS5 depths around it exactly as one-row calls do, so
-    # each row's sampled drifts land in its own row of the stack.
+    # and its Floquet radius, and solves the figS5 depths around it exactly
+    # as one-row calls do, so each row's sampled drifts land in its own row
+    # of the stack.
     rows = [resonant.with_value("alpha", a) for a in (0.4, 0.6, 0.1, 0.01)]
     period = math.pi / resonant.omega_x
-    stack = _periodic_states(_lab_stack(rows), period)
+    times, covs, residuals, radii, errors = _periodic_states(_lab_stack(rows), period)
     with pytest.raises(UnstableModelError) as single_error:
         periodic_steady_state(build_full_modulated(rows[1]), period)
-    assert isinstance(stack[1], UnstableModelError)
-    assert str(stack[1]) == str(single_error.value)
-    for row, got in zip(rows[:1] + rows[2:], stack[:1] + stack[2:]):
-        want = periodic_steady_state(build_full_modulated(row), period)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.covariances, want.covariances)
-        assert got.spectral_radius == want.spectral_radius
-        assert got.residual_norm == want.residual_norm
+    assert [type(e) for e in errors] == [type(None), UnstableModelError, type(None), type(None)]
+    assert str(errors[1]) == str(single_error.value)
+    assert str(errors[1]) == (
+        f"Floquet multiplier modulus {radii[1]:.6g} >= 1; no periodic steady state"
+    )
+    assert covs.shape == (4, len(times), 4, 4)
+    assert_nan_at_failed_points(errors, covs, residuals)
+    assert not times.flags.writeable and not radii.flags.writeable
+    assert np.all(np.isfinite(radii)) and radii[1] >= 1.0
+    for i in (0, 2, 3):
+        want = periodic_steady_state(build_full_modulated(rows[i]), period)
+        assert np.array_equal(times, want.times)
+        assert np.array_equal(covs[i], want.covariances)
+        assert radii[i] == want.spectral_radius
+        assert residuals[i] == want.residual_norm
 
 
 def constant_stack(models: list[LinearGaussianModel]) -> LinearGaussianModel:
@@ -1180,18 +1278,36 @@ def test_stacked_periodic_states_carry_a_non_positive_diagonal_as_its_error():
     # bad settles on V = -2 I: its samples are finite, but their diagonal is negative.
     ok = damped_cavity()
     bad = LinearGaussianModel.constant(MECH, -np.eye(2), -4.0 * np.eye(2), 1.0)
-    stack = _periodic_states(constant_stack([ok, bad, ok]), 2.0)
+    times, covs, residuals, radii, errors = _periodic_states(constant_stack([ok, bad, ok]), 2.0)
     with pytest.raises(CovarianceError) as single_error:
         periodic_steady_state(bad, 2.0)
     assert str(single_error.value) == "non-positive diagonal entries [-2. -2.]"
-    assert isinstance(stack[1], CovarianceError)
-    assert str(stack[1]) == str(single_error.value)
+    assert [type(e) for e in errors] == [type(None), CovarianceError, type(None)]
+    assert str(errors[1]) == str(single_error.value)
+    assert_nan_at_failed_points(errors, covs, residuals)
+    # Its period map is a contraction like the others'; only its cycle failed.
+    assert np.all(radii < 1.0)
     want = periodic_steady_state(ok, 2.0)
-    for got in (stack[0], stack[2]):
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.covariances, want.covariances)
-        assert got.spectral_radius == want.spectral_radius
-        assert got.residual_norm == want.residual_norm
+    for i in (0, 2):
+        assert np.array_equal(times, want.times)
+        assert np.array_equal(covs[i], want.covariances)
+        assert radii[i] == want.spectral_radius
+        assert residuals[i] == want.residual_norm
+
+
+def test_stacked_periodic_states_leave_a_diverged_period_map_without_a_radius():
+    # RK4 multiplies the growing row by about 643 per step: it overflows
+    # within the period, so it has no radius; the rows beside it are solved.
+    ok = damped_cavity()
+    grows = LinearGaussianModel.constant(MECH, 1e3 * np.eye(2), np.eye(2), 1.0)
+    times, covs, residuals, radii, errors = _periodic_states(constant_stack([ok, grows, ok]), 2.0)
+    with pytest.raises(NumericalError, match="^period map diverged; reduce dt$"):
+        periodic_steady_state(grows, 2.0)
+    assert [type(e) for e in errors] == [type(None), NumericalError, type(None)]
+    assert str(errors[1]) == "period map diverged; reduce dt"
+    assert_nan_at_failed_points(errors, covs, residuals, radii)
+    want = periodic_steady_state(ok, 2.0)
+    assert np.array_equal(covs[2], want.covariances) and radii[0] == want.spectral_radius
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 256, 257, 4998, 4999, 50000])
